@@ -6,6 +6,8 @@
 #   0b. Robustness lint: src/{rctree,core,engine} must throw typed
 #      robust::Error (or std::invalid_argument for caller bugs), never bare
 #      std::runtime_error — the engine's failure records depend on codes.
+#   0c. JSON lint: src/ and tools/ hold no JSON escaper or append_json_*
+#      helper outside src/obs/json.cpp (rct::json is the one writer).
 #   1. ThreadSanitizer build; runs the engine tests (thread pool, net cache,
 #      batch analyzer), the shared-TreeContext tests, the obs registry/tracer
 #      tests, the robustness tests (deadline/retry/fault injection), the
@@ -80,6 +82,20 @@ ROBUST_HITS=$(grep -rn 'throw std::runtime_error' "${ROBUST_DIRS[@]}" || true)
 if [[ -n "$ROBUST_HITS" ]]; then
   echo "$ROBUST_HITS"
   echo "lint: use robust::Error with a typed Code instead of std::runtime_error"
+  exit 1
+fi
+
+# --- lint: one JSON writer ---------------------------------------------------
+# Every JSON byte rct writes goes through rct::json (src/obs/json.cpp); the
+# six private escapers it replaced had already drifted apart.  A `\u%04x`
+# escape or an append_json_* definition anywhere else is a second writer.
+echo "== lint: JSON writers outside src/obs/json.cpp =="
+JSON_HITS=$( (grep -rnFi '\\u%04x' src tools;
+              grep -rnE '[A-Za-z0-9_>&*]\s+append_json_[A-Za-z0-9_]*\s*\(' src tools) \
+  | grep -v '^src/obs/json\.cpp:' || true)
+if [[ -n "$JSON_HITS" ]]; then
+  echo "$JSON_HITS"
+  echo "lint: write JSON with rct::json::append_{string,number,us} (src/obs/json.hpp)"
   exit 1
 fi
 

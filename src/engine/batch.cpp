@@ -13,6 +13,7 @@
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -281,33 +282,6 @@ void run_net_slot(const SpefNet& net, NetResult& slot, const BatchOptions& optio
     failed_so_far.fetch_add(1, std::memory_order_relaxed);
   }
   ec.nets_completed.add();
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_json_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12e", v);
-  out += buf;
 }
 
 }  // namespace
@@ -584,19 +558,19 @@ std::string format_batch(const BatchResult& result) {
 std::string format_batch_json(const BatchResult& result) {
   std::string out;
   out += "{\"design\":";
-  append_json_string(out, result.design);
+  json::append_string(out, result.design);
   out += ",\"nets\":[";
   bool first_net = true;
   for (const NetResult& net : result.nets) {
     if (!first_net) out += ',';
     first_net = false;
     out += "{\"name\":";
-    append_json_string(out, net.name);
+    json::append_string(out, net.name);
     out += ",\"driver\":";
-    append_json_string(out, net.driver);
+    json::append_string(out, net.driver);
     out += ",\"nodes\":" + std::to_string(net.nodes);
     out += ",\"total_capacitance_f\":";
-    append_json_double(out, net.total_capacitance);
+    json::append_number(out, net.total_capacitance);
     out += ",\"degraded\":";
     out += net.degraded ? "true" : "false";
     out += ",\"retried\":";
@@ -605,14 +579,13 @@ std::string format_batch_json(const BatchResult& result) {
     out += net.timed_out ? "true" : "false";
     if (!net.ok()) {
       out += ",\"error\":";
-      append_json_string(out, net.error);
+      json::append_string(out, net.error);
       out += ",\"code\":";
-      append_json_string(out, std::string(robust::code_name(net.code)));
+      json::append_string(out, robust::code_name(net.code));
       out += ",\"category\":";
-      append_json_string(out,
-                         std::string(robust::category_name(robust::category_of(net.code))));
+      json::append_string(out, robust::category_name(robust::category_of(net.code)));
       out += ",\"phase\":";
-      append_json_string(out, net.phase);
+      json::append_string(out, net.phase);
       out += ",\"loads\":[]}";
       continue;
     }
@@ -623,16 +596,16 @@ std::string format_batch_json(const BatchResult& result) {
       if (!first_load) out += ',';
       first_load = false;
       out += "{\"name\":";
-      append_json_string(out, r.name);
+      json::append_string(out, r.name);
       out += ",\"elmore_s\":";
-      append_json_double(out, r.elmore);
+      json::append_number(out, r.elmore);
       out += ",\"sigma_s\":";
-      append_json_double(out, r.sigma);
+      json::append_number(out, r.sigma);
       out += ",\"lower_bound_s\":";
-      append_json_double(out, r.lower_bound);
+      json::append_number(out, r.lower_bound);
       out += ",\"exact_delay_s\":";
       if (r.exact_delay)
-        append_json_double(out, *r.exact_delay);
+        json::append_number(out, *r.exact_delay);
       else
         out += "null";
       out += ",\"degraded\":";

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <unistd.h>
+
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace rct::obs::flight {
 namespace {
@@ -17,27 +19,6 @@ std::uint64_t steady_now_ns() {
 }
 
 std::atomic<std::uint64_t> next_recorder_id{1};
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void copy_net_name(char (&dst)[Event::kNetCapacity], std::string_view net) {
   const std::size_t n = std::min(net.size(), Event::kNetCapacity - 1);
@@ -202,15 +183,15 @@ std::string Recorder::to_json() const {
     out += "{\"seq\":" + std::to_string(e.seq);
     out += ",\"tid\":" + std::to_string(e.tid);
     out += ",\"net\":";
-    append_json_string(out, e.net);
+    json::append_string(out, e.net);
     out += ",\"phase\":";
-    append_json_string(out, e.phase);
+    json::append_string(out, e.phase);
     out += ",\"start_ns\":" + std::to_string(e.start_ns);
     out += ",\"dur_ns\":" + std::to_string(e.dur_ns);
     out += ",\"outcome\":";
-    append_json_string(out, outcome_name(e.outcome));
+    json::append_string(out, outcome_name(e.outcome));
     out += ",\"code\":";
-    append_json_string(out, robust::code_name(e.code));
+    json::append_string(out, robust::code_name(e.code));
     out += '}';
   }
   out += "]}";
@@ -218,16 +199,7 @@ std::string Recorder::to_json() const {
 }
 
 bool Recorder::write(const std::string& path) const {
-  if (path == "-") {
-    const std::string body = to_json();
-    std::fwrite(body.data(), 1, body.size(), stderr);
-    std::fputc('\n', stderr);
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_json() << '\n';
-  return static_cast<bool>(out);
+  return write_text(path, to_json() + '\n');
 }
 
 void Recorder::dump_signal(int fd) const {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace rct::obs::log {
@@ -21,42 +21,14 @@ std::uint64_t wall_now_us() {
                                         .count());
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_field_value(std::string& out, const Field& field) {
   switch (field.kind) {
     case Field::Kind::kString:
-      append_json_string(out, field.str);
+      json::append_string(out, field.str);
       break;
-    case Field::Kind::kFloat: {
-      if (!std::isfinite(field.f)) {
-        out += "null";
-        break;
-      }
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", field.f);
-      out += buf;
+    case Field::Kind::kFloat:
+      json::append_number(out, field.f);
       break;
-    }
     case Field::Kind::kUint:
       out += std::to_string(field.u);
       break;
@@ -167,10 +139,10 @@ void Logger::write_line(Level level, const char* event, const Field* fields,
   std::string line = "{\"ts_us\":" + std::to_string(wall_now_us()) + ",\"level\":\"";
   line += level_name(level);
   line += "\",\"event\":";
-  append_json_string(line, event);
+  json::append_string(line, event);
   for (std::size_t i = 0; i < n_fields; ++i) {
     line += ',';
-    append_json_string(line, fields[i].key);
+    json::append_string(line, fields[i].key);
     line += ':';
     append_field_value(line, fields[i]);
   }

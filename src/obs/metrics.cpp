@@ -8,41 +8,10 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace rct::obs {
 namespace {
-
-/// JSON number formatter shared by the snapshot writer: shortest round-trip
-/// form would be ideal, but %.17g is stable and always parses back exactly.
-void append_json_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan; snapshots use null
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// Relaxed CAS add for atomic<double> (fetch_add on floating atomics is
 /// C++20 but this spells out the loop the TSan-checked path actually runs).
@@ -76,9 +45,9 @@ std::string prometheus_name(std::string_view name) {
   return out;
 }
 
-/// Writes `body` to `path`, with "-" meaning stderr (pipelines capture
-/// telemetry without temp files); false on I/O error.
-bool write_text(const std::string& path, const std::string& body) {
+}  // namespace
+
+bool write_text(const std::string& path, std::string_view body) {
   if (path == "-") {
     std::fwrite(body.data(), 1, body.size(), stderr);
     return true;
@@ -88,8 +57,6 @@ bool write_text(const std::string& path, const std::string& body) {
   out << body;
   return static_cast<bool>(out);
 }
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)),
@@ -231,7 +198,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, c] : counters_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ':' + std::to_string(c->value());
   }
   out += "},\"gauges\":{";
@@ -239,40 +206,40 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ':';
-    append_json_double(out, g->value());
+    json::append_number(out, g->value());
   }
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ":{\"buckets\":[";
     const auto bounds = h->bounds();
     for (std::size_t i = 0; i <= bounds.size(); ++i) {
       if (i > 0) out += ',';
       out += "{\"le\":";
       if (i < bounds.size())
-        append_json_double(out, bounds[i]);
+        json::append_number(out, bounds[i]);
       else
         out += "\"inf\"";
       out += ",\"count\":" + std::to_string(h->bucket_count(i)) + '}';
     }
     out += "],\"count\":" + std::to_string(h->count());
     out += ",\"sum\":";
-    append_json_double(out, h->sum());
+    json::append_number(out, h->sum());
     out += ",\"min\":";
-    append_json_double(out, h->min());
+    json::append_number(out, h->min());
     out += ",\"max\":";
-    append_json_double(out, h->max());
+    json::append_number(out, h->max());
     out += ",\"p50\":";
-    append_json_double(out, h->quantile(0.50));
+    json::append_number(out, h->quantile(0.50));
     out += ",\"p95\":";
-    append_json_double(out, h->quantile(0.95));
+    json::append_number(out, h->quantile(0.95));
     out += ",\"p99\":";
-    append_json_double(out, h->quantile(0.99));
+    json::append_number(out, h->quantile(0.99));
     out += '}';
   }
   out += "}}";

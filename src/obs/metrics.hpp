@@ -186,6 +186,11 @@ class MetricsRegistry {
 /// The process-global registry every layer records into.
 [[nodiscard]] MetricsRegistry& registry();
 
+/// Writes `body` to `path`, with "-" meaning stderr (pipelines capture
+/// telemetry without temp files); false on I/O error.  Every obs file sink
+/// (metrics, trace, flight dump) writes through it.
+bool write_text(const std::string& path, std::string_view body);
+
 /// RAII stopwatch: observes its lifetime in seconds into a histogram on
 /// destruction.  Compiled to an empty shell when RCT_OBS_ENABLED=0 — no
 /// clock read, no observe.

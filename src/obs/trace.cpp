@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
+
+#include "obs/json.hpp"
 
 namespace rct::obs {
 namespace {
@@ -15,37 +15,6 @@ std::uint64_t steady_now_ns() {
 }
 
 std::atomic<std::uint64_t> next_collector_id{1};
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// Microseconds with nanosecond precision, fixed format (trace viewers do
-/// not accept exponents in ts/dur).
-void append_us(std::string& out, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  out += buf;
-}
 
 }  // namespace
 
@@ -125,16 +94,16 @@ std::string TraceCollector::to_chrome_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_json_string(out, e.name);
+    json::append_string(out, e.name);
     out += ",\"cat\":";
-    append_json_string(out, e.cat);
+    json::append_string(out, e.cat);
     out += ",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(e.tid) + ",\"ts\":";
-    append_us(out, e.ts_ns);
+    json::append_us(out, e.ts_ns);
     out += ",\"dur\":";
-    append_us(out, e.dur_ns);
+    json::append_us(out, e.dur_ns);
     if (!e.detail.empty()) {
       out += ",\"args\":{\"detail\":";
-      append_json_string(out, e.detail);
+      json::append_string(out, e.detail);
       out += '}';
     }
     out += '}';
@@ -144,16 +113,7 @@ std::string TraceCollector::to_chrome_json() const {
 }
 
 bool TraceCollector::write_chrome_json(const std::string& path) const {
-  if (path == "-") {  // stderr, so pipelines capture the trace without temp files
-    const std::string body = to_chrome_json();
-    std::fwrite(body.data(), 1, body.size(), stderr);
-    std::fputc('\n', stderr);
-    return true;
-  }
-  std::ofstream out(path);
-  if (!out) return false;
-  out << to_chrome_json() << '\n';
-  return static_cast<bool>(out);
+  return write_text(path, to_chrome_json() + '\n');
 }
 
 TraceCollector& tracer() {

@@ -1,288 +1,72 @@
 #include "server/protocol.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <utility>
+
+#include "obs/json.hpp"
 
 namespace rct::server {
 namespace {
 
-/// Minimal recursive-descent scanner over one flat JSON object.  Supports
-/// exactly what the protocol needs — string, number, true/false/null
-/// values, no nesting — and reports the first problem it sees instead of
-/// throwing.  Nested containers are skipped structurally so future
-/// protocol revisions can add them without breaking old servers.
-class FlatJsonScanner {
- public:
-  explicit FlatJsonScanner(std::string_view text) : text_(text) {}
+// Typed request fields by wire key; set_field range-checks "fraction".
+constexpr std::pair<std::string_view, std::string Request::*> kTextFields[] = {
+    {"cmd", &Request::cmd}, {"design", &Request::design}, {"path", &Request::path},
+    {"net", &Request::net}, {"trace", &Request::trace},   {"span", &Request::span}};
+constexpr std::pair<std::string_view, bool Request::*> kFlagFields[] = {
+    {"lenient", &Request::lenient}, {"leaves_only", &Request::leaves_only},
+    {"with_exact", &Request::with_exact}};
+constexpr std::pair<std::string_view, std::uint64_t Request::*> kCountFields[] = {
+    {"id", &Request::id}, {"exact_limit", &Request::exact_limit},
+    {"timeout_ms", &Request::timeout_ms}};
 
-  [[nodiscard]] bool fail(std::string message) {
-    if (error_.empty()) error_ = std::move(message);
-    return false;
+/// Stores `v` into the field named `key`; false when its type or range is
+/// wrong.  Unknown keys are skipped (forward compatibility).
+bool set_field(Request& req, std::string_view key, const json::Value& v) {
+  using Kind = json::Value::Kind;
+  for (const auto& [name, field] : kTextFields) {
+    if (key != name) continue;
+    req.*field = v.text;
+    return v.kind == Kind::kString;
   }
-  [[nodiscard]] const std::string& error() const { return error_; }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
+  for (const auto& [name, field] : kFlagFields) {
+    if (key != name) continue;
+    req.*field = v.boolean;
+    if (key == "with_exact") req.has_with_exact = true;
+    return v.kind == Kind::kBool;
   }
-
-  [[nodiscard]] bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
+  for (const auto& [name, field] : kCountFields) {
+    if (key != name) continue;
+    req.*field = v.as_u64().value_or(0);
+    return v.as_u64().has_value();
   }
-
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
+  if (key == "fraction") {
+    req.fraction = v.number();
+    return req.fraction > 0.0 && req.fraction < 1.0;  // false for NaN too
   }
-
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
-  /// Parses a JSON string literal (opening quote already *not* consumed).
-  [[nodiscard]] bool parse_string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          // Decode \uXXXX; the protocol only ever emits ASCII control
-          // escapes, so non-ASCII code points are folded to '?' rather
-          // than carrying a full UTF-8 encoder.
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9')
-              value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return fail("bad \\u escape");
-          }
-          out.push_back(value < 0x80 ? static_cast<char>(value) : '?');
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  /// Parses one scalar value as raw text; `kind` tells the caller how to
-  /// interpret it ('s' string, 'n' number, 'b' bool, '0' null).
-  [[nodiscard]] bool parse_value(std::string& raw, char& kind) {
-    skip_ws();
-    if (pos_ >= text_.size()) return fail("expected value");
-    const char c = text_[pos_];
-    if (c == '"') {
-      kind = 's';
-      return parse_string(raw);
-    }
-    if (c == '{' || c == '[') return skip_container(raw, kind);
-    raw.clear();
-    while (pos_ < text_.size()) {
-      const char v = text_[pos_];
-      if (v == ',' || v == '}' || v == ']' ||
-          std::isspace(static_cast<unsigned char>(v)) != 0)
-        break;
-      raw.push_back(v);
-      ++pos_;
-    }
-    if (raw == "true" || raw == "false") {
-      kind = 'b';
-      return true;
-    }
-    if (raw == "null") {
-      kind = '0';
-      return true;
-    }
-    if (raw.empty()) return fail("expected value");
-    kind = 'n';
-    return true;
-  }
-
- private:
-  /// Skips a nested object/array (unknown keys from newer clients); the
-  /// protocol's own fields are always scalars.
-  [[nodiscard]] bool skip_container(std::string& raw, char& kind) {
-    raw.clear();
-    kind = 'c';
-    int depth = 0;
-    bool in_string = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (in_string) {
-        if (c == '\\' && pos_ < text_.size())
-          ++pos_;
-        else if (c == '"')
-          in_string = false;
-        continue;
-      }
-      if (c == '"') in_string = true;
-      if (c == '{' || c == '[') ++depth;
-      if (c == '}' || c == ']') {
-        --depth;
-        if (depth == 0) return true;
-      }
-    }
-    return fail("unterminated container");
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-bool parse_u64(const std::string& raw, std::uint64_t& out) {
-  if (raw.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (end != raw.c_str() + raw.size()) return false;
-  out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_f64(const std::string& raw, double& out) {
-  if (raw.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end != raw.c_str() + raw.size()) return false;
-  out = v;
   return true;
 }
 
 }  // namespace
 
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_json_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12e", v);
-  out += buf;
-}
-
 ParsedRequest parse_request(std::string_view line) {
   ParsedRequest result;
-  FlatJsonScanner scanner(line);
-  if (!scanner.consume('{')) {
+  const std::optional<json::Value> doc = json::parse(line, &result.error);
+  if (!doc) return result;
+  using Kind = json::Value::Kind;
+  if (doc->kind != Kind::kObject) {
     result.error = "request is not a JSON object";
     return result;
   }
-  Request& req = result.request;
-  bool first = true;
-  while (!scanner.peek('}')) {
-    if (!first && !scanner.consume(',')) {
-      result.error = "expected ',' between fields";
-      return result;
-    }
-    first = false;
-    std::string key;
-    if (!scanner.parse_string(key) || !scanner.consume(':')) {
-      result.error = scanner.error().empty() ? "expected \"key\":" : scanner.error();
-      return result;
-    }
-    std::string raw;
-    char kind = 0;
-    if (!scanner.parse_value(raw, kind)) {
-      result.error = scanner.error();
-      return result;
-    }
-    if (kind == '0' || kind == 'c') continue;  // null / nested: field absent
-    bool field_ok = true;
-    if (key == "id") {
-      field_ok = kind == 'n' && parse_u64(raw, req.id);
-    } else if (key == "cmd") {
-      field_ok = kind == 's';
-      req.cmd = raw;
-    } else if (key == "design") {
-      field_ok = kind == 's';
-      req.design = raw;
-    } else if (key == "path") {
-      field_ok = kind == 's';
-      req.path = raw;
-    } else if (key == "net") {
-      field_ok = kind == 's';
-      req.net = raw;
-    } else if (key == "lenient") {
-      field_ok = kind == 'b';
-      req.lenient = raw == "true";
-    } else if (key == "leaves_only") {
-      field_ok = kind == 'b';
-      req.leaves_only = raw == "true";
-    } else if (key == "with_exact") {
-      field_ok = kind == 'b';
-      req.with_exact = raw == "true";
-      req.has_with_exact = true;
-    } else if (key == "exact_limit") {
-      field_ok = kind == 'n' && parse_u64(raw, req.exact_limit);
-    } else if (key == "timeout_ms") {
-      field_ok = kind == 'n' && parse_u64(raw, req.timeout_ms);
-    } else if (key == "fraction") {
-      field_ok = kind == 'n' && parse_f64(raw, req.fraction);
-    } else if (key == "trace") {
-      field_ok = kind == 's';
-      req.trace = raw;
-    } else if (key == "span") {
-      field_ok = kind == 's';
-      req.span = raw;
-    }
-    // Unknown keys with scalar values are silently skipped.
-    if (!field_ok) {
-      result.error = "bad value for field \"" + key + "\"";
+  for (const json::Member& m : doc->members) {
+    // null / nested containers read as "field absent" (forward compatibility).
+    const Kind kind = m.value.kind;
+    if (kind == Kind::kNull || kind == Kind::kArray || kind == Kind::kObject) continue;
+    if (!set_field(result.request, m.key, m.value)) {
+      result.error = "bad value for field \"" + m.key + "\"";
       return result;
     }
   }
-  if (!scanner.consume('}') || !scanner.at_end()) {
-    result.error = "trailing bytes after request object";
-    return result;
-  }
-  if (req.cmd.empty()) {
+  if (result.request.cmd.empty()) {
     result.error = "missing \"cmd\"";
     return result;
   }
@@ -292,12 +76,12 @@ ParsedRequest parse_request(std::string_view line) {
 
 std::string encode_request(const Request& request) {
   std::string out = "{\"id\":" + std::to_string(request.id) + ",\"cmd\":";
-  append_json_string(out, request.cmd);
+  json::append_string(out, request.cmd);
   const auto field = [&out](std::string_view key, std::string_view value) {
     out += ",\"";
     out += key;
     out += "\":";
-    append_json_string(out, value);
+    json::append_string(out, value);
   };
   if (!request.design.empty()) field("design", request.design);
   if (!request.path.empty()) field("path", request.path);
@@ -312,7 +96,7 @@ std::string encode_request(const Request& request) {
     out += ",\"timeout_ms\":" + std::to_string(request.timeout_ms);
   if (request.fraction != 0.0) {
     out += ",\"fraction\":";
-    append_json_double(out, request.fraction);
+    json::append_number(out, request.fraction);
   }
   if (!request.trace.empty()) field("trace", request.trace);
   if (!request.span.empty()) field("span", request.span);
@@ -322,9 +106,9 @@ std::string encode_request(const Request& request) {
 
 std::string error_response(std::uint64_t id, std::string_view code, std::string_view message) {
   std::string out = "{\"id\":" + std::to_string(id) + ",\"ok\":false,\"code\":";
-  append_json_string(out, code);
+  json::append_string(out, code);
   out += ",\"error\":";
-  append_json_string(out, message);
+  json::append_string(out, message);
   out.push_back('}');
   return out;
 }

@@ -19,9 +19,12 @@
 // `trace` command with the same id fetches the slice, and the client
 // stitches both halves into one Perfetto timeline (see request_trace.hpp).
 //
-// The parser accepts exactly what the encoder emits plus ordinary JSON
-// freedoms (whitespace, any key order, escaped strings).  It never throws:
-// a malformed line comes back as ParsedRequest{ok=false, error}.
+// The parser reads the line with the strict json::parse (RFC 8259: no
+// bare inf/nan/hex numbers, no trailing commas), so it accepts what the
+// encoder emits plus ordinary JSON freedoms (whitespace, any key order,
+// escaped strings).  Known fields are type-checked: ids and limits must be
+// exact non-negative integers and "fraction" must lie in (0, 1).  It never
+// throws: a malformed line comes back as ParsedRequest{ok=false, error}.
 
 #include <cstdint>
 #include <string>
@@ -65,12 +68,6 @@ struct ParsedRequest {
 /// fixed point.  This is the one encoder the client subcommand, its batch
 /// mode, the tests and bench/perf_serve all share.
 [[nodiscard]] std::string encode_request(const Request& request);
-
-/// Appends `s` as a JSON string literal (quoted, escaped).
-void append_json_string(std::string& out, std::string_view s);
-
-/// Appends a double in the deterministic %.12e form the batch JSON uses.
-void append_json_double(std::string& out, double v);
 
 /// One-line failure response: {"id":N,"ok":false,"error":...,"code":...}.
 [[nodiscard]] std::string error_response(std::uint64_t id, std::string_view code,

@@ -3,13 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <random>
 
-#include "server/protocol.hpp"
+#include "obs/json.hpp"
 
 namespace rct::server {
 
@@ -51,10 +50,10 @@ void append_trace_spans_json(std::string& out, const std::vector<TraceSpan>& spa
     const TraceSpan& s = spans[i];
     if (i > 0) out.push_back(',');
     out += "{\"name\":";
-    append_json_string(out, s.name);
+    json::append_string(out, s.name);
     if (!s.detail.empty()) {
       out += ",\"detail\":";
-      append_json_string(out, s.detail);
+      json::append_string(out, s.detail);
     }
     out += ",\"ts_ns\":" + std::to_string(s.ts_ns);
     out += ",\"dur_ns\":" + std::to_string(s.dur_ns);
@@ -63,104 +62,28 @@ void append_trace_spans_json(std::string& out, const std::vector<TraceSpan>& spa
   out.push_back(']');
 }
 
-namespace {
-
-/// Cursor over the span array text; just enough JSON to read back what
-/// append_trace_spans_json wrote (tolerating unknown scalar keys).
-struct SpanCursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos])) != 0) ++pos;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos >= text.size()) return false;
-      const char esc = text[pos++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        default: out.push_back('?'); break;
-      }
-    }
-    return false;
-  }
-  bool parse_number(std::uint64_t& out) {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 || text[pos] == '-' ||
-            text[pos] == '+' || text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E'))
-      ++pos;
-    if (pos == start) return false;
-    out = std::strtoull(std::string(text.substr(start, pos - start)).c_str(), nullptr, 10);
-    return true;
-  }
-};
-
-}  // namespace
-
 bool parse_trace_spans(std::string_view response_line, std::vector<TraceSpan>& out) {
   out.clear();
-  const std::size_t at = response_line.find("\"spans\":[");
-  if (at == std::string_view::npos) return false;
-  SpanCursor cur{response_line.substr(at + 8), 0};
-  if (!cur.consume('[')) return false;
-  bool first = true;
-  while (!cur.peek(']')) {
-    if (!first && !cur.consume(',')) return false;
-    first = false;
-    if (!cur.consume('{')) return false;
+  using Kind = json::Value::Kind;
+  const std::optional<json::Value> doc = json::parse(response_line);
+  const json::Value* spans = doc ? doc->find("spans") : nullptr;
+  if (spans == nullptr || spans->kind != Kind::kArray) return false;
+  for (const json::Value& item : spans->items) {
+    if (item.kind != Kind::kObject) return false;
     TraceSpan span;
-    bool first_field = true;
-    while (!cur.peek('}')) {
-      if (!first_field && !cur.consume(',')) return false;
-      first_field = false;
-      std::string key;
-      if (!cur.parse_string(key) || !cur.consume(':')) return false;
-      if (key == "name") {
-        if (!cur.parse_string(span.name)) return false;
-      } else if (key == "detail") {
-        if (!cur.parse_string(span.detail)) return false;
-      } else if (key == "ts_ns") {
-        if (!cur.parse_number(span.ts_ns)) return false;
-      } else if (key == "dur_ns") {
-        if (!cur.parse_number(span.dur_ns)) return false;
-      } else if (cur.peek('"')) {
-        std::string ignored;
-        if (!cur.parse_string(ignored)) return false;
-      } else {
-        std::uint64_t ignored = 0;
-        if (!cur.parse_number(ignored)) return false;
+    for (const json::Member& m : item.members) {  // unknown keys are skipped
+      const json::Value& v = m.value;
+      if (m.key == "name" || m.key == "detail") {
+        if (v.kind != Kind::kString) return false;
+        (m.key == "name" ? span.name : span.detail) = v.text;
+      } else if (m.key == "ts_ns" || m.key == "dur_ns") {
+        if (!v.as_u64()) return false;
+        (m.key == "ts_ns" ? span.ts_ns : span.dur_ns) = *v.as_u64();
       }
     }
-    if (!cur.consume('}')) return false;
     out.push_back(std::move(span));
   }
-  return cur.consume(']');
+  return true;
 }
 
 void rebase_spans(std::vector<TraceSpan>& server_spans, std::uint64_t send_ns,
@@ -190,21 +113,12 @@ void rebase_spans(std::vector<TraceSpan>& server_spans, std::uint64_t send_ns,
 
 namespace {
 
-/// Microseconds with nanosecond precision, fixed format (trace viewers do
-/// not accept exponents in ts/dur).
-void append_us(std::string& out, std::uint64_t ns) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%llu.%03llu", static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned long long>(ns % 1000));
-  out += buf;
-}
-
 void append_process(std::string& out, int pid, std::string_view name, bool& first) {
   if (!first) out.push_back(',');
   first = false;
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
          ",\"tid\":0,\"args\":{\"name\":";
-  append_json_string(out, name);
+  json::append_string(out, name);
   out += "}}";
 }
 
@@ -214,18 +128,18 @@ void append_spans(std::string& out, const std::vector<TraceSpan>& spans, int pid
     if (!first) out.push_back(',');
     first = false;
     out += "{\"name\":";
-    append_json_string(out, s.name);
+    json::append_string(out, s.name);
     out += ",\"cat\":";
-    append_json_string(out, cat);
+    json::append_string(out, cat);
     out += ",\"ph\":\"X\",\"pid\":" + std::to_string(pid) + ",\"tid\":1,\"ts\":";
-    append_us(out, s.ts_ns);
+    json::append_us(out, s.ts_ns);
     out += ",\"dur\":";
-    append_us(out, s.dur_ns);
+    json::append_us(out, s.dur_ns);
     out += ",\"args\":{\"trace\":";
-    append_json_string(out, trace_id);
+    json::append_string(out, trace_id);
     if (!s.detail.empty()) {
       out += ",\"detail\":";
-      append_json_string(out, s.detail);
+      json::append_string(out, s.detail);
     }
     out += "}}";
   }

@@ -73,9 +73,10 @@ class RequestTraceStore {
 /// (the `trace` response payload).
 void append_trace_spans_json(std::string& out, const std::vector<TraceSpan>& spans);
 
-/// Parses the span array out of one `trace` response line (the inverse of
-/// append_trace_spans_json, tolerant of unknown keys).  False on malformed
-/// input; an ok response with no spans yields an empty vector.
+/// Reads the top-level "spans" array of one `trace` response line with
+/// json::parse (the inverse of append_trace_spans_json, tolerant of unknown
+/// keys).  False on invalid JSON or a missing/mistyped array or field; an
+/// ok response with no spans yields an empty vector.
 [[nodiscard]] bool parse_trace_spans(std::string_view response_line,
                                      std::vector<TraceSpan>& out);
 

@@ -20,6 +20,7 @@
 
 #include "engine/parallel_parse.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -203,30 +204,30 @@ bool send_all(int fd, std::string_view data) {
 
 void append_row_json(std::string& out, const core::NodeReport& row, bool bounds_only) {
   out += "{\"name\":";
-  append_json_string(out, row.name);
+  json::append_string(out, row.name);
   out += ",\"depth\":" + std::to_string(row.depth);
   out += ",\"elmore\":";
-  append_json_double(out, row.elmore);
+  json::append_number(out, row.elmore);
   out += ",\"lower_bound\":";
-  append_json_double(out, row.lower_bound);
+  json::append_number(out, row.lower_bound);
   out += ",\"prh_tmin\":";
-  append_json_double(out, row.prh_tmin);
+  json::append_number(out, row.prh_tmin);
   out += ",\"prh_tmax\":";
-  append_json_double(out, row.prh_tmax);
+  json::append_number(out, row.prh_tmax);
   if (!bounds_only) {
     out += ",\"sigma\":";
-    append_json_double(out, row.sigma);
+    json::append_number(out, row.sigma);
     out += ",\"skewness\":";
-    append_json_double(out, row.skewness);
+    json::append_number(out, row.skewness);
     out += ",\"single_pole\":";
-    append_json_double(out, row.single_pole);
+    json::append_number(out, row.single_pole);
     if (row.exact_delay.has_value()) {
       out += ",\"exact_delay\":";
-      append_json_double(out, *row.exact_delay);
+      json::append_number(out, *row.exact_delay);
     }
     if (row.exact_rise.has_value()) {
       out += ",\"exact_rise\":";
-      append_json_double(out, *row.exact_rise);
+      json::append_number(out, *row.exact_rise);
     }
   }
   if (row.degraded) out += ",\"degraded\":true";
@@ -742,17 +743,14 @@ std::string Server::run_on_pool(std::function<std::string()> fn) {
 }
 
 std::string Server::cmd_ping(const Request& request) {
-  // uptime/version/pid ride along additively: the tolerant scanner on old
-  // clients skips the unknown keys.
+  // uptime/version/pid ride along additively: old clients skip unknown keys.
   std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"uptime_s\":";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", uptime_seconds());
-  out += buf;
+  json::append_number(out, uptime_seconds());
   out += ",\"version\":";
-  append_json_string(out, kVersion);
+  json::append_string(out, kVersion);
   out += ",\"pid\":" + std::to_string(static_cast<long>(::getpid()));
   out += ",\"state\":";
-  append_json_string(out, server_state_name(current_state()));
+  json::append_string(out, server_state_name(current_state()));
   out.push_back('}');
   return out;
 }
@@ -764,7 +762,7 @@ std::string Server::cmd_trace(const Request& request) {
   // the client still writes its own half of the timeline.
   const std::vector<TraceSpan> spans = traces_.fetch(request.trace);
   std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"trace\":";
-  append_json_string(out, request.trace);
+  json::append_string(out, request.trace);
   out.push_back(',');
   append_trace_spans_json(out, spans);
   out.push_back('}');
@@ -844,9 +842,9 @@ std::string Server::cmd_load(const Request& request) {
     std::size_t nodes = 0;
     for (const auto& net : design->file.nets) nodes += net.tree.size();
     std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
-    append_json_string(out, handle);
+    json::append_string(out, handle);
     out += ",\"name\":";
-    append_json_string(out, design->file.design);
+    json::append_string(out, design->file.design);
     out += ",\"nets\":" + std::to_string(design->file.nets.size()) +
            ",\"nodes\":" + std::to_string(nodes);
     if (!design->file.diagnostics.empty())
@@ -947,9 +945,9 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
 
     const TracePhase render_phase(sink, &request.trace, "server.render", request.net);
     std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
-    append_json_string(out, design->handle);
+    json::append_string(out, design->handle);
     out += ",\"net\":";
-    append_json_string(out, request.net);
+    json::append_string(out, request.net);
     out += ",\"source\":\"";
     out += source_name(source);
     out += "\",\"rows\":[";
@@ -976,7 +974,7 @@ std::string Server::cmd_stats(const Request& request) {
   out += ",\"requests\":" + std::to_string(requests_.load(std::memory_order_relaxed));
   out += ",\"threads\":" + std::to_string(pool_.thread_count());
   out += ",\"state\":";
-  append_json_string(out, server_state_name(current_state()));
+  json::append_string(out, server_state_name(current_state()));
   out += ",\"shed\":" + std::to_string(sheds_.load(std::memory_order_relaxed));
   out += ",\"queue_depth\":" + std::to_string(queue_depth_.load(std::memory_order_relaxed));
   out += ",\"queue_cap\":" + std::to_string(effective_queue_cap());
@@ -988,7 +986,7 @@ std::string Server::cmd_stats(const Request& request) {
   out += ",\"evictions\":" + std::to_string(cache_.evictions()) + "}";
   if (store_ != nullptr) {
     out += ",\"store\":{\"dir\":";
-    append_json_string(out, store_->dir());
+    json::append_string(out, store_->dir());
     out += ",\"entries\":" + std::to_string(store_->entry_count());
     out += ",\"bytes\":" + std::to_string(store_->total_bytes());
     out += ",\"max_bytes\":" + std::to_string(store_->max_bytes()) + "}";
@@ -1080,18 +1078,16 @@ HttpResponse Server::route_http(std::string_view path) {
     std::string body = "{\"status\":\"";
     body += healthy ? "ok" : "unavailable";
     body += "\",\"state\":";
-    append_json_string(body, server_state_name(state));
+    json::append_string(body, server_state_name(state));
     body += ",\"uptime_s\":";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.3f", uptime_seconds());
-    body += buf;
+    json::append_number(body, uptime_seconds());
     body += ",\"version\":";
-    append_json_string(body, kVersion);
+    json::append_string(body, kVersion);
     body += ",\"pid\":" + std::to_string(static_cast<long>(::getpid()));
     body += ",\"requests\":" + std::to_string(requests_.load(std::memory_order_relaxed));
     body += ",\"shed\":" + std::to_string(sheds_.load(std::memory_order_relaxed));
     body += ",\"address\":";
-    append_json_string(body, address_);
+    json::append_string(body, address_);
     body += "}\n";
     // Draining/stopped answer 503 so load balancers and scripts see the
     // instance leaving rotation before its socket disappears.

@@ -158,10 +158,13 @@ class Server {
   }
   [[nodiscard]] int http_port() const { return http_ != nullptr ? http_->port() : 0; }
 
-  /// Seconds since this Server was constructed (the `ping` uptime_s field).
+  /// Seconds since this Server was constructed, in whole milliseconds (the
+  /// `ping` and /healthz uptime_s field).
   [[nodiscard]] double uptime_seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - started_at_)
-        .count();
+    return static_cast<double>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                                   std::chrono::steady_clock::now() - started_at_)
+                                   .count()) /
+           1e3;
   }
 
   /// Blocks until a client issues `shutdown`, stop() is called, or

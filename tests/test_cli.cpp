@@ -15,9 +15,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"   // for the RCT_OBS_ENABLED build flag
 #include "robust/fault.hpp"  // for the RCT_FAULT_ENABLED build flag
 
@@ -127,6 +131,28 @@ TEST(Cli, BatchJsonSchema) {
   EXPECT_NE(r.output.find("\"name\":\"net_a\""), std::string::npos);
   EXPECT_NE(r.output.find("\"elmore_s\":"), std::string::npos);
   EXPECT_NE(r.output.find("\"exact_delay_s\":"), std::string::npos);
+}
+
+TEST(Cli, BatchJsonWritesNonFiniteAsNull) {
+  // R = C = 1e300 overflows the Elmore sum to inf; JSON has no inf, so the
+  // row must carry null and the degraded flag instead.
+  const std::string deck = ::testing::TempDir() + "/rct_cli_huge_values.spef";
+  {
+    std::ofstream out(deck);
+    out << "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"huge\"\n"
+           "*T_UNIT 1 NS\n*C_UNIT 1 PF\n*R_UNIT 1 OHM\n\n"
+           "*D_NET net_h 1e300\n*CONN\n*P u1:Z I\n*I u2:A O\n"
+           "*CAP\n1 h1 1e300\n2 u2:A 1e300\n"
+           "*RES\n1 u1:Z h1 1e300\n2 h1 u2:A 1e300\n*END\n";
+  }
+  const auto r = run_stdout("batch " + deck + " --json");
+  std::string error;
+  const std::optional<rct::json::Value> doc = rct::json::parse(r.output, &error);
+  ASSERT_TRUE(doc.has_value()) << error << "\n" << r.output;
+  const rct::json::Value& row = doc->at("nets").items.at(0).at("loads").items.at(0);
+  EXPECT_EQ(row.at("elmore_s").kind, rct::json::Value::Kind::kNull);
+  EXPECT_TRUE(row.at("degraded").boolean);
+  std::remove(deck.c_str());
 }
 
 TEST(Cli, BatchMatchesSpefCommandPerNet) {
@@ -604,25 +630,22 @@ TEST(Cli, ClientTraceStitch) {
                            "\"name\":\"server.request\"", "\"name\":\"server.queue_wait\"",
                            "\"name\":\"server.report.build\"", "\"name\":\"server.render\""})
     EXPECT_NE(body.find(span), std::string::npos) << span;
-  // Every span carries the same args.trace id, and a client (pid 1) and a
-  // server (pid 2) span both reference it.
-  const std::string needle = "\"trace\":\"";
-  std::string first_id;
-  std::size_t occurrences = 0;
-  for (std::size_t at = body.find(needle); at != std::string::npos;
-       at = body.find(needle, at + 1)) {
-    const std::string id = body.substr(at + needle.size(), 16);
-    if (first_id.empty()) first_id = id;
-    EXPECT_EQ(id, first_id);
-    ++occurrences;
-  }
-  EXPECT_EQ(first_id.size(), 16u);
-  for (const char c : first_id)
-    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << first_id;
-  EXPECT_GE(occurrences, 2u);
-  const std::size_t server_span = body.find("\"name\":\"server.request\"");
-  ASSERT_NE(server_span, std::string::npos);
-  EXPECT_NE(body.find("\"pid\":2", server_span), std::string::npos);
+  // Every span carries the same 16-hex args.trace id, and a client (pid 1)
+  // and a server (pid 2) span both reference it.
+  const auto pids_by_trace_id = [](const std::string& text) {
+    std::map<std::string, std::set<double>> pids;
+    const rct::json::Value doc = rct::json::parse(text).value();
+    for (const rct::json::Value& e : doc.at("traceEvents").items)
+      if (e.at("ph").text == "X")
+        pids[e.at("args").at("trace").text].insert(e.at("pid").number());
+    return pids;
+  };
+  const auto ids = pids_by_trace_id(body);
+  ASSERT_EQ(ids.size(), 1u) << body;
+  const auto& [id, pids] = *ids.begin();
+  EXPECT_EQ(id.size(), 16u);
+  EXPECT_EQ(id.find_first_not_of("0123456789abcdef"), std::string::npos) << id;
+  EXPECT_EQ(pids, (std::set<double>{1.0, 2.0}));
 
   // Batch mode mints a distinct trace id per request but stays one file.
   const std::string batch = ::testing::TempDir() + "/rct_cli_stitch_batch.txt";
@@ -633,16 +656,7 @@ TEST(Cli, ClientTraceStitch) {
   const auto multi =
       run("client " + sock + " --trace-out " + trace + " --batch " + batch);
   EXPECT_EQ(multi.exit_code, 0) << multi.output;
-  const std::string body2 = slurp(trace);
-  std::string id_a;
-  std::size_t distinct = 0;
-  for (std::size_t at = body2.find(needle); at != std::string::npos;
-       at = body2.find(needle, at + 1)) {
-    const std::string id = body2.substr(at + needle.size(), 16);
-    if (id_a.empty()) id_a = id;
-    if (id != id_a) ++distinct;
-  }
-  EXPECT_GT(distinct, 0u);  // the second request's spans carry a new id
+  EXPECT_EQ(pids_by_trace_id(slurp(trace)).size(), 2u);
 
   shutdown_daemon(sock);
   std::remove(trace.c_str());

@@ -1,6 +1,6 @@
 // src/obs tests: histogram bucket semantics, counter exactness under
 // concurrency (run under TSan by scripts/check.sh), Chrome-trace JSON
-// well-formedness (parsed back with a minimal JSON reader below) and
+// well-formedness (parsed back with the strict json::parse reader) and
 // metrics snapshot schema stability.
 //
 // All tests share the process-global registry/tracer, so each one works on
@@ -9,12 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,168 +32,15 @@ namespace {
 
 using namespace rct;
 
-// --- minimal recursive-descent JSON reader (tests only) ---------------------
+using Kind = json::Value::Kind;
 
-struct Json {
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> array;
-  std::map<std::string, Json> object;
-
-  [[nodiscard]] const Json& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (it == object.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  [[nodiscard]] bool has(const std::string& key) const { return object.count(key) > 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) throw std::runtime_error("trailing characters");
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-  char peek() {
-    if (pos_ >= text_.size()) throw std::runtime_error("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  Json value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string_value();
-      case 't': return keyword("true", bool_value(true));
-      case 'f': return keyword("false", bool_value(false));
-      case 'n': return keyword("null", Json{});
-      default: return number();
-    }
-  }
-
-  static Json bool_value(bool b) {
-    Json v;
-    v.kind = Json::Kind::Bool;
-    v.boolean = b;
-    return v;
-  }
-
-  Json keyword(std::string_view word, Json v) {
-    if (text_.substr(pos_, word.size()) != word) throw std::runtime_error("bad keyword");
-    pos_ += word.size();
-    return v;
-  }
-
-  Json object() {
-    Json v;
-    v.kind = Json::Kind::Object;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      Json key = string_value();
-      skip_ws();
-      expect(':');
-      v.object.emplace(std::move(key.str), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json array() {
-    Json v;
-    v.kind = Json::Kind::Array;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Json string_value() {
-    Json v;
-    v.kind = Json::Kind::String;
-    expect('"');
-    while (peek() != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            const unsigned long code = std::stoul(std::string(text_.substr(pos_, 4)), nullptr, 16);
-            pos_ += 4;
-            c = static_cast<char>(code);  // tests only emit ASCII escapes
-            break;
-          }
-          default: throw std::runtime_error("bad escape");
-        }
-      }
-      v.str += c;
-    }
-    ++pos_;
-    return v;
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) throw std::runtime_error("bad number");
-    Json v;
-    v.kind = Json::Kind::Number;
-    v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-Json parse_json(const std::string& text) { return JsonParser(text).parse(); }
+/// Parses one JSON text with the library reader; throws on invalid input.
+json::Value parse_json(const std::string& text) {
+  std::string error;
+  std::optional<json::Value> v = json::parse(text, &error);
+  if (!v) throw std::runtime_error(error);
+  return std::move(*v);
+}
 
 // --- histograms -------------------------------------------------------------
 
@@ -337,34 +185,34 @@ TEST(ObsSnapshot, SchemaIsStableAndParsesBack) {
   h.reset();
   h.observe(1e-3);
 
-  const Json snap = parse_json(obs::registry().to_json());
-  ASSERT_EQ(snap.kind, Json::Kind::Object);
-  EXPECT_DOUBLE_EQ(snap.at("schema_version").number, 1.0);
-  ASSERT_EQ(snap.at("counters").kind, Json::Kind::Object);
-  ASSERT_EQ(snap.at("gauges").kind, Json::Kind::Object);
-  ASSERT_EQ(snap.at("histograms").kind, Json::Kind::Object);
+  const json::Value snap = parse_json(obs::registry().to_json());
+  ASSERT_EQ(snap.kind, Kind::kObject);
+  EXPECT_DOUBLE_EQ(snap.at("schema_version").number(), 1.0);
+  ASSERT_EQ(snap.at("counters").kind, Kind::kObject);
+  ASSERT_EQ(snap.at("gauges").kind, Kind::kObject);
+  ASSERT_EQ(snap.at("histograms").kind, Kind::kObject);
 
-  EXPECT_DOUBLE_EQ(snap.at("counters").at("test.obs.snap_counter").number, 3.0);
-  EXPECT_DOUBLE_EQ(snap.at("gauges").at("test.obs.snap_gauge").number, 2.5);
+  EXPECT_DOUBLE_EQ(snap.at("counters").at("test.obs.snap_counter").number(), 3.0);
+  EXPECT_DOUBLE_EQ(snap.at("gauges").at("test.obs.snap_gauge").number(), 2.5);
 
-  const Json& hist = snap.at("histograms").at("test.obs.snap_hist_seconds");
-  ASSERT_EQ(hist.at("buckets").kind, Json::Kind::Array);
-  ASSERT_EQ(hist.at("buckets").array.size(), h.bounds().size() + 1);
+  const json::Value& hist = snap.at("histograms").at("test.obs.snap_hist_seconds");
+  ASSERT_EQ(hist.at("buckets").kind, Kind::kArray);
+  ASSERT_EQ(hist.at("buckets").items.size(), h.bounds().size() + 1);
   // Every bucket entry is {"le": number-or-"inf", "count": n}; the last is inf.
-  for (const Json& bucket : hist.at("buckets").array) {
+  for (const json::Value& bucket : hist.at("buckets").items) {
     EXPECT_TRUE(bucket.has("le"));
     EXPECT_TRUE(bucket.has("count"));
   }
-  EXPECT_EQ(hist.at("buckets").array.back().at("le").str, "inf");
-  EXPECT_DOUBLE_EQ(hist.at("count").number, 1.0);
-  EXPECT_NEAR(hist.at("sum").number, 1e-3, 1e-12);
+  EXPECT_EQ(hist.at("buckets").items.back().at("le").text, "inf");
+  EXPECT_DOUBLE_EQ(hist.at("count").number(), 1.0);
+  EXPECT_NEAR(hist.at("sum").number(), 1e-3, 1e-12);
   EXPECT_TRUE(hist.has("min"));
   EXPECT_TRUE(hist.has("max"));
   // Quantile summaries ride along (additive — still schema_version 1).
   EXPECT_TRUE(hist.has("p50"));
   EXPECT_TRUE(hist.has("p95"));
   EXPECT_TRUE(hist.has("p99"));
-  EXPECT_NEAR(hist.at("p50").number, 1e-3, 1e-9);
+  EXPECT_NEAR(hist.at("p50").number(), 1e-3, 1e-9);
 }
 
 // --- tracing ----------------------------------------------------------------
@@ -419,30 +267,30 @@ TEST(ObsTrace, ChromeJsonParsesBackWithPerThreadIds) {
   for (auto& t : threads) t.join();
   obs::tracer().set_enabled(false);
 
-  const Json trace = parse_json(obs::tracer().to_chrome_json());
-  ASSERT_EQ(trace.kind, Json::Kind::Object);
-  EXPECT_EQ(trace.at("displayTimeUnit").str, "ms");
-  const Json& events = trace.at("traceEvents");
-  ASSERT_EQ(events.kind, Json::Kind::Array);
+  const json::Value trace = parse_json(obs::tracer().to_chrome_json());
+  ASSERT_EQ(trace.kind, Kind::kObject);
+  EXPECT_EQ(trace.at("displayTimeUnit").text, "ms");
+  const json::Value& events = trace.at("traceEvents");
+  ASSERT_EQ(events.kind, Kind::kArray);
 
   std::size_t spans = 0, metadata = 0;
   std::map<double, std::size_t> by_tid;
-  for (const Json& e : events.array) {
+  for (const json::Value& e : events.items) {
     ASSERT_TRUE(e.has("name"));
     ASSERT_TRUE(e.has("ph"));
     ASSERT_TRUE(e.has("pid"));
     ASSERT_TRUE(e.has("tid"));
-    if (e.at("ph").str == "M") {
+    if (e.at("ph").text == "M") {
       ++metadata;
       continue;
     }
-    ASSERT_EQ(e.at("ph").str, "X");
+    ASSERT_EQ(e.at("ph").text, "X");
     ASSERT_TRUE(e.has("cat"));
     ASSERT_TRUE(e.has("ts"));
     ASSERT_TRUE(e.has("dur"));
-    EXPECT_GE(e.at("dur").number, 0.0);
+    EXPECT_GE(e.at("dur").number(), 0.0);
     ++spans;
-    ++by_tid[e.at("tid").number];
+    ++by_tid[e.at("tid").number()];
   }
   EXPECT_EQ(spans, 40u);
   EXPECT_EQ(by_tid.size(), 4u);  // one tid per recording thread
@@ -634,15 +482,15 @@ TEST(ObsLog, EmitsParseableJsonLinesAndFiltersByLevel) {
 
   const std::vector<std::string> lines = lines_of(slurp(path));
   ASSERT_EQ(lines.size(), 2u);
-  const Json first = parse_json(lines[0]);
-  EXPECT_EQ(first.at("event").str, "test.log.kept");
-  EXPECT_EQ(first.at("level").str, "info");
-  EXPECT_GT(first.at("ts_us").number, 0.0);
-  EXPECT_EQ(first.at("net").str, "clk\"quoted\"");  // escaping round-trips
-  EXPECT_DOUBLE_EQ(first.at("count").number, 3.0);
-  EXPECT_EQ(first.at("ok").kind, Json::Kind::Bool);
-  EXPECT_DOUBLE_EQ(first.at("ratio").number, 0.5);
-  EXPECT_EQ(parse_json(lines[1]).at("event").str, "test.log.warned");
+  const json::Value first = parse_json(lines[0]);
+  EXPECT_EQ(first.at("event").text, "test.log.kept");
+  EXPECT_EQ(first.at("level").text, "info");
+  EXPECT_GT(first.at("ts_us").number(), 0.0);
+  EXPECT_EQ(first.at("net").text, "clk\"quoted\"");  // escaping round-trips
+  EXPECT_DOUBLE_EQ(first.at("count").number(), 3.0);
+  EXPECT_EQ(first.at("ok").kind, Kind::kBool);
+  EXPECT_DOUBLE_EQ(first.at("ratio").number(), 0.5);
+  EXPECT_EQ(parse_json(lines[1]).at("event").text, "test.log.warned");
   std::remove(path.c_str());
 }
 
@@ -664,7 +512,7 @@ TEST(ObsLog, RateLimiterShedsAndReportsDrops) {
   ASSERT_FALSE(lines.empty());
   bool saw_drop_report = false;
   for (const std::string& line : lines)
-    if (parse_json(line).at("event").str == "obs.log.dropped") saw_drop_report = true;
+    if (parse_json(line).at("event").text == "obs.log.dropped") saw_drop_report = true;
   EXPECT_TRUE(saw_drop_report);
   std::remove(path.c_str());
 }
@@ -750,16 +598,16 @@ TEST(ObsFlight, JsonDumpParsesBackWithSchemaVersion) {
   obs::flight::Recorder rec(8);
   rec.set_enabled(true);
   rec.record("net_a", "analyze", obs::flight::Outcome::kFailed, robust::Code::kNanValue, 42);
-  const Json dump = parse_json(rec.to_json());
-  EXPECT_DOUBLE_EQ(dump.at("schema_version").number, 1.0);
-  EXPECT_DOUBLE_EQ(dump.at("evicted").number, 0.0);
-  ASSERT_EQ(dump.at("events").array.size(), 1u);
-  const Json& e = dump.at("events").array[0];
-  EXPECT_EQ(e.at("net").str, "net_a");
-  EXPECT_EQ(e.at("phase").str, "analyze");
-  EXPECT_EQ(e.at("outcome").str, "failed");
-  EXPECT_EQ(e.at("code").str, "nan-value");
-  EXPECT_DOUBLE_EQ(e.at("dur_ns").number, 42.0);
+  const json::Value dump = parse_json(rec.to_json());
+  EXPECT_DOUBLE_EQ(dump.at("schema_version").number(), 1.0);
+  EXPECT_DOUBLE_EQ(dump.at("evicted").number(), 0.0);
+  ASSERT_EQ(dump.at("events").items.size(), 1u);
+  const json::Value& e = dump.at("events").items[0];
+  EXPECT_EQ(e.at("net").text, "net_a");
+  EXPECT_EQ(e.at("phase").text, "analyze");
+  EXPECT_EQ(e.at("outcome").text, "failed");
+  EXPECT_EQ(e.at("code").text, "nan-value");
+  EXPECT_DOUBLE_EQ(e.at("dur_ns").number(), 42.0);
 }
 
 TEST(ObsFlight, EventsMergeAcrossThreadsBySequence) {

@@ -208,6 +208,29 @@ TEST(Protocol, RejectsMalformedLines) {
   EXPECT_FALSE(server::parse_request("{\"id\":1}").ok);               // missing cmd
   EXPECT_FALSE(server::parse_request("{\"cmd\":\"x\"} trailing").ok); // trailing bytes
   EXPECT_FALSE(server::parse_request("{\"cmd\":\"x\",\"id\":\"seven\"}").ok);  // bad type
+  EXPECT_FALSE(server::parse_request("{\"cmd\":\"x\",\"id\":-1}").ok);       // negative id
+  EXPECT_FALSE(server::parse_request("{\"cmd\":\"x\",}").ok);                 // trailing comma
+
+  // Tokens that are not JSON numbers are syntax errors, like any garbage;
+  // well-formed numbers outside the open interval (0, 1) are bad values.
+  server::ServeOptions options;
+  options.jobs = 1;
+  server::Server server(options);
+  const auto with_fraction = [](const char* token) {
+    return std::string("{\"id\":3,\"cmd\":\"report\",\"net\":\"n\",\"fraction\":") + token + "}";
+  };
+  for (const char* token : {"nan", "0x1p-1", "inf", "-inf", "+0.5", ".5", "05"}) {
+    EXPECT_FALSE(server::parse_request(with_fraction(token)).ok) << token;
+    EXPECT_EQ(server::response_error_code(server.handle_line(with_fraction(token))), "syntax");
+  }
+  for (const char* token : {"1.5", "1", "0", "-0.5", "1e999"}) {
+    EXPECT_EQ(server::parse_request(with_fraction(token)).error,
+              "bad value for field \"fraction\"") << token;
+    const std::string response = server.handle_line(with_fraction(token));
+    EXPECT_EQ(server::response_error_code(response), "syntax") << token;
+    EXPECT_NE(response.find("bad value for field"), std::string::npos) << response;
+  }
+  EXPECT_DOUBLE_EQ(server::parse_request(with_fraction("0.5")).request.fraction, 0.5);
 }
 
 TEST(Protocol, TraceContextRoundTrip) {
@@ -259,9 +282,12 @@ TEST(RequestTrace, StoreRecordsFetchesAndEvictsFifo) {
 }
 
 TEST(RequestTrace, SpanJsonRoundTripAndTolerance) {
+  std::string controls;  // every control byte the writer escapes as \u00XX
+  for (char c = 1; c < 0x20; ++c) controls.push_back(c);
   const std::vector<server::TraceSpan> spans = {
       {"server.request", "report \"clk\"\n", 1234567890123ULL, 4567ULL},
       {"server.queue_wait", "", 0, 12},
+      {"n\x01" "a\b" + controls, "n\x01" "a\b" + controls + "\x7f\\/", 5, 6},
   };
   std::string payload = "{\"id\":1,\"ok\":true,";
   server::append_trace_spans_json(payload, spans);
@@ -269,9 +295,11 @@ TEST(RequestTrace, SpanJsonRoundTripAndTolerance) {
 
   std::vector<server::TraceSpan> back;
   ASSERT_TRUE(server::parse_trace_spans(payload, back));
-  ASSERT_EQ(back.size(), 2u);
+  ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0].name, spans[0].name);
   EXPECT_EQ(back[0].detail, spans[0].detail);  // escapes survive
+  EXPECT_EQ(back[2].name, spans[2].name);      // control characters too
+  EXPECT_EQ(back[2].detail, spans[2].detail);
   EXPECT_EQ(back[0].ts_ns, spans[0].ts_ns);
   EXPECT_EQ(back[0].dur_ns, spans[0].dur_ns);
   EXPECT_EQ(back[1].name, "server.queue_wait");
