@@ -12,6 +12,9 @@
 //   Legacy  — pre-refactor replica (per-call stats/PRH + depth walks)
 //   Fresh   — build_report(tree): one-shot context built inside the call
 //   Shared  — build_report(context): context built once, reused per call
+//   Exact   — build_report(context) with the exact path on (pole/residue
+//             solve, moment oracle, three crossings per row), random
+//             trees of 16/96/250/1000 nodes
 //
 // It also carries the obs overhead gate: build_report is instrumented with
 // src/obs spans/timers/counters, and with tracing disarmed (the default)
@@ -48,7 +51,7 @@ using namespace rct;
 
 core::ReportOptions bench_options() {
   core::ReportOptions opt;
-  opt.with_exact = false;  // isolate the bound pipeline from the O(N^3) solve
+  opt.with_exact = false;  // isolate the bound pipeline from the exact solve
   return opt;
 }
 
@@ -121,6 +124,17 @@ void BM_ContextBuild(benchmark::State& state, bool line) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+void BM_ReportExact(benchmark::State& state) {
+  const RCTree tree = make_tree(/*line=*/false, static_cast<std::size_t>(state.range(0)));
+  const analysis::TreeContext ctx(tree);
+  const core::ReportOptions opt;  // exact on, 50%, every node
+  for (auto _ : state) {
+    auto rows = core::build_report(ctx, opt);
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 /// Replica of the current build_report(context) with ONLY the src/obs
 /// hooks stripped — everything else (deadline polling, fault sites, the
 /// per-row isfinite/degraded checks) must stay, or their cost gets billed
@@ -137,6 +151,8 @@ __attribute__((noinline)) std::vector<core::NodeReport> nohooks_build_report(
   const auto stats = context.impulse_stats();
   const moments::PrhTerms& prh = context.prh_terms();
   const auto depths = context.depths();
+  const auto td = context.elmore_delays();
+  const auto rpath = context.path_resistances();
   std::optional<sim::ExactAnalysis> exact;
   bool eigensolve_invalid = false;
   if (options.with_exact && tree.size() <= options.exact_node_limit) {
@@ -169,7 +185,10 @@ __attribute__((noinline)) std::vector<core::NodeReport> nohooks_build_report(
     r.prh_tmax = core::prh_t_max(prh, i, options.fraction);
     if (!std::isfinite(r.elmore) || !std::isfinite(r.sigma)) r.degraded = true;
     if (eigensolve_invalid) r.degraded = true;
-    if (exact) {
+    if (exact && !core::exact_row_consistent(exact->coefficient_row(i), exact->poles(), td[i],
+                                             exact->floor_added_capacitance() * rpath[i])) {
+      r.degraded = true;
+    } else if (exact) {
       double d = exact->step_delay(i, options.fraction);
       d = robust::fault::corrupt("core.report.exact_delay", d);
       const double tol = kBoundRelTol * std::max(std::abs(r.elmore), 1e-18);
@@ -263,6 +282,8 @@ BENCHMARK_CAPTURE(BM_ReportShared, line, true)->RangeMultiplier(4)->Range(kMin, 
 BENCHMARK_CAPTURE(BM_ReportShared, random, false)->RangeMultiplier(4)->Range(kMin, kMax)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ContextBuild, line, true)->RangeMultiplier(4)->Range(kMin, kMax)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ReportExact)->Arg(16)->Arg(96)->Arg(250)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

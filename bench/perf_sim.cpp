@@ -1,5 +1,5 @@
-// Perf P2: simulation engines — O(N) tree-LDL transient step vs O(N^3)
-// eigendecomposition setup, and the per-query cost of the closed forms.
+// Perf P2: simulation engines — O(N) tree-LDL transient step vs the O(N^2)
+// exact pole/residue setup, and the per-query cost of the closed forms.
 
 #include <benchmark/benchmark.h>
 
@@ -64,5 +64,5 @@ void BM_ExactDelayQuery(benchmark::State& state) {
 BENCHMARK(BM_TreeSolverFactor)->RangeMultiplier(8)->Range(1 << 10, 1 << 19)->Complexity(benchmark::oN);
 BENCHMARK(BM_TreeSolverSolve)->RangeMultiplier(8)->Range(1 << 10, 1 << 19)->Complexity(benchmark::oN);
 BENCHMARK(BM_TransientStep1000)->RangeMultiplier(4)->Range(1 << 8, 1 << 14);
-BENCHMARK(BM_ExactSetup)->RangeMultiplier(2)->Range(32, 512)->Complexity(benchmark::oNCubed);
+BENCHMARK(BM_ExactSetup)->RangeMultiplier(2)->Range(32, 512)->Complexity(benchmark::oNSquared);
 BENCHMARK(BM_ExactDelayQuery)->RangeMultiplier(2)->Range(32, 512);

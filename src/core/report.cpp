@@ -31,6 +31,10 @@ obs::Counter& degraded_rows_counter() {
   static obs::Counter& c = obs::registry().counter("core.report.degraded_rows");
   return c;
 }
+obs::Counter& moment_mismatch_counter() {
+  static obs::Counter& c = obs::registry().counter("core.report.moment_mismatch");
+  return c;
+}
 obs::Counter& eigensolve_invalid_counter() {
   static obs::Counter& c = obs::registry().counter("core.report.eigensolve_invalid");
   return c;
@@ -81,6 +85,19 @@ constexpr NodeId kDeadlineStride = 64;
 
 }  // namespace
 
+bool exact_row_consistent(std::span<const double> row, std::span<const double> poles,
+                          double elmore, double elmore_slack) {
+  constexpr double kMomentRelTol = 1e-9;
+  double m0 = 0.0;
+  double m1 = 0.0;
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    m0 += row[j];
+    m1 += row[j] / poles[j];
+  }
+  return std::abs(m0 - 1.0) <= kMomentRelTol &&
+         std::abs(m1 - elmore) <= kMomentRelTol * elmore + elmore_slack;
+}
+
 std::vector<NodeReport> build_report(const RCTree& tree, const ReportOptions& options) {
   return build_report(analysis::TreeContext(tree), options);
 }
@@ -94,6 +111,8 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
   const auto stats = context.impulse_stats();
   const moments::PrhTerms& prh = context.prh_terms();
   const auto depths = context.depths();
+  const auto td = context.elmore_delays();
+  const auto rpath = context.path_resistances();
   std::optional<sim::ExactAnalysis> exact;
   bool eigensolve_invalid = false;
   if (options.with_exact && tree.size() <= options.exact_node_limit) {
@@ -111,7 +130,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
       eigensolve_invalid_counter().add();
     }
   }
-  // Which path produced the delay column: the O(N^3) eigensolve or
+  // Which path produced the delay column: the O(N^2) exact solve or
   // moment-based bounds only (limit cutoff, with_exact=false, or a
   // discarded non-convergent solve).
   (exact ? exact_path_counter() : moments_only_counter()).add();
@@ -143,7 +162,13 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
       bound_gap_histogram().observe((r.elmore - r.lower_bound) / r.elmore);
     }
     if (eigensolve_invalid) r.degraded = true;
-    if (exact) {
+    if (exact && !exact_row_consistent(exact->coefficient_row(i), exact->poles(), td[i],
+                                       exact->floor_added_capacitance() * rpath[i])) {
+      // The residues do not explain the path-traced moments: the solve
+      // is wrong at this node, whatever its crossing would say.
+      r.degraded = true;
+      moment_mismatch_counter().add();
+    } else if (exact) {
       double d = exact->step_delay(i, options.fraction);
       d = robust::fault::corrupt("core.report.exact_delay", d);
       // The paper's lower <= median <= elmore sandwich only speaks about

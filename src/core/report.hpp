@@ -4,6 +4,7 @@
 // net report" entry point downstream users call.
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,19 +29,20 @@ struct NodeReport {
   std::optional<double> exact_delay;  ///< exact 50% step delay, if computed
   std::optional<double> exact_rise;   ///< exact 10-90% rise time, if computed
   /// Degradation ladder: true when the exact path was requested but its
-  /// result was discarded (eigensolve produced non-finite poles, or the
-  /// exact delay was NaN / violated the paper's lower <= exact <= elmore
-  /// guarantee) and the row fell back to moment bounds — or when the
-  /// moments themselves are non-finite (nothing left to fall back to).
+  /// result was discarded (eigensolve produced non-finite poles, the row's
+  /// residues failed the moment-consistency oracle, or the exact delay was
+  /// NaN / violated the paper's lower <= exact <= elmore guarantee) and the
+  /// row fell back to moment bounds — or when the moments themselves are
+  /// non-finite (nothing left to fall back to).
   bool degraded = false;
 };
 
 /// Options for report generation.
 struct ReportOptions {
-  bool with_exact = true;      ///< run the eigendecomposition (O(N^3))
+  bool with_exact = true;      ///< run the exact pole/residue solve (O(N^2))
   double fraction = 0.5;       ///< threshold fraction for delays/bounds
   bool leaves_only = false;    ///< restrict rows to leaf nodes
-  /// Largest tree (in nodes) the O(N^3) eigensolve is attempted on; larger
+  /// Largest tree (in nodes) the O(N^2) exact solve is attempted on; larger
   /// trees get bound-only rows even when with_exact is set.  Shared by the
   /// CLI `spef` and `batch` commands (--exact-limit).
   std::size_t exact_node_limit = 2000;
@@ -64,6 +66,15 @@ struct ReportOptions {
 /// bit-identical to the tree overload.
 [[nodiscard]] std::vector<NodeReport> build_report(const analysis::TreeContext& context,
                                                    const ReportOptions& options = {});
+
+/// Moment-consistency oracle for one exact row: the residues `row` over
+/// `poles` must reproduce the path-traced moments, |sum_j a_j - 1| <= 1e-9
+/// (m0) and |sum_j a_j/lambda_j - elmore| <= 1e-9 elmore + elmore_slack
+/// (m1 = T_D).  `elmore_slack` admits a known shift of the solved system's
+/// T_D, such as the exact solver's capacitance floor.  O(poles).
+[[nodiscard]] bool exact_row_consistent(std::span<const double> row,
+                                        std::span<const double> poles, double elmore,
+                                        double elmore_slack = 0.0);
 
 /// Renders reports as an aligned text table (times in ns).
 [[nodiscard]] std::string format_report(const std::vector<NodeReport>& rows);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "linalg/root_find.hpp"
+#include "robust/error.hpp"
 
 namespace rct::sim {
 
@@ -31,7 +32,8 @@ double AcAnalysis::bandwidth_3db(NodeId node) const {
   const double f0 = exact_->poles().front() / (2.0 * M_PI);
   auto f = [&](double freq) { return magnitude(node, freq) - target; };
   const auto root = linalg::bracket_and_solve(f, 0.01 * f0, 1e9 * f0);
-  if (!root) throw std::runtime_error("bandwidth_3db: no -3dB crossing found");
+  if (!root)
+    throw robust::Error(robust::Code::kNonConvergence, "bandwidth_3db: no -3dB crossing found");
   return *root;
 }
 

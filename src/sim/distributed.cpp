@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "linalg/root_find.hpp"
+#include "robust/error.hpp"
 
 namespace rct::sim {
 
@@ -30,7 +31,9 @@ DistributedLine::DistributedLine(double total_res, double total_cap, double driv
       linalg::RootOptions opt;
       opt.x_tol = 1e-14;
       const auto root = linalg::brent_root(g, lo, hi, opt);
-      if (!root) throw std::runtime_error("DistributedLine: eigenvalue bracketing failed");
+      if (!root)
+        throw robust::Error(robust::Code::kNonConvergence,
+                            "DistributedLine: eigenvalue bracketing failed");
       beta = *root;
     }
     lambda_.push_back(beta * beta / rc_);
@@ -73,7 +76,8 @@ double DistributedLine::step_delay(double fraction) const {
   linalg::RootOptions opt;
   opt.x_tol = 1e-12 * tau;
   const auto root = linalg::bracket_and_solve(f, tau, 1e6 * tau, opt);
-  if (!root) throw std::runtime_error("DistributedLine: crossing not found");
+  if (!root)
+    throw robust::Error(robust::Code::kNonConvergence, "DistributedLine: crossing not found");
   return *root;
 }
 

@@ -1,17 +1,30 @@
 #pragma once
-// Exact (to machine precision) analysis of an RC tree by symmetric
-// eigendecomposition.
+// Exact (to machine precision) analysis of an RC tree from its poles and
+// residues.
 //
-// The MNA system C v' = -G v + b u(t) is symmetrized with the congruence
-// C^{-1/2} G C^{-1/2}; its eigenvalues are the circuit pole magnitudes and
-// the step response at node i takes the closed form
+// The MNA system C v' = -G v + b u(t) has real poles lambda_j (G q = lambda C q)
+// and, with C-normalised eigenvectors q_j, the step response at node i takes
+// the closed form
 //
-//     s_i(t) = 1 - sum_j a_ij exp(-lambda_j t),   sum_j a_ij = 1.
+//     s_i(t) = 1 - sum_j a_ij exp(-lambda_j t),   a_ij = q_j[i] (q_j^T b) / lambda_j,
+//
+// with sum_j a_ij = 1.  The poles come from the tree itself, never a dense
+// matrix: G - sigma C factors leaf to root with zero fill in O(N), and its
+// negative pivots count the poles below sigma (Sylvester inertia).  Interval
+// splitting on that count isolates every pole; Rayleigh-quotient iteration
+// through the same O(N) solve, kept inside the isolating interval, refines
+// each pole and its eigenvector together (~1.4 counts + ~5 solves per pole),
+// so the whole decomposition costs O(N^2) time and the residue table O(N^2)
+// memory.  Nearly equal poles are refined C-orthogonal to each other, and
+// degenerate clusters (identical branches) get one vector, inverse
+// iteration from C^-1 b, which carries the cluster's whole residue.
 //
 // Impulse responses, saturated-ramp responses and responses to arbitrary
-// monotone sources (by quadrature against the closed-form step) all follow,
-// as do exact threshold-crossing delays via bracketing root search.  This
-// engine regenerates every "actual delay" number in the paper's evaluation.
+// monotone sources (by quadrature against the closed-form step) all follow.
+// Step threshold crossings are safeguarded Halley iterations on the closed
+// form, bracketed by the row's own moments (Theorem 1 / Corollary 1: the 50%
+// point lies in [max(mu - sigma, 0), mu]).  This engine regenerates every
+// "actual delay" number in the paper's evaluation.
 //
 // Nodes with zero capacitance are supported by a relative-1e-9 capacitance
 // floor (documented substitution: the perturbation is far below the
@@ -19,6 +32,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rctree/rctree.hpp"
@@ -27,10 +41,13 @@
 
 namespace rct::sim {
 
-/// Eigendecomposition-based exact solver for one RC tree.
+/// Pole/residue exact solver for one RC tree.
 class ExactAnalysis {
  public:
-  /// Decomposes the tree (O(N^3); intended for N up to a few thousand).
+  /// Capacitances below this fraction of the largest one are raised to it.
+  static constexpr double kCapacitanceFloor = 1e-9;
+
+  /// Decomposes the tree (O(N^2) time and memory).
   explicit ExactAnalysis(const RCTree& tree);
 
   [[nodiscard]] std::size_t size() const { return lambda_.size(); }
@@ -40,6 +57,14 @@ class ExactAnalysis {
 
   /// Step-response expansion coefficients a_ij at node i (sum to 1).
   [[nodiscard]] std::vector<double> step_coefficients(NodeId node) const;
+
+  /// The same coefficients, without the copy (aligned with poles()).
+  [[nodiscard]] std::span<const double> coefficient_row(NodeId node) const;
+
+  /// Capacitance the floor added over the whole tree (farads, 0 when no
+  /// node sat below it).  It shifts each Elmore delay by at most
+  /// R_path(i) times this.
+  [[nodiscard]] double floor_added_capacitance() const { return floor_added_; }
 
   /// Slowest time constant 1/lambda_min.
   [[nodiscard]] double dominant_time_constant() const { return 1.0 / lambda_.front(); }
@@ -67,6 +92,7 @@ class ExactAnalysis {
 
   /// Exact time at which the step response crosses `fraction` of its final
   /// value (fraction in (0,1)); the 50% point is the paper's "actual delay".
+  /// A function of (node, fraction) alone; ~3 O(N) exp passes.
   [[nodiscard]] double step_delay(NodeId node, double fraction = 0.5) const;
 
   /// 50%-to-50% delay for an arbitrary source: output crossing minus input
@@ -103,6 +129,9 @@ class ExactAnalysis {
  private:
   std::vector<double> lambda_;         // poles, ascending
   std::vector<double> coeff_;          // a_ij, row-major [node * n + mode]
+  std::vector<double> mean_;           // per node: sum_j a_ij / lambda_j (T_D)
+  std::vector<double> sigma_;          // per node: sqrt(mu2) of the impulse response
+  double floor_added_ = 0.0;
   [[nodiscard]] const double* row(NodeId node) const { return coeff_.data() + node * size(); }
 };
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "linalg/dense_matrix.hpp"
+#include "robust/error.hpp"
 
 namespace rct::sim {
 
@@ -84,7 +85,9 @@ Waveform RlcLine::step_response(double t_end, std::size_t steps) const {
 double RlcLine::step_delay(double fraction) const {
   const Waveform w = step_response(settle_horizon(), 20000);
   const auto c = w.first_rise_crossing(fraction);
-  if (!c) throw std::runtime_error("RlcLine: response never crosses the threshold");
+  if (!c)
+    throw robust::Error(robust::Code::kNonConvergence,
+                        "RlcLine: response never crosses the threshold");
   return *c;
 }
 

@@ -42,7 +42,7 @@ class RlcLine {
   [[nodiscard]] Waveform step_response(double t_end, std::size_t steps = 4000) const;
 
   /// First 50% (or `fraction`) crossing of the far-end step response.
-  /// Throws std::runtime_error if it never crosses within the horizon.
+  /// Throws robust::Error (kNonConvergence) if it never crosses within the horizon.
   [[nodiscard]] double step_delay(double fraction = 0.5) const;
 
   /// Peak value of the far-end step response (> 1 means overshoot/ringing).

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "robust/error.hpp"
+
 namespace rct::sim {
 
 TreeSystem::TreeSystem(const RCTree& tree, double a) {
@@ -23,7 +25,9 @@ TreeSystem::TreeSystem(const RCTree& tree, double a) {
   // a reverse index sweep is a valid elimination order.  Eliminating child i
   // updates its parent's diagonal by -g_i^2 / d_i (no other fill).
   for (NodeId i = n; i-- > 0;) {
-    if (diag_[i] <= 0.0) throw std::runtime_error("TreeSystem: matrix not positive definite");
+    if (diag_[i] <= 0.0)
+      throw robust::Error(robust::Code::kNonPhysicalValue,
+                          "TreeSystem: matrix not positive definite");
     if (parent_[i] != kSource) diag_[parent_[i]] -= edge_g_[i] * edge_g_[i] / diag_[i];
   }
 }

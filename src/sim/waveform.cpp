@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "robust/error.hpp"
+
 namespace rct::sim {
 
 Waveform::Waveform(std::vector<double> t, std::vector<double> v)
@@ -108,7 +110,9 @@ double Waveform::density_moment(int n) const {
     num += 0.5 * (std::pow(t_[i], n) * v_[i] + std::pow(t_[i - 1], n) * v_[i - 1]) * dt;
     den += 0.5 * (v_[i] + v_[i - 1]) * dt;
   }
-  if (den == 0.0) throw std::runtime_error("Waveform::density_moment: zero total area");
+  if (den == 0.0)
+    throw robust::Error(robust::Code::kNonPhysicalValue,
+                        "Waveform::density_moment: zero total area");
   return num / den;
 }
 
@@ -127,7 +131,9 @@ double Waveform::density_central_moment(int n) const {
 
 double Waveform::density_median() const {
   const double total = integrate();
-  if (total <= 0.0) throw std::runtime_error("Waveform::density_median: nonpositive area");
+  if (total <= 0.0)
+    throw robust::Error(robust::Code::kNonPhysicalValue,
+                        "Waveform::density_median: nonpositive area");
   double acc = 0.0;
   for (std::size_t i = 1; i < size(); ++i) {
     const double seg = 0.5 * (v_[i] + v_[i - 1]) * (t_[i] - t_[i - 1]);

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "robust/error.hpp"
+
 namespace rct::sim {
 namespace {
 
@@ -92,14 +94,15 @@ WaveformBundle read_csv(std::string_view text) {
 
 void save_csv(const WaveformBundle& bundle, const std::string& path) {
   std::ofstream f(path);
-  if (!f) throw std::runtime_error("save_csv: cannot open '" + path + "'");
+  if (!f) throw robust::Error(robust::Code::kFileOpen, "save_csv: cannot open '" + path + "'");
   f << write_csv(bundle);
-  if (!f) throw std::runtime_error("save_csv: write failed for '" + path + "'");
+  if (!f)
+    throw robust::Error(robust::Code::kFileOpen, "save_csv: write failed for '" + path + "'");
 }
 
 WaveformBundle load_csv(const std::string& path) {
   std::ifstream f(path);
-  if (!f) throw std::runtime_error("load_csv: cannot open '" + path + "'");
+  if (!f) throw robust::Error(robust::Code::kFileOpen, "load_csv: cannot open '" + path + "'");
   std::ostringstream ss;
   ss << f.rdbuf();
   return read_csv(ss.str());

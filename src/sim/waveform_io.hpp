@@ -28,7 +28,7 @@ struct WaveformBundle {
 /// std::invalid_argument with a line number on malformed input.
 [[nodiscard]] WaveformBundle read_csv(std::string_view text);
 
-/// Convenience: writes to a file; throws std::runtime_error on I/O failure.
+/// Convenience: writes to a file; throws robust::Error (kFileOpen) on I/O failure.
 void save_csv(const WaveformBundle& bundle, const std::string& path);
 
 /// Convenience: reads from a file.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/tree_context.hpp"
 #include "helpers.hpp"
 #include "rctree/circuits.hpp"
+#include "sim/exact.hpp"
 
 namespace rct::core {
 namespace {
@@ -44,6 +46,46 @@ TEST(Report, InvariantsPerRow) {
     EXPECT_GE(*r.exact_delay, r.lower_bound * (1 - 1e-9));
     EXPECT_GE(r.skewness, 0.0);
     EXPECT_GT(r.sigma, 0.0);
+  }
+}
+
+TEST(Report, MomentOracleAcceptsSolvedRowsAndFiresOnPerturbedOnes) {
+  const RCTree t = circuits::tree25();
+  const analysis::TreeContext ctx(t);
+  const sim::ExactAnalysis exact(t);
+  const auto td = ctx.elmore_delays();
+  for (NodeId i = 0; i < t.size(); ++i)
+    EXPECT_TRUE(exact_row_consistent(exact.coefficient_row(i), exact.poles(), td[i]));
+
+  const NodeId node = t.size() - 1;
+  std::vector<double> row = exact.step_coefficients(node);
+  // m0: take 1e-8 off the slowest pole's residue.
+  row.front() -= 1e-8;
+  EXPECT_FALSE(exact_row_consistent(row, exact.poles(), td[node]));
+  // m1 alone: swap residue between two poles while keeping the sum at 1.
+  row = exact.step_coefficients(node);
+  row[0] -= 1e-6;
+  row[1] += 1e-6;
+  EXPECT_FALSE(exact_row_consistent(row, exact.poles(), td[node]));
+  // ...and a slack as large as the shift admits it again.
+  const double shift = 1e-6 * (1.0 / exact.poles()[0] - 1.0 / exact.poles()[1]);
+  EXPECT_TRUE(exact_row_consistent(row, exact.poles(), td[node], 2.0 * shift));
+  // A wrong Elmore reference fires too.
+  EXPECT_FALSE(exact_row_consistent(exact.coefficient_row(node), exact.poles(), td[node] * 1.01));
+}
+
+TEST(Report, ZeroCapacitanceRowsPassTheMomentOracle) {
+  // The solver floors zero caps at 1e-9 * Cmax; the oracle's slack admits
+  // exactly that shift, so no row degrades.
+  RCTreeBuilder b;
+  const NodeId n1 = b.add_node("n1", kSource, 100.0, 1e-12);
+  NodeId prev = n1;
+  for (int k = 0; k < 40; ++k) prev = b.add_node("z" + std::to_string(k), prev, 1e4, 0.0);
+  b.add_node("load", prev, 100.0, 1e-15);
+  const RCTree t = std::move(b).build();
+  for (const auto& r : build_report(t)) {
+    EXPECT_FALSE(r.degraded) << r.name;
+    EXPECT_TRUE(r.exact_delay.has_value());
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "helpers.hpp"
+#include "robust/error.hpp"
 #include "sim/exact.hpp"
 
 namespace rct::sim {
@@ -64,6 +65,18 @@ TEST(WaveformCsv, FileRoundTrip) {
 
 TEST(WaveformCsv, LoadMissingFileThrows) {
   EXPECT_THROW((void)load_csv("/nonexistent/wave.csv"), std::runtime_error);
+}
+
+TEST(WaveformCsv, FileErrorsAreTyped) {
+  for (const auto& io : {+[] { (void)load_csv("/nonexistent/wave.csv"); },
+                         +[] { save_csv(demo_bundle(), "/nonexistent/dir/wave.csv"); }}) {
+    try {
+      io();
+      ADD_FAILURE() << "no throw";
+    } catch (const robust::Error& e) {
+      EXPECT_EQ(e.code(), robust::Code::kFileOpen);
+    }
+  }
 }
 
 }  // namespace
