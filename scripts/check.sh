@@ -25,8 +25,9 @@
 #   3. AddressSanitizer+UBSan build; runs the full ctest suite, then drives
 #      the ASan CLI over every deck in testdata/malformed (strict + lenient):
 #      each must exit 1 with a diagnostic — never crash, never succeed;
-#      finally re-runs the store-GC crash-recovery and socket-chaos suites
-#      by name so a renamed/deleted suite cannot pass silently.
+#      finally re-runs the store-GC crash-recovery, socket-chaos and
+#      cached-render suites by name so a renamed/deleted suite cannot pass
+#      silently.
 #   4. Perf gate (full runs only): rebuilds the benches in Release, re-runs
 #      perf_batch / perf_report / perf_serve / perf_parse on the baseline
 #      workloads and diffs against the committed BENCH_*.json with
@@ -273,15 +274,18 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   done
   echo "malformed corpus: every deck handled without a crash"
 
-  echo "== store GC crash-recovery + socket chaos under ASan =="
+  echo "== store GC crash-recovery + socket chaos + cached render under ASan =="
   # The DiskStoreGc suite injects a crash between the eviction journal
   # write and the first unlink, then recovers on reopen; the Chaos suite
-  # drives torn writes / short reads / oversized lines over real sockets.
-  # Already part of the full ctest run above, but gated by name so a
-  # filter-level regression (renamed/deleted suite) cannot pass silently.
+  # drives torn writes / short reads / oversized lines over real sockets;
+  # the ServerRender suite splices live node names into cached row bytes
+  # shared by content twins.  Already part of the full ctest run above, but
+  # gated by name so a filter-level regression (renamed/deleted suite)
+  # cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*' --gtest_fail_fast)
+      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*' \
+        --gtest_fail_fast)
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then

@@ -73,14 +73,21 @@ void unindex(Index& index, std::uint64_t hash, Iter it) {
 
 }  // namespace
 
-void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree) {
-  if (rows.size() == tree.size()) {
-    for (NodeId i = 0; i < tree.size(); ++i) rows[i].name = tree.name(i);
-    return;
+std::vector<NodeId> report_row_nodes(const RCTree& tree, std::size_t rows) {
+  if (rows == tree.size()) {
+    std::vector<NodeId> nodes(rows);
+    for (NodeId i = 0; i < rows; ++i) nodes[i] = i;
+    return nodes;
   }
-  const std::vector<NodeId> leaves = tree.leaves();
-  if (rows.size() != leaves.size()) return;  // defensive: unexpected shape, keep stored names
-  for (std::size_t i = 0; i < leaves.size(); ++i) rows[i].name = tree.name(leaves[i]);
+  std::vector<NodeId> leaves = tree.leaves();
+  if (rows != leaves.size()) return {};  // unexpected shape
+  return leaves;
+}
+
+void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree) {
+  const std::vector<NodeId> nodes = report_row_nodes(tree, rows.size());
+  if (nodes.size() != rows.size()) return;  // defensive: unexpected shape, keep stored names
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i].name = tree.name(nodes[i]);
 }
 
 NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
@@ -113,26 +120,54 @@ NetCache::NetCache(std::size_t shards, std::size_t max_entries) {
   if (max_entries > 0) cap_per_shard_ = (max_entries + shards - 1) / shards;
 }
 
+std::list<NetCache::Entry>::iterator NetCache::find_locked(Shard& shard, const NetKey& key) {
+  const auto chain = shard.index.find(key.hash);
+  if (chain != shard.index.end())
+    for (const auto it : chain->second)
+      if (it->key == key) return it;
+  return shard.entries.end();
+}
+
+std::size_t NetCache::rendered_bytes_of(const Entry& entry) {
+  std::size_t bytes = 0;
+  for (const auto& rendering : entry.renderings)
+    if (rendering != nullptr) bytes += rendering->bytes();
+  return bytes;
+}
+
 std::optional<std::vector<core::NodeReport>> NetCache::lookup(const NetKey& key,
                                                               const RCTree& tree,
                                                               CacheSource* source) {
+  RenderedLookup hit = lookup_impl(key, tree, nullptr);
+  if (source != nullptr) *source = hit.source;
+  return std::move(hit.rows);
+}
+
+NetCache::RenderedLookup NetCache::lookup_rendered(const NetKey& key, const RCTree& tree,
+                                                   RenderFlavor flavor) {
+  return lookup_impl(key, tree, &flavor);
+}
+
+NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RCTree& tree,
+                                               const RenderFlavor* flavor) {
+  RenderedLookup hit;
   Shard& shard = shard_for(key.hash);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto chain = shard.index.find(key.hash);
-    if (chain != shard.index.end()) {
-      for (const auto it : chain->second) {
-        if (it->key == key) {
-          hits_.fetch_add(1);
-          cache_hit_counter().add();
-          shard.entries.splice(shard.entries.begin(), shard.entries, it);  // refresh LRU
-          std::vector<core::NodeReport> rows = it->rows;  // copy under the shard lock
-          rebind_report_names(rows, tree);
-          if (source != nullptr) *source = CacheSource::kMemory;
-          return rows;
-        }
-      }
+    const auto it = find_locked(shard, key);
+    if (it != shard.entries.end()) {
+      hits_.fetch_add(1);
+      cache_hit_counter().add();
+      shard.entries.splice(shard.entries.begin(), shard.entries, it);  // refresh LRU
+      hit.source = CacheSource::kMemory;
+      if (flavor != nullptr) hit.rendering = it->renderings[static_cast<std::size_t>(*flavor)];
+      if (hit.rendering != nullptr) return hit;
+      hit.rows = it->rows;  // copy under the shard lock
     }
+  }
+  if (hit.rows.has_value()) {
+    rebind_report_names(*hit.rows, tree);
+    return hit;
   }
   // Memory miss: consult the second-level store outside the shard lock and
   // promote a hit into memory so repeats stay lock-cheap.
@@ -140,30 +175,28 @@ std::optional<std::vector<core::NodeReport>> NetCache::lookup(const NetKey& key,
     if (auto loaded = backend_->load(key)) {
       backend_hits_.fetch_add(1);
       cache_store_hit_counter().add();
-      std::vector<core::NodeReport> rows = *loaded;
+      hit.rows = *loaded;
       insert_memory(key, std::move(*loaded));
-      rebind_report_names(rows, tree);
-      if (source != nullptr) *source = CacheSource::kBackend;
-      return rows;
+      rebind_report_names(*hit.rows, tree);
+      hit.source = CacheSource::kBackend;
+      return hit;
     }
   }
   misses_.fetch_add(1);
   cache_miss_counter().add();
-  if (source != nullptr) *source = CacheSource::kMiss;
-  return std::nullopt;
+  return hit;
 }
 
 bool NetCache::insert_memory(const NetKey& key, std::vector<core::NodeReport> rows) {
   Shard& shard = shard_for(key.hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& chain = shard.index[key.hash];
-  for (const auto it : chain)
-    if (it->key == key) return false;  // first writer wins
-  shard.entries.push_front(Entry{key, std::move(rows)});
-  chain.push_back(shard.entries.begin());
+  if (find_locked(shard, key) != shard.entries.end()) return false;  // first writer wins
+  shard.entries.push_front(Entry{key, std::move(rows), {}});
+  shard.index[key.hash].push_back(shard.entries.begin());
   cache_insert_counter().add();
   if (cap_per_shard_ > 0 && shard.entries.size() > cap_per_shard_) {
     const auto victim = std::prev(shard.entries.end());
+    rendered_bytes_.fetch_sub(rendered_bytes_of(*victim));
     unindex(shard.index, victim->key.hash, victim);
     shard.entries.pop_back();
     evictions_.fetch_add(1);
@@ -178,6 +211,20 @@ void NetCache::insert(const NetKey& key, std::vector<core::NodeReport> rows) {
   // insert re-saves; backends treat an existing entry as a cheap no-op.
   if (backend_ != nullptr) backend_->save(key, rows);
   insert_memory(key, std::move(rows));
+}
+
+std::shared_ptr<const Rendering> NetCache::attach_rendering(
+    const NetKey& key, RenderFlavor flavor, std::shared_ptr<const Rendering> rendering) {
+  Shard& shard = shard_for(key.hash);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = find_locked(shard, key);
+  if (it == shard.entries.end()) return rendering;
+  auto& slot = it->renderings[static_cast<std::size_t>(flavor)];
+  if (slot == nullptr) {
+    slot = std::move(rendering);
+    rendered_bytes_.fetch_add(slot->bytes());
+  }
+  return slot;
 }
 
 std::shared_ptr<const analysis::TreeContext> NetCache::lookup_context(const NetKey& key) {
@@ -232,6 +279,7 @@ std::pair<std::size_t, std::size_t> NetCache::clear() {
     std::lock_guard<std::mutex> lock(shard->mutex);
     entries += shard->entries.size();
     contexts += shard->contexts.size();
+    for (const Entry& entry : shard->entries) rendered_bytes_.fetch_sub(rendered_bytes_of(entry));
     shard->entries.clear();
     shard->index.clear();
     shard->contexts.clear();

@@ -13,6 +13,12 @@
 // concurrent lookups/inserts from a thread pool contend only when they land
 // on the same shard.
 //
+// Render slots: each row entry carries one opaque Rendering per
+// RenderFlavor — bytes a consumer (the server) derived from the rows and
+// attached on a later hit, so warm reads skip re-rendering.  The cache
+// stores, counts and drops them with their entry and never reads them; the
+// bytes must be name-free, because content twins share the entry.
+//
 // Bounding: an optional LRU cap (`max_entries`, 0 = unbounded) limits how
 // many row entries — and, independently, how many contexts — the cache
 // retains.  The cap is split evenly across shards, so it is approximate:
@@ -26,12 +32,14 @@
 // implementation).  Misses consult the backend before reporting a miss;
 // inserts write through.  Backend I/O happens outside the shard locks.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -57,10 +65,34 @@ struct NetKey {
   [[nodiscard]] bool operator==(const NetKey& other) const { return words == other.words; }
 };
 
-/// Rewrites `rows`' names (and nothing else) for `tree`.  Rows are either
-/// one-per-node or one-per-leaf; the row count disambiguates the mapping.
-/// Used after computing rows from a content-identical donor tree/context.
+/// The node each of `rows` report rows belongs to in `tree`, in row order.
+/// Rows are either one-per-node or one-per-leaf; the row count
+/// disambiguates the mapping.  Empty when `rows` fits neither shape.
+[[nodiscard]] std::vector<NodeId> report_row_nodes(const RCTree& tree, std::size_t rows);
+
+/// Rewrites `rows`' names (and nothing else) for `tree`, mapping rows to
+/// nodes as report_row_nodes() does.  Used after computing rows from a
+/// content-identical donor tree/context.
 void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree);
+
+/// Which field set a Rendering carries; every row entry has one render
+/// slot per flavor.
+enum class RenderFlavor : std::uint8_t { kReport, kBounds };
+inline constexpr std::size_t kRenderFlavors = 2;
+
+/// Bytes a consumer derived from an entry's rows, one fragment per row,
+/// stored back to back.  Opaque to the cache.  Fragments must not embed
+/// node names: content twins share the entry, so names are spliced in from
+/// the live tree at read time.
+struct Rendering {
+  std::string text;                   ///< the fragments, back to back
+  std::vector<std::size_t> row_ends;  ///< end offset of each row's fragment in `text`
+
+  /// Bytes held (text plus offsets), as counted by rendered_bytes().
+  [[nodiscard]] std::size_t bytes() const {
+    return text.size() + row_ends.size() * sizeof(std::size_t);
+  }
+};
 
 /// Second-level store interface the NetCache consults on a memory miss and
 /// writes through to on insert.  Implementations must be safe to call from
@@ -101,9 +133,28 @@ class NetCache {
   [[nodiscard]] std::optional<std::vector<core::NodeReport>> lookup(
       const NetKey& key, const RCTree& tree, CacheSource* source = nullptr);
 
+  /// lookup() for a consumer that renders.  A memory hit whose `flavor`
+  /// slot is filled returns that rendering and copies no rows; any other
+  /// hit returns the rows (names re-bound) and no rendering.  Hits are
+  /// counted and refresh the LRU position either way.
+  struct RenderedLookup {
+    CacheSource source = CacheSource::kMiss;
+    std::shared_ptr<const Rendering> rendering;
+    std::optional<std::vector<core::NodeReport>> rows;
+  };
+  [[nodiscard]] RenderedLookup lookup_rendered(const NetKey& key, const RCTree& tree,
+                                               RenderFlavor flavor);
+
   /// Stores rows under `key` (write-through to the backend); a concurrent
   /// duplicate insert keeps the first.
   void insert(const NetKey& key, std::vector<core::NodeReport> rows);
+
+  /// Fills `flavor`'s render slot of the in-memory entry under `key`.  The
+  /// first writer wins and the stored rendering is returned; when the entry
+  /// is gone (evicted meanwhile) nothing is stored and `rendering` itself
+  /// comes back, so the caller can still answer from it.
+  std::shared_ptr<const Rendering> attach_rendering(const NetKey& key, RenderFlavor flavor,
+                                                    std::shared_ptr<const Rendering> rendering);
 
   /// Returns the shared TreeContext stored under the *content* key, or
   /// nullptr.  Contexts are keyed by content only (NetKey::content_of), so
@@ -117,13 +168,13 @@ class NetCache {
   /// callers can switch to the shared instance.  The cached context must
   /// remain valid for the cache's lifetime: either it owns its tree, or the
   /// borrowed tree outlives the cache (the engine's per-batch caches borrow
-  /// from the batch's nets, which do; the long-lived server caches contexts
-  /// that own copies of their trees).
+  /// from the batch's nets, which do).
   std::shared_ptr<const analysis::TreeContext> insert_context(
       const NetKey& key, std::shared_ptr<const analysis::TreeContext> context);
 
-  /// Drops every row entry and context (the backend is untouched).  Not
-  /// counted as evictions.  Returns {row entries dropped, contexts dropped}.
+  /// Drops every row entry (with its renderings) and context (the backend
+  /// is untouched).  Not counted as evictions.  Returns {row entries
+  /// dropped, contexts dropped}.
   std::pair<std::size_t, std::size_t> clear();
 
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
@@ -139,11 +190,14 @@ class NetCache {
   [[nodiscard]] std::size_t size() const;
   /// Number of distinct contexts stored.
   [[nodiscard]] std::size_t context_count() const;
+  /// Bytes held in render slots (Rendering::bytes() summed over entries).
+  [[nodiscard]] std::size_t rendered_bytes() const { return rendered_bytes_.load(); }
 
  private:
   struct Entry {
     NetKey key;
     std::vector<core::NodeReport> rows;
+    std::array<std::shared_ptr<const Rendering>, kRenderFlavors> renderings;
   };
   struct CtxEntry {
     NetKey key;
@@ -161,6 +215,16 @@ class NetCache {
 
   Shard& shard_for(std::uint64_t hash) { return *shards_[hash % shards_.size()]; }
 
+  /// The in-memory entry under `key`, or entries.end().  Caller holds the
+  /// shard lock.
+  static std::list<Entry>::iterator find_locked(Shard& shard, const NetKey& key);
+
+  /// Shared body of lookup() and lookup_rendered(); `flavor` null = rows only.
+  RenderedLookup lookup_impl(const NetKey& key, const RCTree& tree, const RenderFlavor* flavor);
+
+  /// Bytes `entry`'s render slots hold.
+  static std::size_t rendered_bytes_of(const Entry& entry);
+
   /// Inserts rows into the in-memory tier only (no backend write-through).
   /// Returns false when the key was already present.
   bool insert_memory(const NetKey& key, std::vector<core::NodeReport> rows);
@@ -173,6 +237,7 @@ class NetCache {
   std::atomic<std::size_t> backend_hits_{0};
   std::atomic<std::size_t> evictions_{0};
   std::atomic<std::size_t> ctx_hits_{0};
+  std::atomic<std::size_t> rendered_bytes_{0};
 };
 
 }  // namespace rct::engine

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/tree_context.hpp"
 #include "engine/parallel_parse.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
@@ -71,6 +72,18 @@ obs::Counter& request_too_large_counter() {
 obs::Counter& idle_close_counter() {
   static obs::Counter& c = obs::registry().counter("server.conn.idle_closed");
   return c;
+}
+obs::Counter& render_cached_counter() {
+  static obs::Counter& c = obs::registry().counter("server.render.cached");
+  return c;
+}
+obs::Counter& render_fresh_counter() {
+  static obs::Counter& c = obs::registry().counter("server.render.fresh");
+  return c;
+}
+obs::Gauge& rendered_bytes_gauge() {
+  static obs::Gauge& g = obs::registry().gauge("server.cache.rendered_bytes");
+  return g;
 }
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& g = obs::registry().gauge("server.queue.depth");
@@ -202,9 +215,10 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
+/// One row's JSON after its name: `,"depth":…}`.  The full row object is
+/// `{"name":` + the escaped node name + this fragment, so fragments are
+/// name-free and one cached rendering serves every content twin.
 void append_row_json(std::string& out, const core::NodeReport& row, bool bounds_only) {
-  out += "{\"name\":";
-  json::append_string(out, row.name);
   out += ",\"depth\":" + std::to_string(row.depth);
   out += ",\"elmore\":";
   json::append_number(out, row.elmore);
@@ -232,6 +246,41 @@ void append_row_json(std::string& out, const core::NodeReport& row, bool bounds_
   }
   if (row.degraded) out += ",\"degraded\":true";
   out.push_back('}');
+}
+
+/// Renders `rows` into name-free per-row fragments (see append_row_json).
+std::shared_ptr<const engine::Rendering> render_rows(const std::vector<core::NodeReport>& rows,
+                                                     bool bounds_only) {
+  render_fresh_counter().add();
+  auto rendering = std::make_shared<engine::Rendering>();
+  rendering->text.reserve(rows.size() * (bounds_only ? 128 : 320));
+  rendering->row_ends.reserve(rows.size());
+  for (const core::NodeReport& row : rows) {
+    append_row_json(rendering->text, row, bounds_only);
+    rendering->row_ends.push_back(rendering->text.size());
+  }
+  rendering->text.shrink_to_fit();  // cached renderings are held, not grown
+  return rendering;
+}
+
+/// Appends the rows of `rendering` as JSON objects, splicing each row's
+/// node name from the live `tree` ahead of its fragment.  Rows map to nodes
+/// as engine::rebind_report_names maps them.
+void splice_rows(std::string& out, const engine::Rendering& rendering, const RCTree& tree) {
+  const std::size_t n = rendering.row_ends.size();
+  const std::vector<NodeId> nodes = engine::report_row_nodes(tree, n);
+  if (nodes.size() != n)
+    throw robust::Error(robust::Code::kTaskFailure,
+                        std::to_string(n) + " rows do not map onto a " +
+                            std::to_string(tree.size()) + "-node tree");
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0) out.push_back(',');
+    out += "{\"name\":";
+    json::append_string(out, tree.name(nodes[i]));
+    out.append(rendering.text, begin, rendering.row_ends[i] - begin);
+    begin = rendering.row_ends[i];
+  }
 }
 
 /// Steady-clock nanoseconds since an arbitrary epoch (for shed freshness).
@@ -913,48 +962,49 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
     deadline.check("server.report");
 
     const engine::NetKey key = engine::NetKey::of(net.tree, effective);
-    engine::CacheSource source = engine::CacheSource::kMiss;
-    std::optional<std::vector<core::NodeReport>> rows;
+    const engine::RenderFlavor flavor =
+        bounds_only ? engine::RenderFlavor::kBounds : engine::RenderFlavor::kReport;
+    engine::NetCache::RenderedLookup hit;
     {
       const TracePhase phase(sink, &request.trace, "server.cache.lookup", request.net);
-      rows = cache_.lookup(key, net.tree, &source);
+      hit = cache_.lookup_rendered(key, net.tree, flavor);
     }
-    if (!rows.has_value()) {
-      const engine::NetKey content_key = engine::NetKey::content_of(net.tree);
-      std::shared_ptr<const analysis::TreeContext> context;
+    if (hit.rendering == nullptr && !hit.rows.has_value()) {
+      // The context is transient: retaining one per net would cost more
+      // memory than the rows and renderings it helps produce, and a rebuild
+      // is O(N) next to the report itself.
+      std::optional<analysis::TreeContext> context;
       {
         const TracePhase phase(sink, &request.trace, "server.context.build", request.net);
-        context = cache_.lookup_context(content_key);
-        if (context == nullptr) {
-          // The cached context owns a copy of the tree: evicting the design
-          // later cannot dangle it.
-          auto owned = std::make_shared<const RCTree>(net.tree);
-          context = cache_.insert_context(
-              content_key, std::make_shared<const analysis::TreeContext>(std::move(owned)));
-        }
+        context.emplace(net.tree);
       }
-      {
-        const TracePhase phase(sink, &request.trace, "server.report.build", request.net);
-        rows = core::build_report(*context, effective);
-        // The context may have been donated by a content-identical net with
-        // different node names; bind the rows to the requested net.
-        engine::rebind_report_names(*rows, net.tree);
-        cache_.insert(key, *rows);
-      }
+      const TracePhase phase(sink, &request.trace, "server.report.build", request.net);
+      hit.rows = core::build_report(*context, effective);
+      cache_.insert(key, *hit.rows);
     }
 
     const TracePhase render_phase(sink, &request.trace, "server.render", request.net);
-    std::string out = "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
+    std::shared_ptr<const engine::Rendering> rendering = std::move(hit.rendering);
+    if (rendering != nullptr) {
+      render_cached_counter().add();
+    } else {
+      rendering = render_rows(*hit.rows, bounds_only);
+      // Only a memory hit keeps its rendering: a net read once (computed,
+      // or promoted from the store) does not pay for bytes nobody re-reads.
+      if (hit.source == engine::CacheSource::kMemory)
+        rendering = cache_.attach_rendering(key, flavor, std::move(rendering));
+      rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
+    }
+    std::string out;
+    out.reserve(160 + rendering->text.size() + 24 * rendering->row_ends.size());
+    out += "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
     json::append_string(out, design->handle);
     out += ",\"net\":";
     json::append_string(out, request.net);
     out += ",\"source\":\"";
-    out += source_name(source);
+    out += source_name(hit.source);
     out += "\",\"rows\":[";
-    for (std::size_t i = 0; i < rows->size(); ++i) {
-      if (i > 0) out.push_back(',');
-      append_row_json(out, (*rows)[i], bounds_only);
-    }
+    splice_rows(out, *rendering, net.tree);
     out += "]}";
     return out;
   });
@@ -1008,7 +1058,7 @@ std::string Server::cmd_evict(const Request& request) {
     if (last_design_ == it->first) last_design_.clear();
     designs_.erase(it);
     designs_evicted = 1;
-    // Cached rows/contexts are content-addressed and name-independent;
+    // Cached rows and renderings are content-addressed and name-free;
     // they stay until the LRU (or a full evict) displaces them.
   } else {
     {
@@ -1050,6 +1100,7 @@ void Server::update_gauges() {
   nets_gauge.set(static_cast<double>(n_nets));
   entries_gauge.set(static_cast<double>(cache_.size()));
   contexts_gauge.set(static_cast<double>(cache_.context_count()));
+  rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
   // hits = memory, backend_hits = store, misses = recomputed; the three are
   // disjoint, so hit rates are straightforward fractions.
   const double memory_hits = static_cast<double>(cache_.hits());

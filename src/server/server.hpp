@@ -1,8 +1,8 @@
 #pragma once
 // server::Server — the long-running timing daemon behind `rct serve`.
 //
-// One process holds parsed designs and their warm analysis::TreeContexts in
-// memory and answers newline-delimited JSON requests (see protocol.hpp)
+// One process holds parsed designs, their computed report rows and the
+// rows' rendered JSON in memory and answers newline-delimited JSON requests (see protocol.hpp)
 // from many concurrent clients, so interactive queries against a large
 // extracted design cost microseconds instead of a full parse + analysis
 // per invocation.
@@ -20,10 +20,13 @@
 //   - designs_: content-handle → parsed SPEF.  The handle is a 12-hex FNV
 //     of the file bytes, so re-loading an unchanged file is a cheap rebind
 //     and two servers pointed at one store agree on identity.
-//   - cache_: the engine's sharded NetCache (rows + contexts, optional LRU
-//     cap), backed by an optional server::DiskStore.  Contexts cached here
-//     own copies of their trees, so evicting a design never dangles a
-//     cached context.
+//   - cache_: the engine's sharded NetCache (rows plus their render slots,
+//     optional LRU cap), backed by an optional server::DiskStore.  The
+//     first memory hit of a (net, report|bounds) pair attaches the rows'
+//     name-free JSON to the entry; later hits splice the live tree's node
+//     names into those bytes instead of re-rendering.  The server retains
+//     no TreeContext: a miss builds a transient one, so `stats.contexts`
+//     reads 0.
 //   - The disk store is multi-writer safe (atomic renames); entries are
 //     immutable once written, so cross-server sharing needs no locking.
 //

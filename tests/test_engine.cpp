@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/tree_context.hpp"
@@ -242,6 +243,123 @@ TEST(NetCache, UnboundedDefaultNeverEvicts) {
   }
   EXPECT_EQ(cache.size(), 32u);
   EXPECT_EQ(cache.evictions(), 0u);
+}
+
+/// A stand-in rendering: the cache never reads the bytes, only holds them.
+std::shared_ptr<const Rendering> fake_rendering(const std::string& text, std::size_t rows) {
+  auto r = std::make_shared<Rendering>();
+  r->text = text;
+  for (std::size_t i = 1; i <= rows; ++i)
+    r->row_ends.push_back(text.size() * i / rows);
+  return r;
+}
+
+TEST(NetCacheRender, EmptySlotUntilAttachedAndFlavorsAreSeparate) {
+  const RCTree a = gen::random_tree(20, 31);
+  const core::ReportOptions opt;
+  const NetKey key = NetKey::of(a, opt);
+  NetCache cache;
+  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kReport).source, CacheSource::kMiss);
+  cache.insert(key, core::build_report(a, opt));
+
+  // An entry with no rendering answers with rows, as lookup() would.
+  const NetCache::RenderedLookup plain = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+  EXPECT_EQ(plain.source, CacheSource::kMemory);
+  EXPECT_EQ(plain.rendering, nullptr);
+  ASSERT_TRUE(plain.rows.has_value());
+  EXPECT_EQ(plain.rows->size(), a.size());
+  EXPECT_EQ(cache.rendered_bytes(), 0u);
+
+  const auto bytes = fake_rendering("report-bytes", a.size());
+  EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kReport, bytes), bytes);
+  EXPECT_EQ(cache.rendered_bytes(), bytes->bytes());
+  const NetCache::RenderedLookup warm = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+  EXPECT_EQ(warm.source, CacheSource::kMemory);
+  EXPECT_EQ(warm.rendering, bytes);
+  EXPECT_FALSE(warm.rows.has_value());  // no row copy on a rendered hit
+  // The other flavor's slot is still empty.
+  const NetCache::RenderedLookup other = cache.lookup_rendered(key, a, RenderFlavor::kBounds);
+  EXPECT_EQ(other.rendering, nullptr);
+  EXPECT_TRUE(other.rows.has_value());
+  // Every lookup above (rendered or not) counted as a hit.
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(NetCacheRender, FirstAttachWinsAndMissingEntryStoresNothing) {
+  const RCTree a = gen::random_tree(20, 32);
+  const core::ReportOptions opt;
+  const NetKey key = NetKey::of(a, opt);
+  NetCache cache;
+  const auto first = fake_rendering("first", a.size());
+  const auto second = fake_rendering("second-longer", a.size());
+  // No entry under the key yet: the candidate comes back, nothing is held.
+  EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kBounds, first), first);
+  EXPECT_EQ(cache.rendered_bytes(), 0u);
+
+  cache.insert(key, core::build_report(a, opt));
+  EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kBounds, first), first);
+  EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kBounds, second), first);
+  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kBounds).rendering, first);
+  EXPECT_EQ(cache.rendered_bytes(), first->bytes());
+}
+
+TEST(NetCacheRender, ClearAndLruEvictionDropTheSlot) {
+  const core::ReportOptions opt;
+  const RCTree a = gen::random_tree(20, 33);
+  const RCTree b = gen::random_tree(20, 34);
+  const NetKey ka = NetKey::of(a, opt);
+  const NetKey kb = NetKey::of(b, opt);
+
+  NetCache cache;
+  cache.insert(ka, core::build_report(a, opt));
+  (void)cache.attach_rendering(ka, RenderFlavor::kReport, fake_rendering("a", a.size()));
+  EXPECT_GT(cache.rendered_bytes(), 0u);
+  EXPECT_EQ(cache.clear().first, 1u);
+  EXPECT_EQ(cache.rendered_bytes(), 0u);
+  cache.insert(ka, core::build_report(a, opt));
+  EXPECT_EQ(cache.lookup_rendered(ka, a, RenderFlavor::kReport).rendering, nullptr);
+
+  // One shard, cap 1: inserting b evicts a together with its rendering.
+  NetCache capped(/*shards=*/1, /*max_entries=*/1);
+  capped.insert(ka, core::build_report(a, opt));
+  (void)capped.attach_rendering(ka, RenderFlavor::kReport, fake_rendering("a", a.size()));
+  (void)capped.attach_rendering(ka, RenderFlavor::kBounds, fake_rendering("ab", a.size()));
+  capped.insert(kb, core::build_report(b, opt));
+  EXPECT_EQ(capped.evictions(), 1u);
+  EXPECT_EQ(capped.rendered_bytes(), 0u);
+  capped.insert(ka, core::build_report(a, opt));  // evicts b; a comes back bare
+  EXPECT_EQ(capped.lookup_rendered(ka, a, RenderFlavor::kReport).rendering, nullptr);
+  EXPECT_EQ(capped.lookup_rendered(ka, a, RenderFlavor::kBounds).rendering, nullptr);
+}
+
+TEST(NetCacheRender, ConcurrentFirstHitsAttachExactlyOnce) {
+  const RCTree a = gen::random_tree(40, 35);
+  const core::ReportOptions opt;
+  const NetKey key = NetKey::of(a, opt);
+  NetCache cache;
+  cache.insert(key, core::build_report(a, opt));
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::shared_ptr<const Rendering>> served(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      NetCache::RenderedLookup hit = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+      if (hit.rendering == nullptr)
+        hit.rendering = cache.attach_rendering(
+            key, RenderFlavor::kReport, fake_rendering("thread-" + std::to_string(t), a.size()));
+      served[t] = hit.rendering;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const auto& r : served) EXPECT_EQ(r, served[0]);  // everyone answers from the winner
+  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kReport).rendering, served[0]);
+  EXPECT_EQ(cache.rendered_bytes(), served[0]->bytes());
+  EXPECT_EQ(cache.hits(), kThreads + 1);
 }
 
 TEST(NetCache, RebindReportNamesRewritesOnlyNames) {

@@ -25,6 +25,7 @@
 
 #include "core/report.hpp"
 #include "engine/net_cache.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
@@ -55,15 +56,25 @@ struct ScratchDir {
   ~ScratchDir() { std::filesystem::remove_all(path); }
 };
 
-/// Writes a small generated SPEF deck (deterministic content per seed).
+/// Writes a small generated SPEF deck (deterministic content per seed).  A
+/// non-empty `node_prefix` renames every node but keeps topology and R/C, so
+/// the deck's nets are content twins of the unprefixed deck's.
 std::string write_deck(const std::string& dir, const char* name, std::size_t nets,
-                       std::size_t nodes, std::uint64_t seed) {
+                       std::size_t nodes, std::uint64_t seed,
+                       const std::string& node_prefix = "") {
   SpefFile file;
   file.design = name;
   for (std::size_t i = 0; i < nets; ++i) {
     SpefNet net;
     net.name = "net_" + std::to_string(i);
     net.tree = gen::random_tree(nodes, seed + i);
+    if (!node_prefix.empty()) {
+      RCTreeBuilder renamed;
+      for (NodeId n = 0; n < net.tree.size(); ++n)
+        renamed.add_node(node_prefix + net.tree.name(n), net.tree.parent(n),
+                         net.tree.resistance(n), net.tree.capacitance(n));
+      net.tree = std::move(renamed).build();
+    }
     net.driver = "drv";  // separate port name; the tree root is its far end
     for (const NodeId leaf : net.tree.leaves()) net.loads.push_back(leaf);
     file.nets.push_back(std::move(net));
@@ -618,6 +629,120 @@ TEST(Server, ContentIdenticalNetsShareCacheAcrossDesigns) {
   const std::string second =
       server.handle_line("{\"id\":4,\"cmd\":\"report\",\"net\":\"net_0\"}");
   EXPECT_NE(second.find("\"source\":\"memory\""), std::string::npos) << second;
+}
+
+// ------------------------------------------- server: cached render bytes
+
+std::uint64_t counter_value(const char* name) {
+  return obs::registry().counter(name).value();
+}
+
+/// The rendered-bytes gauge, as the last request (on this thread) set it.
+double rendered_bytes() { return obs::registry().gauge("server.cache.rendered_bytes").value(); }
+
+/// The `"rows":[...]}` tail of a report/bounds response.
+std::string rows_text(const std::string& response) {
+  const std::size_t at = response.find("\"rows\":");
+  return at == std::string::npos ? std::string() : response.substr(at);
+}
+
+/// `rows` with every row name rewritten to `prefix` + name.
+std::string prefix_row_names(std::string rows, const std::string& prefix) {
+  const std::string tag = "{\"name\":\"";
+  for (std::size_t at = rows.find(tag); at != std::string::npos;
+       at = rows.find(tag, at + tag.size() + prefix.size()))
+    rows.insert(at + tag.size(), prefix);
+  return rows;
+}
+
+std::string load_handle(server::Server& server, const std::string& path) {
+  server::Request load;
+  load.cmd = "load";
+  load.id = 1;
+  load.path = path;
+  const std::optional<json::Value> reply =
+      json::parse(server.handle_line(server::encode_request(load)));
+  return reply.has_value() ? reply->at("design").text : std::string();
+}
+
+TEST(ServerRender, ContentTwinsSpliceTheirOwnNamesIntoCachedBytes) {
+  const ScratchDir dir("render_twins");
+  // Same seeds, renamed nodes: design B's nets are content twins of A's.
+  const std::string deck_a = write_deck(dir.path, "one", 2, 14, 300);
+  const std::string deck_b = write_deck(dir.path, "two", 2, 14, 300, "twin_");
+  server::Server server({});
+  const std::string design_a = load_handle(server, deck_a);
+  const std::string design_b = load_handle(server, deck_b);
+  ASSERT_FALSE(design_a.empty());
+  ASSERT_FALSE(design_b.empty());
+  const auto report = [&](const std::string& design, const std::string& extra) {
+    return server.handle_line("{\"id\":7,\"cmd\":\"report\",\"net\":\"net_0\",\"design\":\"" +
+                              design + "\"" + extra + "}");
+  };
+
+  const std::uint64_t fresh0 = counter_value("server.render.fresh");
+  const std::uint64_t cached0 = counter_value("server.render.cached");
+  const std::string computed = report(design_a, "");
+  const std::string first_hit = report(design_a, "");
+  const std::string cached = report(design_a, "");
+  EXPECT_NE(computed.find("\"source\":\"computed\""), std::string::npos) << computed;
+  EXPECT_NE(first_hit.find("\"source\":\"memory\""), std::string::npos);
+  EXPECT_NE(cached.find("\"source\":\"memory\""), std::string::npos);
+  // Computed and first-hit reads render afresh; the third read is spliced
+  // from the bytes the first hit attached.  All three carry the same rows.
+  EXPECT_EQ(counter_value("server.render.fresh") - fresh0, 2u);
+  EXPECT_EQ(counter_value("server.render.cached") - cached0, 1u);
+  EXPECT_EQ(rows_text(first_hit), rows_text(computed));
+  EXPECT_EQ(rows_text(cached), rows_text(computed));
+
+  // Design B shares A's entry and its rendering, but carries its own names.
+  const std::string twin = report(design_b, "");
+  EXPECT_NE(twin.find("\"source\":\"memory\""), std::string::npos) << twin;
+  EXPECT_EQ(counter_value("server.render.cached") - cached0, 2u);
+  const std::optional<json::Value> parsed = json::parse(twin);
+  ASSERT_TRUE(parsed.has_value()) << twin;
+  const json::Value& rows = parsed->at("rows");
+  ASSERT_EQ(rows.items.size(), 14u);
+  for (const json::Value& row : rows.items)
+    EXPECT_EQ(row.at("name").text.rfind("twin_", 0), 0u) << row.at("name").text;
+  EXPECT_EQ(rows_text(twin), prefix_row_names(rows_text(computed), "twin_"));
+  EXPECT_GT(rendered_bytes(), 0.0);
+
+  // A bounds read and a leaves-only, exact-free report share one NetKey but
+  // not a field set: each flavor renders and caches its own bytes.
+  const auto bounds = [&](const std::string& design) {
+    return server.handle_line("{\"id\":8,\"cmd\":\"bounds\",\"net\":\"net_0\",\"design\":\"" +
+                              design + "\"}");
+  };
+  const std::string leaves_extra = ",\"leaves_only\":true,\"with_exact\":false";
+  const std::string bounds_computed = bounds(design_a);
+  const std::string bounds_first = bounds(design_a);
+  const std::string leaves_first = report(design_a, leaves_extra);
+  const std::string leaves_cached = report(design_a, leaves_extra);
+  const std::string bounds_cached = bounds(design_a);
+  const std::string bounds_twin = bounds(design_b);
+  const std::string leaves_twin = report(design_b, leaves_extra);
+  EXPECT_NE(bounds_computed.find("\"source\":\"computed\""), std::string::npos);
+  EXPECT_NE(leaves_first.find("\"source\":\"memory\""), std::string::npos);
+  for (const std::string* r : {&bounds_computed, &bounds_first, &bounds_cached, &bounds_twin}) {
+    EXPECT_EQ(r->find("\"sigma\""), std::string::npos) << *r;
+    EXPECT_NE(r->find("\"prh_tmax\""), std::string::npos) << *r;
+  }
+  for (const std::string* r : {&leaves_first, &leaves_cached, &leaves_twin}) {
+    EXPECT_NE(r->find("\"sigma\""), std::string::npos) << *r;
+    EXPECT_EQ(r->find("\"exact_delay\""), std::string::npos) << *r;
+  }
+  EXPECT_EQ(rows_text(bounds_first), rows_text(bounds_computed));
+  EXPECT_EQ(rows_text(bounds_cached), rows_text(bounds_computed));
+  EXPECT_EQ(rows_text(leaves_cached), rows_text(leaves_first));
+  EXPECT_EQ(rows_text(bounds_twin), prefix_row_names(rows_text(bounds_computed), "twin_"));
+  EXPECT_EQ(rows_text(leaves_twin), prefix_row_names(rows_text(leaves_first), "twin_"));
+
+  // The server retains no TreeContext; a full evict drops every rendering.
+  const std::string stats = server.handle_line("{\"id\":9,\"cmd\":\"stats\"}");
+  EXPECT_NE(stats.find("\"contexts\":0"), std::string::npos) << stats;
+  ASSERT_TRUE(server::response_ok(server.handle_line("{\"id\":10,\"cmd\":\"evict\"}")));
+  EXPECT_EQ(rendered_bytes(), 0.0);
 }
 
 // ------------------------------------------------- server (over sockets)
