@@ -14,7 +14,8 @@
 #      timing-server tests (concurrent clients, disk store) and the CLI
 #      batch/serve end-to-end tests under TSan.
 #   2. Trace validation: the TSan-built CLI emits a Chrome trace + metrics
-#      snapshot, checked against a small JSON schema (python3); the
+#      snapshot, checked against a small JSON schema (python3) that also
+#      requires the fused path's engine.batch.index span; the
 #      Prometheus exposition is validated structurally twice — once from a
 #      --metrics-out file and once scraped over GET /metrics from a live
 #      TSan-built daemon (scripts/validate_prom.py).
@@ -25,9 +26,9 @@
 #   3. AddressSanitizer+UBSan build; runs the full ctest suite, then drives
 #      the ASan CLI over every deck in testdata/malformed (strict + lenient):
 #      each must exit 1 with a diagnostic — never crash, never succeed;
-#      finally re-runs the store-GC crash-recovery, socket-chaos and
-#      cached-render suites by name so a renamed/deleted suite cannot pass
-#      silently.
+#      finally re-runs the store-GC crash-recovery, socket-chaos,
+#      cached-render, short-row store round-trip and fused-cache suites by
+#      name so a renamed/deleted suite cannot pass silently.
 #   4. Perf gate (full runs only): rebuilds the benches in Release, re-runs
 #      perf_batch / perf_report / perf_serve / perf_parse on the baseline
 #      workloads and diffs against the committed BENCH_*.json with
@@ -147,6 +148,9 @@ for e in events:
     assert e["dur"] >= 0, "negative duration"
     cats.add(e["cat"])
 assert {"cli", "engine", "pool", "analysis", "core"} <= cats, f"layers missing: {cats}"
+# The fused batch path's serial head (index + header pass) is its own span.
+assert any(e["ph"] == "X" and e["name"] == "engine.batch.index" for e in events), \
+    "span missing: engine.batch.index"
 
 metrics = json.load(open(sys.argv[2]))
 assert metrics["schema_version"] == 1, "schema_version"
@@ -274,18 +278,23 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   done
   echo "malformed corpus: every deck handled without a crash"
 
-  echo "== store GC crash-recovery + socket chaos + cached render under ASan =="
+  echo "== store GC crash-recovery + socket chaos + cached render + fused cache under ASan =="
   # The DiskStoreGc suite injects a crash between the eviction journal
   # write and the first unlink, then recovers on reopen; the Chaos suite
   # drives torn writes / short reads / oversized lines over real sockets;
   # the ServerRender suite splices live node names into cached row bytes
-  # shared by content twins.  Already part of the full ctest run above, but
-  # gated by name so a filter-level regression (renamed/deleted suite)
-  # cannot pass silently.
+  # shared by content twins; the store round-trip tests read the smallest
+  # (short-name, moments-only) rows back, in process and across a server
+  # restart; the SpefFusedCache suite runs content twins through the fused
+  # parse+analyze path, which frees each parsed net on its worker.  Already
+  # part of the full ctest run above, but gated by name so a filter-level
+  # regression (renamed/deleted suite) cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*' \
-        --gtest_fail_fast)
+      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.StoreServesShortBoundsRowsAfterRestart' \
+        --gtest_fail_fast &&
+    ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+      ./tests/test_spef_parallel --gtest_filter='SpefFusedCache.*' --gtest_fail_fast)
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then

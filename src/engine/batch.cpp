@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/tree_context.hpp"
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/flight.hpp"
@@ -106,39 +108,22 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
       throw robust::Error(robust::Code::kEmptyTree,
                           "net '" + net.name + "' has an empty RC tree");
     r.total_capacitance = net.tree.total_capacitance();
+    std::optional<NetKey> key;
     if (cache != nullptr) {
-      const NetKey key = NetKey::of(net.tree, report);
-      if (auto hit = cache->lookup(key, net.tree)) {
+      key = NetKey::of(net.tree, report);
+      if (auto hit = cache->lookup(*key, net.tree)) {
         r.rows = std::move(*hit);
         r.from_cache = true;
         return r;
       }
-      ec.tasks_run.add();
-      // Share derived arrays by content: a content-identical net analyzed
-      // under different options (or concurrently) reuses the same context.
-      // The borrowed donor tree is a batch net, which outlives the cache.
-      const NetKey ckey = NetKey::content_of(net.tree);
-      std::shared_ptr<const analysis::TreeContext> ctx = cache->lookup_context(ckey);
-      if (ctx != nullptr) {
-        ec.context_reuses.add();
-      } else {
-        auto built = std::make_shared<const analysis::TreeContext>(net.tree);
-        ctx = cache->insert_context(ckey, built);
-        if (ctx == built)
-          ec.contexts_built.add();
-        else
-          ec.context_reuses.add();  // lost the insert race
-      }
-      r.rows = core::build_report(*ctx, report);
-      // A donor context computed the rows under its own tree's names.
-      if (&ctx->tree() != &net.tree) rebind_report_names(r.rows, net.tree);
-      cache->insert(key, r.rows);
-    } else {
-      ec.tasks_run.add();
-      ec.contexts_built.add();
-      const analysis::TreeContext ctx(net.tree);
-      r.rows = core::build_report(ctx, report);
     }
+    // A miss builds a transient context: within one batch every net shares
+    // one ReportOptions, so a row miss means no twin has built one either.
+    ec.tasks_run.add();
+    ec.contexts_built.add();
+    const analysis::TreeContext ctx(net.tree);
+    r.rows = core::build_report(ctx, report);
+    if (key.has_value()) cache->insert(*key, r.rows);
   } catch (const robust::Error& e) {
     r.rows.clear();
     r.error = e.what();
@@ -399,8 +384,7 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
                   {"failures", static_cast<std::uint64_t>(out.stats.failures)},
                   {"cache_hits", static_cast<std::uint64_t>(out.stats.cache_hits)},
                   {"wall_s", out.stats.total.wall_s}});
-  // Every analyzed (non-cache-hit) net either built its TreeContext or
-  // adopted one from a content-identical sibling — nothing else.
+  // Every analyzed (non-cache-hit) net built its own transient TreeContext.
   assert(out.stats.contexts_built + out.stats.context_reuses == out.stats.tasks_run);
   return out;
 }
@@ -425,7 +409,10 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   out.parse.bytes = text.size();
 
   const PhaseTimer index_timer;
-  spef::ParsePlan plan = spef::prepare_spef(text, spef_opts);
+  spef::ParsePlan plan = [&] {
+    const obs::Span span("engine.batch.index", "engine");
+    return spef::prepare_spef(text, spef_opts);
+  }();
   out.parse.index_seconds = index_timer.elapsed().wall_s;
   if constexpr (obs::kTimingEnabled)
     obs::registry().histogram("parse.index.seconds").observe(out.parse.index_seconds);
@@ -461,7 +448,10 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   // the net it produced on the same worker — early nets are being timed
   // while late sections are still being tokenized.  Each task writes only
   // its own preassigned slots, and the compaction below walks them in file
-  // order, so the output matches parse + analyze_batch() exactly.
+  // order, so the output matches parse + analyze_batch() exactly.  The
+  // slot keeps copies of everything the renderers read, so the task frees
+  // the parsed net on its own worker; the emptied SpefNet stays behind for
+  // merge_spef's net count and empty-input check.
   std::vector<spef::ShardResult> sections(n);
   std::vector<NetResult> slots(n);
   std::vector<unsigned char> has_net(n, 0);
@@ -476,8 +466,10 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
       if (!sections[i].error && !sections[i].nets.empty()) {
         ec.nets_total.add();
         has_net[i] = 1;
-        run_net_slot(sections[i].nets.front(), slots[i], options, cache_ptr, budget,
-                     failed_so_far, obs::timestamp_ns());
+        SpefNet& net = sections[i].nets.front();
+        run_net_slot(net, slots[i], options, cache_ptr, budget, failed_so_far,
+                     obs::timestamp_ns());
+        net = SpefNet{};
       }
     });
   }

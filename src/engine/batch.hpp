@@ -37,9 +37,9 @@ struct BatchOptions {
   std::size_t jobs = 0;        ///< worker threads; 0 = hardware concurrency
   core::ReportOptions report;  ///< shared per-net report options
   bool use_cache = true;       ///< skip recomputation of content-identical nets
-  /// LRU cap on the in-memory NetCache (rows and contexts each); 0 keeps
-  /// the pre-cap unbounded behavior (stdout stays byte-identical).  Maps to
-  /// the CLI's --cache-max-entries.
+  /// LRU cap on the in-memory NetCache's row entries; 0 keeps the pre-cap
+  /// unbounded behavior (stdout stays byte-identical).  Maps to the CLI's
+  /// --cache-max-entries.
   std::size_t cache_max_entries = 0;
   /// Optional second-level persistent store consulted on cache misses and
   /// written through on inserts (e.g. server::DiskStore via `--store DIR`);
@@ -114,9 +114,10 @@ struct EngineStats {
   std::size_t timed_out = 0;  ///< nets that hit the cooperative deadline
   std::size_t cancelled = 0;  ///< nets skipped after the failure budget tripped
   std::size_t threads = 0;    ///< pool size used
-  /// Derived-array (TreeContext) accounting: every analyzed net either
-  /// built its context or adopted one from a content-identical net, so
-  /// contexts_built + context_reuses == tasks_run.
+  /// Derived-array (TreeContext) accounting: every analyzed net builds a
+  /// transient context, so contexts_built == tasks_run and context_reuses
+  /// (kept for the stats schema) is 0; contexts_built + context_reuses ==
+  /// tasks_run holds either way.
   std::size_t contexts_built = 0;
   std::size_t context_reuses = 0;
   PhaseTime analyze;        ///< fan-out + per-net analysis

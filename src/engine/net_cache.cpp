@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace rct::engine {
@@ -36,10 +35,6 @@ obs::Counter& cache_store_hit_counter() {
   static obs::Counter& c = obs::registry().counter("engine.cache.store_hits");
   return c;
 }
-obs::Counter& context_hit_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.context_hits");
-  return c;
-}
 
 std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
   std::uint64_t h = 14695981039346656037ULL;
@@ -50,25 +45,6 @@ std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
     }
   }
   return h;
-}
-
-void append_content_words(NetKey& key, const RCTree& tree) {
-  for (NodeId i = 0; i < tree.size(); ++i) {
-    key.words.push_back(tree.parent(i));  // kSource is its own sentinel value
-    key.words.push_back(std::bit_cast<std::uint64_t>(tree.resistance(i)));
-    key.words.push_back(std::bit_cast<std::uint64_t>(tree.capacitance(i)));
-  }
-}
-
-/// Drops `it` from its hash chain in `index`, erasing the chain when it
-/// empties.  Shared by both LRU eviction paths.
-template <typename Index, typename Iter>
-void unindex(Index& index, std::uint64_t hash, Iter it) {
-  auto chain = index.find(hash);
-  if (chain == index.end()) return;
-  auto& vec = chain->second;
-  vec.erase(std::remove(vec.begin(), vec.end(), it), vec.end());
-  if (vec.empty()) index.erase(chain);
 }
 
 }  // namespace
@@ -99,16 +75,11 @@ NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
   const bool exact = options.with_exact && tree.size() <= options.exact_node_limit;
   key.words.push_back((exact ? 1ULL : 0ULL) | (options.leaves_only ? 2ULL : 0ULL));
   key.words.push_back(std::bit_cast<std::uint64_t>(options.fraction));
-  append_content_words(key, tree);
-  key.hash = fnv1a(key.words);
-  return key;
-}
-
-NetKey NetKey::content_of(const RCTree& tree) {
-  NetKey key;
-  key.words.reserve(1 + 3 * tree.size());
-  key.words.push_back(tree.size());
-  append_content_words(key, tree);
+  for (NodeId i = 0; i < tree.size(); ++i) {
+    key.words.push_back(tree.parent(i));  // kSource is its own sentinel value
+    key.words.push_back(std::bit_cast<std::uint64_t>(tree.resistance(i)));
+    key.words.push_back(std::bit_cast<std::uint64_t>(tree.capacitance(i)));
+  }
   key.hash = fnv1a(key.words);
   return key;
 }
@@ -197,7 +168,10 @@ bool NetCache::insert_memory(const NetKey& key, std::vector<core::NodeReport> ro
   if (cap_per_shard_ > 0 && shard.entries.size() > cap_per_shard_) {
     const auto victim = std::prev(shard.entries.end());
     rendered_bytes_.fetch_sub(rendered_bytes_of(*victim));
-    unindex(shard.index, victim->key.hash, victim);
+    const auto chain = shard.index.find(victim->key.hash);
+    auto& its = chain->second;
+    its.erase(std::find(its.begin(), its.end(), victim));
+    if (its.empty()) shard.index.erase(chain);
     shard.entries.pop_back();
     evictions_.fetch_add(1);
     cache_eviction_counter().add();
@@ -227,65 +201,16 @@ std::shared_ptr<const Rendering> NetCache::attach_rendering(
   return slot;
 }
 
-std::shared_ptr<const analysis::TreeContext> NetCache::lookup_context(const NetKey& key) {
-  Shard& shard = shard_for(key.hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto chain = shard.ctx_index.find(key.hash);
-  if (chain != shard.ctx_index.end()) {
-    for (const auto it : chain->second) {
-      if (it->key == key) {
-        ctx_hits_.fetch_add(1);
-        context_hit_counter().add();
-        shard.contexts.splice(shard.contexts.begin(), shard.contexts, it);  // refresh LRU
-        return it->context;
-      }
-    }
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const analysis::TreeContext> NetCache::insert_context(
-    const NetKey& key, std::shared_ptr<const analysis::TreeContext> context) {
-  Shard& shard = shard_for(key.hash);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto& chain = shard.ctx_index[key.hash];
-  for (const auto it : chain) {
-    if (it->key == key) {
-      ctx_hits_.fetch_add(1);  // lost the race; caller adopts the winner
-      context_hit_counter().add();
-      obs::log::debug("engine.cache.context_race",
-                      {{"hash", static_cast<std::uint64_t>(key.hash)}});
-      return it->context;
-    }
-  }
-  shard.contexts.push_front(CtxEntry{key, context});
-  chain.push_back(shard.contexts.begin());
-  if (cap_per_shard_ > 0 && shard.contexts.size() > cap_per_shard_) {
-    const auto victim = std::prev(shard.contexts.end());
-    // Dropping a context is safe even while in use: consumers hold their
-    // own shared_ptr; only the cache's reference goes away.
-    unindex(shard.ctx_index, victim->key.hash, victim);
-    shard.contexts.pop_back();
-    evictions_.fetch_add(1);
-    cache_eviction_counter().add();
-  }
-  return context;
-}
-
-std::pair<std::size_t, std::size_t> NetCache::clear() {
+std::size_t NetCache::clear() {
   std::size_t entries = 0;
-  std::size_t contexts = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     entries += shard->entries.size();
-    contexts += shard->contexts.size();
     for (const Entry& entry : shard->entries) rendered_bytes_.fetch_sub(rendered_bytes_of(entry));
     shard->entries.clear();
     shard->index.clear();
-    shard->contexts.clear();
-    shard->ctx_index.clear();
   }
-  return {entries, contexts};
+  return entries;
 }
 
 std::size_t NetCache::size() const {
@@ -293,15 +218,6 @@ std::size_t NetCache::size() const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     n += shard->entries.size();
-  }
-  return n;
-}
-
-std::size_t NetCache::context_count() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    n += shard->contexts.size();
   }
   return n;
 }

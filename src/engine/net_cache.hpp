@@ -20,9 +20,9 @@
 // bytes must be name-free, because content twins share the entry.
 //
 // Bounding: an optional LRU cap (`max_entries`, 0 = unbounded) limits how
-// many row entries — and, independently, how many contexts — the cache
-// retains.  The cap is split evenly across shards, so it is approximate:
-// a shard evicts its own least-recently-used entry once it exceeds
+// many row entries the cache retains; the cache holds nothing else.  The
+// cap is split evenly across shards, so it is approximate: a shard evicts
+// its own least-recently-used entry once it exceeds
 // ceil(max_entries / shards), regardless of what other shards hold.
 // Evictions are counted (`engine.cache.evictions`).  The default (0)
 // preserves the unbounded, byte-identical pre-cap behavior.
@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "core/report.hpp"
 #include "rctree/rctree.hpp"
 
@@ -58,10 +57,6 @@ struct NetKey {
   /// Builds the key for one net's report computation.
   [[nodiscard]] static NetKey of(const RCTree& tree, const core::ReportOptions& options);
 
-  /// Content-only key (topology + R/C bit patterns, no options) — the
-  /// identity under which derived arrays are shareable between nets.
-  [[nodiscard]] static NetKey content_of(const RCTree& tree);
-
   [[nodiscard]] bool operator==(const NetKey& other) const { return words == other.words; }
 };
 
@@ -71,8 +66,8 @@ struct NetKey {
 [[nodiscard]] std::vector<NodeId> report_row_nodes(const RCTree& tree, std::size_t rows);
 
 /// Rewrites `rows`' names (and nothing else) for `tree`, mapping rows to
-/// nodes as report_row_nodes() does.  Used after computing rows from a
-/// content-identical donor tree/context.
+/// nodes as report_row_nodes() does.  Used when rows stored for a
+/// content-identical twin are handed to another tree.
 void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree);
 
 /// Which field set a Rendering carries; every row entry has one render
@@ -156,40 +151,18 @@ class NetCache {
   std::shared_ptr<const Rendering> attach_rendering(const NetKey& key, RenderFlavor flavor,
                                                     std::shared_ptr<const Rendering> rendering);
 
-  /// Returns the shared TreeContext stored under the *content* key, or
-  /// nullptr.  Contexts are keyed by content only (NetKey::content_of), so
-  /// one context serves every ReportOptions variant of the same net.  The
-  /// context's derived arrays are name-independent; consumers that emit
-  /// names must rebind_report_names() against their own live tree.
-  [[nodiscard]] std::shared_ptr<const analysis::TreeContext> lookup_context(const NetKey& key);
-
-  /// Stores `context` under the content key; on a concurrent duplicate the
-  /// first writer wins and the stored (winning) context is returned, so
-  /// callers can switch to the shared instance.  The cached context must
-  /// remain valid for the cache's lifetime: either it owns its tree, or the
-  /// borrowed tree outlives the cache (the engine's per-batch caches borrow
-  /// from the batch's nets, which do).
-  std::shared_ptr<const analysis::TreeContext> insert_context(
-      const NetKey& key, std::shared_ptr<const analysis::TreeContext> context);
-
-  /// Drops every row entry (with its renderings) and context (the backend
-  /// is untouched).  Not counted as evictions.  Returns {row entries
-  /// dropped, contexts dropped}.
-  std::pair<std::size_t, std::size_t> clear();
+  /// Drops every row entry with its renderings (the backend is untouched).
+  /// Not counted as evictions.  Returns the number of entries dropped.
+  std::size_t clear();
 
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const { return misses_.load(); }
   /// Memory misses served by the backend store.
   [[nodiscard]] std::size_t backend_hits() const { return backend_hits_.load(); }
-  /// Row entries + contexts displaced by the LRU cap (clear() excluded).
+  /// Row entries displaced by the LRU cap (clear() excluded).
   [[nodiscard]] std::size_t evictions() const { return evictions_.load(); }
-  /// Number of context cache hits (lookup_context successes plus
-  /// insert_context races lost to an earlier writer).
-  [[nodiscard]] std::size_t context_hits() const { return ctx_hits_.load(); }
   /// Number of distinct entries stored.
   [[nodiscard]] std::size_t size() const;
-  /// Number of distinct contexts stored.
-  [[nodiscard]] std::size_t context_count() const;
   /// Bytes held in render slots (Rendering::bytes() summed over entries).
   [[nodiscard]] std::size_t rendered_bytes() const { return rendered_bytes_.load(); }
 
@@ -199,18 +172,12 @@ class NetCache {
     std::vector<core::NodeReport> rows;
     std::array<std::shared_ptr<const Rendering>, kRenderFlavors> renderings;
   };
-  struct CtxEntry {
-    NetKey key;
-    std::shared_ptr<const analysis::TreeContext> context;
-  };
-  /// Per-shard storage: intrusive recency lists (front = most recent) with
-  /// hash-indexed iterator chains for O(1) lookup, splice and eviction.
+  /// Per-shard storage: an intrusive recency list (front = most recent)
+  /// with hash-indexed iterator chains for O(1) lookup, splice and eviction.
   struct Shard {
     std::mutex mutex;
     std::list<Entry> entries;  // MRU at front
     std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>> index;
-    std::list<CtxEntry> contexts;  // MRU at front
-    std::unordered_map<std::uint64_t, std::vector<std::list<CtxEntry>::iterator>> ctx_index;
   };
 
   Shard& shard_for(std::uint64_t hash) { return *shards_[hash % shards_.size()]; }
@@ -236,7 +203,6 @@ class NetCache {
   std::atomic<std::size_t> misses_{0};
   std::atomic<std::size_t> backend_hits_{0};
   std::atomic<std::size_t> evictions_{0};
-  std::atomic<std::size_t> ctx_hits_{0};
   std::atomic<std::size_t> rendered_bytes_{0};
 };
 

@@ -1029,7 +1029,7 @@ std::string Server::cmd_stats(const Request& request) {
   out += ",\"queue_depth\":" + std::to_string(queue_depth_.load(std::memory_order_relaxed));
   out += ",\"queue_cap\":" + std::to_string(effective_queue_cap());
   out += ",\"cache\":{\"entries\":" + std::to_string(cache_.size());
-  out += ",\"contexts\":" + std::to_string(cache_.context_count());
+  out += ",\"contexts\":0";  // the server keeps no TreeContexts
   out += ",\"hits\":" + std::to_string(cache_.hits());
   out += ",\"misses\":" + std::to_string(cache_.misses());
   out += ",\"store_hits\":" + std::to_string(cache_.backend_hits());
@@ -1048,7 +1048,6 @@ std::string Server::cmd_stats(const Request& request) {
 std::string Server::cmd_evict(const Request& request) {
   std::size_t designs_evicted = 0;
   std::size_t entries_dropped = 0;
-  std::size_t contexts_dropped = 0;
   if (!request.design.empty()) {
     std::lock_guard<std::mutex> lock(designs_mutex_);
     const auto it = designs_.find(request.design);
@@ -1067,25 +1066,23 @@ std::string Server::cmd_evict(const Request& request) {
       designs_.clear();
       last_design_.clear();
     }
-    const auto [entries, contexts] = cache_.clear();
-    entries_dropped = entries;
-    contexts_dropped = contexts;
+    entries_dropped = cache_.clear();
   }
   obs::log::info("server.evict",
                  {{"designs", static_cast<std::uint64_t>(designs_evicted)},
-                  {"entries", static_cast<std::uint64_t>(entries_dropped)},
-                  {"contexts", static_cast<std::uint64_t>(contexts_dropped)}});
+                  {"entries", static_cast<std::uint64_t>(entries_dropped)}});
   update_gauges();
   return "{\"id\":" + std::to_string(request.id) +
          ",\"ok\":true,\"designs_evicted\":" + std::to_string(designs_evicted) +
          ",\"entries_dropped\":" + std::to_string(entries_dropped) +
-         ",\"contexts_dropped\":" + std::to_string(contexts_dropped) + "}";
+         ",\"contexts_dropped\":0}";
 }
 
 void Server::update_gauges() {
   static obs::Gauge& designs_gauge = obs::registry().gauge("server.designs");
   static obs::Gauge& nets_gauge = obs::registry().gauge("server.nets.loaded");
   static obs::Gauge& entries_gauge = obs::registry().gauge("server.cache.entries");
+  // Kept for scrapers; the server holds no TreeContexts, so it reads 0.
   static obs::Gauge& contexts_gauge = obs::registry().gauge("server.cache.contexts");
   static obs::Gauge& cache_hit_gauge = obs::registry().gauge("server.cache.hit_rate");
   static obs::Gauge& store_hit_gauge = obs::registry().gauge("server.store.hit_rate");
@@ -1099,7 +1096,7 @@ void Server::update_gauges() {
   designs_gauge.set(static_cast<double>(n_designs));
   nets_gauge.set(static_cast<double>(n_nets));
   entries_gauge.set(static_cast<double>(cache_.size()));
-  contexts_gauge.set(static_cast<double>(cache_.context_count()));
+  contexts_gauge.set(0.0);
   rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
   // hits = memory, backend_hits = store, misses = recomputed; the three are
   // disjoint, so hit rates are straightforward fractions.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "rctree/rctree.hpp"
 
@@ -43,6 +44,15 @@ inline RCTree small_tree() {
   const NodeId bb = b.add_node("b", a, 200.0, 2e-12);
   b.add_node("c", bb, 300.0, 0.5e-12);
   b.add_node("d", a, 150.0, 1.5e-12);
+  return std::move(b).build();
+}
+
+/// `t` with every node renamed `prefix` + id: a content twin (same
+/// topology and R/C bits, different names).
+inline RCTree renamed(const RCTree& t, const std::string& prefix) {
+  RCTreeBuilder b;
+  for (NodeId i = 0; i < t.size(); ++i)
+    b.add_node(prefix + std::to_string(i), t.parent(i), t.resistance(i), t.capacitance(i));
   return std::move(b).build();
 }
 

@@ -13,10 +13,10 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "engine/batch.hpp"
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
+#include "helpers.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
 
@@ -28,12 +28,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 /// Same topology and R/C values, fresh node names.
-RCTree renamed(const RCTree& t, const std::string& prefix) {
-  RCTreeBuilder b;
-  for (NodeId i = 0; i < t.size(); ++i)
-    b.add_node(prefix + std::to_string(i), t.parent(i), t.resistance(i), t.capacitance(i));
-  return std::move(b).build();
-}
+using rct::testing::renamed;
 
 SpefNet make_net(std::string name, RCTree tree) {
   SpefNet net;
@@ -174,26 +169,9 @@ TEST(NetCache, ContentKeyIgnoresOptions) {
   const RCTree a = gen::random_tree(20, 13);
   core::ReportOptions opt;
   opt.fraction = 0.9;
-  // Option changes separate the row keys but not the content key.
+  // Option changes separate the keys; node names stay out of them.
   EXPECT_FALSE(NetKey::of(a, {}) == NetKey::of(a, opt));
-  EXPECT_EQ(NetKey::content_of(a), NetKey::content_of(renamed(a, "x_")));
-}
-
-TEST(NetCache, ContextInsertFirstWriterWins) {
-  const RCTree a = gen::random_tree(20, 13);
-  const NetKey key = NetKey::content_of(a);
-  NetCache cache;
-  EXPECT_EQ(cache.lookup_context(key), nullptr);
-  EXPECT_EQ(cache.context_hits(), 0u);
-
-  auto first = std::make_shared<const analysis::TreeContext>(a);
-  auto second = std::make_shared<const analysis::TreeContext>(a);
-  EXPECT_EQ(cache.insert_context(key, first), first);
-  // The duplicate insert loses: the caller gets the stored winner back.
-  EXPECT_EQ(cache.insert_context(key, second), first);
-  EXPECT_EQ(cache.lookup_context(key), first);
-  EXPECT_EQ(cache.context_count(), 1u);
-  EXPECT_EQ(cache.context_hits(), 2u);  // one lost race + one lookup hit
+  EXPECT_EQ(NetKey::of(a, {}), NetKey::of(renamed(a, "x_"), {}));
 }
 
 TEST(NetCache, LruCapEvictsOldestAndCountsEvictions) {
@@ -315,7 +293,7 @@ TEST(NetCacheRender, ClearAndLruEvictionDropTheSlot) {
   cache.insert(ka, core::build_report(a, opt));
   (void)cache.attach_rendering(ka, RenderFlavor::kReport, fake_rendering("a", a.size()));
   EXPECT_GT(cache.rendered_bytes(), 0u);
-  EXPECT_EQ(cache.clear().first, 1u);
+  EXPECT_EQ(cache.clear(), 1u);
   EXPECT_EQ(cache.rendered_bytes(), 0u);
   cache.insert(ka, core::build_report(a, opt));
   EXPECT_EQ(cache.lookup_rendered(ka, a, RenderFlavor::kReport).rendering, nullptr);

@@ -412,6 +412,44 @@ TEST(ReportSerialization, RoundTripsBitExact) {
   }
 }
 
+TEST(ReportSerialization, ShortMomentsOnlyRowsRoundTrip) {
+  // The smallest rows: names under 8 bytes and no exact values, 73 bytes
+  // each plus the name.
+  std::vector<core::NodeReport> rows;
+  for (const char* name : {"", "a", "u2:A", "1234567"}) {
+    core::NodeReport r{};
+    r.name = name;
+    r.depth = rows.size();
+    r.elmore = 1e-12 * static_cast<double>(rows.size() + 1);
+    r.sigma = 0.25 * r.elmore;
+    r.skewness = 1.5;
+    r.lower_bound = r.elmore - r.sigma;
+    r.single_pole = 0.693 * r.elmore;
+    r.prh_tmin = 0.5 * r.elmore;
+    r.prh_tmax = 1.2 * r.elmore;
+    rows.push_back(r);
+  }
+  const std::string blob = core::serialize_report(rows);
+  EXPECT_EQ(blob.size(), 8 + 4 * 73 + (0 + 1 + 4 + 7));
+  const auto back = core::deserialize_report(blob);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ((*back)[i].name, rows[i].name);
+    EXPECT_EQ((*back)[i].depth, rows[i].depth);
+    EXPECT_EQ((*back)[i].elmore, rows[i].elmore);
+    EXPECT_EQ((*back)[i].sigma, rows[i].sigma);
+    EXPECT_EQ((*back)[i].skewness, rows[i].skewness);
+    EXPECT_EQ((*back)[i].lower_bound, rows[i].lower_bound);
+    EXPECT_EQ((*back)[i].single_pole, rows[i].single_pole);
+    EXPECT_EQ((*back)[i].prh_tmin, rows[i].prh_tmin);
+    EXPECT_EQ((*back)[i].prh_tmax, rows[i].prh_tmax);
+    EXPECT_FALSE((*back)[i].exact_delay.has_value());
+    EXPECT_FALSE((*back)[i].exact_rise.has_value());
+    EXPECT_FALSE((*back)[i].degraded);
+  }
+}
+
 TEST(ReportSerialization, RejectsTruncationAndGarbage) {
   const std::vector<core::NodeReport> rows = sample_rows(8, 3);
   const std::string blob = core::serialize_report(rows);
@@ -832,6 +870,33 @@ TEST(Server, WarmStoreSurvivesRestart) {
     ASSERT_TRUE(server::response_ok(response)) << response;
     EXPECT_NE(response.find("\"source\":\"store\""), std::string::npos) << response;
   }
+}
+
+TEST(Server, StoreServesShortBoundsRowsAfterRestart) {
+  // two_nets.spef's bounds rows carry no exact values and names shorter
+  // than 8 bytes (u2:A): the smallest rows the store writes.
+  const ScratchDir dir("short_rows");
+  const std::string deck = std::string(RCT_TESTDATA_DIR) + "/two_nets.spef";
+  const std::string store_dir = dir.path + "/store";
+  server::Request load;
+  load.cmd = "load";
+  load.id = 1;
+  load.path = deck;
+  const std::string bounds = "{\"id\":2,\"cmd\":\"bounds\",\"net\":\"net_a\"}";
+  server::ServeOptions options;
+  options.store_dir = store_dir;
+  {
+    server::Server first(options);
+    ASSERT_TRUE(server::response_ok(first.handle_line(server::encode_request(load))));
+    const std::string response = first.handle_line(bounds);
+    ASSERT_TRUE(server::response_ok(response)) << response;
+    EXPECT_NE(response.find("\"source\":\"computed\""), std::string::npos) << response;
+  }
+  server::Server second(options);
+  ASSERT_TRUE(server::response_ok(second.handle_line(server::encode_request(load))));
+  const std::string response = second.handle_line(bounds);
+  ASSERT_TRUE(server::response_ok(response)) << response;
+  EXPECT_NE(response.find("\"source\":\"store\""), std::string::npos) << response;
 }
 
 TEST(Server, CorruptStoreEntryFallsBackToRecompute) {

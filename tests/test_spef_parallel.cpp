@@ -8,6 +8,7 @@
 #include "engine/parallel_parse.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -18,9 +19,12 @@
 #include <vector>
 
 #include "engine/batch.hpp"
+#include "helpers.hpp"
+#include "rctree/generators.hpp"
 #include "rctree/mapped_file.hpp"
 #include "rctree/spef.hpp"
 #include "rctree/spef_index.hpp"
+#include "robust/fault.hpp"
 
 namespace rct {
 namespace {
@@ -172,6 +176,123 @@ TEST(SpefParallel, FusedAnalyzeStrictThrowsLikeTheParser) {
   }
   EXPECT_EQ(parse_what, fused_what);
 }
+
+// ---------------------------------------------------------------------------
+// The fused path with the row cache on: content twins (same topology and
+// R/C, renamed nodes) hit the cache, and the output still matches an
+// uncached parse-then-batch run byte for byte.
+
+/// A deck of `distinct` random nets with a renamed twin of every other one
+/// written right after it; writes it to a temp file and returns the path.
+struct TwinDeck {
+  fs::path path;
+  std::size_t twins = 0;
+
+  explicit TwinDeck(std::size_t distinct) {
+    SpefFile file;
+    file.design = "twins";
+    for (std::size_t i = 0; i < distinct; ++i) {
+      const RCTree tree = gen::random_tree(6 + 3 * i, 100 + i);
+      const auto add = [&file](std::string name, RCTree t) {
+        SpefNet net;
+        net.name = std::move(name);
+        net.driver = "drv";
+        net.loads = t.leaves();
+        net.tree = std::move(t);
+        file.nets.push_back(std::move(net));
+      };
+      add("net" + std::to_string(i), testing::renamed(tree, "n" + std::to_string(i) + "_"));
+      if (i % 2 == 0) {
+        add("twin" + std::to_string(i), testing::renamed(tree, "t" + std::to_string(i) + "_"));
+        ++twins;
+      }
+    }
+    path = fs::temp_directory_path() /
+           ("rct_fused_cache_" + std::to_string(distinct) + "_" +
+            std::to_string(static_cast<unsigned long>(::getpid())) + ".spef");
+    std::ofstream(path, std::ios::binary) << write_spef(file);
+  }
+  ~TwinDeck() { fs::remove(path); }
+};
+
+void expect_same_rows(const engine::NetResult& a, const engine::NetResult& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size()) << a.name;
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    const core::NodeReport& x = a.rows[i];
+    const core::NodeReport& y = b.rows[i];
+    EXPECT_EQ(x.name, y.name) << a.name;
+    EXPECT_EQ(x.depth, y.depth) << a.name;
+    EXPECT_EQ(x.elmore, y.elmore) << a.name;
+    EXPECT_EQ(x.sigma, y.sigma) << a.name;
+    EXPECT_EQ(x.skewness, y.skewness) << a.name;
+    EXPECT_EQ(x.lower_bound, y.lower_bound) << a.name;
+    EXPECT_EQ(x.single_pole, y.single_pole) << a.name;
+    EXPECT_EQ(x.prh_tmin, y.prh_tmin) << a.name;
+    EXPECT_EQ(x.prh_tmax, y.prh_tmax) << a.name;
+    EXPECT_EQ(x.exact_delay, y.exact_delay) << a.name;
+    EXPECT_EQ(x.exact_rise, y.exact_rise) << a.name;
+    EXPECT_EQ(x.degraded, y.degraded) << a.name;
+  }
+}
+
+TEST(SpefFusedCache, TwinsHitAndOutputMatchesUncachedParseThenBatch) {
+  const TwinDeck deck(12);
+  ASSERT_EQ(deck.twins, 6u);
+  engine::BatchOptions uncached;
+  uncached.jobs = 2;
+  uncached.use_cache = false;
+  const engine::ParsedSpef parsed = engine::parse_spef_parallel_file(deck.path.string(), {});
+  const std::string expected =
+      engine::format_batch_json(engine::analyze_batch(parsed.file, uncached));
+
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    engine::BatchOptions cached;
+    cached.jobs = jobs;
+    const engine::FileBatchResult fused = engine::analyze_spef_file(deck.path.string(), cached);
+    EXPECT_EQ(expected, engine::format_batch_json(fused.batch)) << "jobs " << jobs;
+    const engine::EngineStats& stats = fused.batch.stats;
+    EXPECT_EQ(stats.nets, parsed.file.nets.size());
+    EXPECT_EQ(stats.contexts_built, stats.tasks_run) << "jobs " << jobs;
+    EXPECT_EQ(stats.context_reuses, 0u) << "jobs " << jobs;
+    if (jobs == 1) {
+      // One worker: every twin runs after its original, so each one hits.
+      EXPECT_EQ(stats.cache_hits, deck.twins);
+      EXPECT_EQ(stats.tasks_run, parsed.file.nets.size() - deck.twins);
+    }
+  }
+}
+
+#if RCT_FAULT_ENABLED
+
+TEST(SpefFusedCache, EigensolveThrowRetriesEveryNetOnTheMomentsPath) {
+  const TwinDeck deck(6);
+  engine::BatchOptions moments;
+  moments.jobs = 1;
+  moments.report.with_exact = false;
+  const engine::FileBatchResult expected = engine::analyze_spef_file(deck.path.string(), moments);
+
+  robust::fault::arm("core.report.eigensolve", robust::fault::Action::kThrow);
+  engine::BatchOptions exact;
+  exact.jobs = 1;
+  const engine::FileBatchResult fused = engine::analyze_spef_file(deck.path.string(), exact);
+  robust::fault::disarm_all();
+  robust::fault::reset_fired();
+
+  ASSERT_EQ(fused.batch.nets.size(), expected.batch.nets.size());
+  EXPECT_EQ(fused.batch.stats.failures, 0u);
+  EXPECT_EQ(fused.batch.stats.retried, fused.batch.nets.size());
+  EXPECT_EQ(fused.batch.stats.degraded, fused.batch.nets.size());
+  for (std::size_t i = 0; i < fused.batch.nets.size(); ++i) {
+    const engine::NetResult& net = fused.batch.nets[i];
+    EXPECT_TRUE(net.ok()) << net.name << ": " << net.error;
+    EXPECT_TRUE(net.retried) << net.name;
+    EXPECT_TRUE(net.degraded) << net.name;
+    EXPECT_FALSE(expected.batch.nets[i].retried) << net.name;
+    expect_same_rows(net, expected.batch.nets[i]);
+  }
+}
+
+#endif  // RCT_FAULT_ENABLED
 
 // ---------------------------------------------------------------------------
 // Tokenization edge cases through the full pipeline.
