@@ -29,14 +29,20 @@
 #      finally re-runs the store-GC crash-recovery, socket-chaos,
 #      cached-render, short-row store round-trip and fused-cache suites by
 #      name so a renamed/deleted suite cannot pass silently.
-#   4. Perf gate (full runs only): rebuilds the benches in Release, re-runs
-#      perf_batch / perf_report / perf_serve / perf_parse on the baseline
-#      workloads and diffs against the committed BENCH_*.json with
-#      scripts/perf_compare.py; a >PERF_THRESHOLD (default 10%) real_time
-#      growth fails the gate.
+#   4. Perf gate: builds perf_report and bench/obs_probe in two Release
+#      trees, build-perf (RCT_OBS=ON) and build-perf-off (RCT_OBS=OFF).
+#      The obs overhead gate (scripts/obs_gate.py) loads both probes into
+#      one process and fails if the ON build's build_report reads >2%
+#      slower than the OFF build's in each of 3 rounds.  Then perf_report
+#      runs with 10 repetitions and scripts/perf_compare.py diffs its
+#      medians against the committed BENCH_report.json; a >PERF_THRESHOLD
+#      (default 10%) median real_time growth, a host fingerprint that
+#      differs from the baseline's, or no benchmark in common with it
+#      fails the gate.
 #
 # Usage: scripts/check.sh [--tsan-only|--asan-only|--perf-only]
-# Build trees land in build-tsan/, build-asan/ and build-perf/ (gitignored).
+# Build trees land in build-tsan/, build-asan/, build-perf/ and
+# build-perf-off/ (gitignored).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -299,28 +305,37 @@ fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then
   PERF_THRESHOLD="${PERF_THRESHOLD:-0.10}"
-  echo "== perf gate: committed BENCH_*.json baselines (threshold ${PERF_THRESHOLD}) =="
-  cmake -B build-perf -S . \
-    -DCMAKE_BUILD_TYPE=Release -DRCT_SANITIZE="" -DRCT_BUILD_BENCH=ON > /dev/null
-  cmake --build build-perf -j"$JOBS" \
-    --target perf_batch --target perf_report --target perf_serve --target perf_parse
-  # Workloads must match the ones the committed baselines were generated
-  # with — see each BENCH_*.json "context" block.  BENCH_obs.json is a
-  # metrics snapshot, not a perf_compare-compatible benchmark file, so it
-  # is deliberately not gated here.
-  ./build-perf/bench/perf_batch 200 40 2 \
-    --benchmark_out=build-perf/BENCH_batch.json > /dev/null
-  ./build-perf/bench/perf_report \
-    --benchmark_out=build-perf/BENCH_report.json > /dev/null
-  ./build-perf/bench/perf_serve \
-    --benchmark_out=build-perf/BENCH_serve.json > /dev/null
-  ./build-perf/bench/perf_parse 20000 16 4 \
-    --benchmark_out=build-perf/BENCH_parse.json > /dev/null
-  for bench in batch report serve parse; do
-    echo "-- perf_compare: BENCH_${bench}.json --"
-    python3 scripts/perf_compare.py "BENCH_${bench}.json" \
-      "build-perf/BENCH_${bench}.json" --threshold "$PERF_THRESHOLD"
+  # Position-independent code lets bench/obs_probe link the static libraries
+  # into a shared module; without it the probe target does not exist.
+  for tree in build-perf:ON build-perf-off:OFF; do
+    cmake -B "${tree%%:*}" -S . -DCMAKE_BUILD_TYPE=Release -DRCT_SANITIZE="" \
+      -DRCT_BUILD_BENCH=ON -DCMAKE_POSITION_INDEPENDENT_CODE=ON -DRCT_OBS="${tree##*:}" \
+      > /dev/null
+    cmake --build "${tree%%:*}" -j"$JOBS" --target perf_report --target obs_probe
   done
+
+  echo "== obs overhead gate: RCT_OBS=ON vs a real RCT_OBS=OFF build (tolerance 2%) =="
+  python3 scripts/obs_gate.py build-perf/bench/obs_probe.so \
+    build-perf-off/bench/obs_probe.so
+
+  echo "== perf gate: BENCH_report.json medians (threshold ${PERF_THRESHOLD}) =="
+  # The host fingerprint goes into the file's context (gbench records
+  # num_cpus itself); perf_compare.py refuses to diff across fingerprints.
+  # Commas separate --benchmark_context pairs, so they are stripped from
+  # the values.  Random interleaving spreads each benchmark's repetitions
+  # over the whole run, so a slow stretch of a shared host lands on every
+  # benchmark a little instead of on one benchmark's median.  To rebaseline
+  # on a new host, copy the fresh build-perf/BENCH_report.json over the
+  # committed one.
+  CXX_PATH=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' build-perf/CMakeCache.txt)
+  CPU_MODEL=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1 | tr -d ',')
+  COMPILER=$("$CXX_PATH" --version | head -1 | tr -d ',')
+  ./build-perf/bench/perf_report --benchmark_repetitions=10 \
+    --benchmark_report_aggregates_only=true --benchmark_enable_random_interleaving=true \
+    --benchmark_context="cpu_model=$CPU_MODEL,build_type=Release,rct_obs=ON,compiler=$COMPILER" \
+    --benchmark_out=build-perf/BENCH_report.json --benchmark_out_format=json > /dev/null
+  python3 scripts/perf_compare.py BENCH_report.json build-perf/BENCH_report.json \
+    --threshold "$PERF_THRESHOLD"
 fi
 
 echo "check.sh: all sanitizer passes green"

@@ -34,7 +34,7 @@ struct ParseOptions {
 };
 
 /// What the parse did and where the time went.  All wall-clock (this is an
-/// I/O-shaped phase; see BENCH_parse.json for CPU-time speedups).
+/// I/O-shaped phase); rctbench reports it as `rctree.parse_mb_per_s`.
 struct ParseStats {
   std::size_t bytes = 0;
   std::size_t sections = 0;       ///< *D_NET sections found by the index pass

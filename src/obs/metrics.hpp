@@ -16,14 +16,15 @@
 //
 // Snapshots: to_json() serializes every instrument into a stable
 // machine-readable schema (schema_version 1, documented in README.md);
-// `rct batch --metrics-out FILE` and bench/perf_report write it to disk.
+// `rct batch --metrics-out FILE` writes it to disk.
 //
 // Compile-time switch: building with -DRCT_OBS_ENABLED=0 compiles out the
 // *timing* half of the layer (Span / ScopedTimer stop reading the clock or
 // recording anything, see trace.hpp) so the disabled overhead is provably
-// near zero.  Counters and gauges stay live in both modes: they are one
-// relaxed atomic add each and double as the engine's EngineStats source of
-// truth.
+// near zero.  Counters, gauges and direct Histogram::observe() calls stay
+// live in both modes: counters are one relaxed atomic add each and double
+// as the engine's EngineStats source of truth.  Keep live hooks off per-row
+// loops; tests/test_report.cpp counts the updates a report makes.
 
 #include <atomic>
 #include <cstdint>

@@ -19,8 +19,8 @@
 //
 // Building with -DRCT_OBS_ENABLED=0 compiles spans out entirely: Span
 // becomes an empty object and no call site reads the clock, which is the
-// "provably near zero disabled overhead" path (see bench/perf_report's
-// overhead gate for the measured claim with the default build).
+// "provably near zero disabled overhead" path (scripts/obs_gate.py measures
+// the default build against it).
 
 #include <atomic>
 #include <cstdint>

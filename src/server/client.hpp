@@ -1,6 +1,6 @@
 #pragma once
 // server::Client — the thin connection `rct client` (and the tests and
-// bench/perf_serve) use to talk to a running `rct serve`.
+// rctbench) use to talk to a running `rct serve`.
 //
 // One blocking socket, one buffered line reader.  The target spec mirrors
 // the server's listen spec: a unix socket path, or an all-digits TCP port

@@ -66,7 +66,7 @@ struct ParsedRequest {
 /// Encodes `request` as one JSON line (no trailing newline).  Fields at
 /// their default values are omitted, so encode(parse(encode(r))) is a
 /// fixed point.  This is the one encoder the client subcommand, its batch
-/// mode, the tests and bench/perf_serve all share.
+/// mode, the tests and rctbench's serve workload all share.
 [[nodiscard]] std::string encode_request(const Request& request);
 
 /// One-line failure response: {"id":N,"ok":false,"error":...,"code":...}.

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "analysis/tree_context.hpp"
 #include "helpers.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "rctree/circuits.hpp"
+#include "rctree/generators.hpp"
 #include "sim/exact.hpp"
 
 namespace rct::core {
@@ -106,6 +111,39 @@ TEST(Report, FormatContainsHeaderAndEveryNode) {
   EXPECT_NE(text.find("elmore"), std::string::npos);
   for (NodeId i = 0; i < t.size(); ++i)
     EXPECT_NE(text.find(t.name(i)), std::string::npos) << t.name(i);
+}
+
+/// Every counter value plus every histogram sample count in the global
+/// metrics snapshot: how many instrument updates the process has made.
+std::uint64_t instrument_updates() {
+  const auto snapshot = json::parse(obs::registry().to_json());
+  EXPECT_TRUE(snapshot.has_value());
+  if (!snapshot) return 0;
+  std::uint64_t total = 0;
+  for (const json::Member& c : snapshot->at("counters").members) total += *c.value.as_u64();
+  for (const json::Member& h : snapshot->at("histograms").members)
+    total += *h.value.at("count").as_u64();
+  return total;
+}
+
+TEST(Report, InstrumentationCostIsPerReportNotPerRow) {
+  // The bound rows cost ~60 ns each, so a per-row counter or histogram
+  // observe is a large share of the moments-only report.  RCT_OBS=OFF
+  // leaves counters and histograms live, so the wall-clock overhead gate
+  // cannot see such a hook; the update count can, in both builds.
+  ReportOptions opt;
+  opt.with_exact = false;
+  const auto updates_for = [&](std::size_t segments) {
+    const RCTree tree = gen::line(segments, 100.0, 0.1e-12, 50.0, 0.05e-12);
+    const std::uint64_t before = instrument_updates();
+    const auto rows = build_report(tree, opt);
+    EXPECT_EQ(rows.size(), tree.size());
+    return instrument_updates() - before;
+  };
+  const std::uint64_t small = updates_for(1000);
+  const std::uint64_t large = updates_for(4000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
 }
 
 }  // namespace
