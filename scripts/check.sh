@@ -23,6 +23,9 @@
 #      RCT_FAULT (mid-request disconnect, torn write); the retry client
 #      must land every command and a disrupted report must match an
 #      undisturbed rerun byte-for-byte.
+#   2c. Striped deck: python3 writes a deck of four index stripes; the
+#      TSan-built `rct batch` must print identical stdout (--json and text)
+#      at --jobs 1 and --jobs 4.
 #   3. AddressSanitizer+UBSan build; runs the full ctest suite, then drives
 #      the ASan CLI over every deck in testdata/malformed (strict + lenient):
 #      each must exit 1 with a diagnostic — never crash, never succeed;
@@ -255,6 +258,46 @@ PY
   wait "$CHAOS_PID" 2> /dev/null || true
   trap - EXIT
   echo "chaos daemon: all commands landed through injected socket faults"
+
+  echo "== striped deck: TSan-built rct batch stdout at --jobs 1 vs 4 =="
+  # testdata/two_nets.spef is far below one index stripe.  This deck spans
+  # four, so the striped index, the parallel JSON render and the worker-side
+  # cache teardown all run under TSan; stdout must not depend on --jobs.
+  python3 - build-tsan/striped.spef <<'PY'
+import random, sys
+rng = random.Random(19)
+blocks = ['*SPEF "IEEE 1481-1998"\n*DESIGN "striped"\n*T_UNIT 1 NS\n*C_UNIT 1 PF\n'
+          "*R_UNIT 1 OHM\n\n"]
+def net(name, prefix, parents, caps, res):
+    nodes = [f"{prefix}{k}" for k in range(1, len(parents) + 1)]
+    lines = [f"*D_NET {name} {sum(caps):.6g}", "*CONN", "*P drv I"]
+    lines += [f"*I {nodes[k]} O" for k in range(len(nodes)) if k not in parents]
+    lines += ["*CAP"] + [f"{k + 1} {nodes[k]} {c:.6g}" for k, c in enumerate(caps)]
+    lines += ["*RES"] + [f"{k + 1} {'drv' if p < 0 else nodes[p]} {nodes[k]} {r:.6g}"
+                         for k, (p, r) in enumerate(zip(parents, res))]
+    blocks.append("\n".join(lines + ["*END", "", ""]))
+    return len(blocks[-1])
+size, i = 0, 0
+while size < 4 * 256 * 1024:
+    n = rng.randint(4, 20)
+    parents = [rng.randrange(-1, k) if k else -1 for k in range(n)]
+    caps = [rng.uniform(0.001, 0.1) for _ in range(n)]
+    res = [rng.uniform(5.0, 200.0) for _ in range(n)]
+    size += net(f"net{i}", f"n{i}_", parents, caps, res)
+    if i % 2 == 0:  # a renamed content twin: a row-cache hit
+        size += net(f"twin{i}", f"t{i}_", parents, caps, res)
+    i += 1
+open(sys.argv[1], "w").write("".join(blocks))
+PY
+  for jobs in 1 4; do
+    TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct batch build-tsan/striped.spef \
+      --jobs "$jobs" --json > "build-tsan/striped.json.$jobs" 2> /dev/null
+    TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct batch build-tsan/striped.spef \
+      --jobs "$jobs" > "build-tsan/striped.text.$jobs" 2> /dev/null
+  done
+  cmp build-tsan/striped.json.1 build-tsan/striped.json.4
+  cmp build-tsan/striped.text.1 build-tsan/striped.text.4
+  echo "striped deck: $(wc -c < build-tsan/striped.spef) bytes, stdout identical at --jobs 1 and 4"
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then

@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "analysis/tree_context.hpp"
 #include "engine/net_cache.hpp"
@@ -269,6 +270,22 @@ void run_net_slot(const SpefNet& net, NetResult& slot, const BatchOptions& optio
   ec.nets_completed.add();
 }
 
+/// Frees the finished row cache on the pool's workers, one share of its
+/// shards each, while the calling thread merges; the pool's drain joins
+/// them before the cache (declared first) is destroyed.
+void clear_on(ThreadPool& pool, NetCache& cache) {
+  const std::size_t parts = pool.thread_count();
+  for (std::size_t k = 0; k < parts; ++k)
+    pool.submit([&cache, k, parts] { cache.clear(k, parts); });
+}
+
+/// Hands `garbage` to a pool task that only drops it, so its frees run on
+/// a worker; the pool's drain joins them.
+template <class T>
+void free_on(ThreadPool& pool, T garbage) {
+  pool.submit([dead = std::move(garbage)] {});
+}
+
 }  // namespace
 
 std::string EngineStats::summary() const {
@@ -338,10 +355,10 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
                   {"net_timeout_ms", options.net_timeout_ms}});
 
   const PhaseTimer analyze;
+  ThreadPool pool(jobs);  // declared after `cache`: drains before it is destroyed
+  out.stats.threads = pool.thread_count();
   {
     const obs::Span span("engine.batch.analyze", "engine");
-    ThreadPool pool(jobs);
-    out.stats.threads = pool.thread_count();
     // One task per net; each writes only its own preassigned slot, so the
     // merged order is the input order regardless of scheduling.
     for (std::size_t i = 0; i < nets.size(); ++i) {
@@ -355,6 +372,7 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
     pool.wait_idle();
   }
   out.stats.analyze = analyze.elapsed();
+  clear_on(pool, cache);
 
   const PhaseTimer merge;
   {
@@ -408,10 +426,21 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   const std::string_view text = mapped.view();
   out.parse.bytes = text.size();
 
+  NetCache cache(16, options.cache_max_entries);
+  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
+  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
+
+  // One pool for the whole pass, created before the index it stripes (so
+  // it is sized by `jobs` alone: the section count is not known yet) and
+  // declared after `cache`, so its drain runs before the cache dies.
+  ThreadPool pool(options.jobs);
+  out.batch.stats.threads = pool.thread_count();
+  out.parse.threads = pool.thread_count();
+
   const PhaseTimer index_timer;
   spef::ParsePlan plan = [&] {
     const obs::Span span("engine.batch.index", "engine");
-    return spef::prepare_spef(text, spef_opts);
+    return detail::prepare_on(&pool, text, spef_opts);
   }();
   out.parse.index_seconds = index_timer.elapsed().wall_s;
   if constexpr (obs::kTimingEnabled)
@@ -421,10 +450,6 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   out.parse.sections = n;
   obs::registry().counter("parse.sections.total").add(n);
 
-  NetCache cache(16, options.cache_max_entries);
-  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
-  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
   EngineCounters& ec = EngineCounters::get();
   const std::uint64_t base_tasks = ec.tasks_run.value();
   const std::uint64_t base_built = ec.contexts_built.value();
@@ -433,15 +458,13 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
 
   const std::size_t budget = options.fail_fast ? std::size_t{1} : options.max_failures;
   std::atomic<std::size_t> failed_so_far{0};
-  const std::size_t jobs =
-      options.jobs == 0 ? 0 : std::min(options.jobs, std::max<std::size_t>(n, 1));
 
   // Same event names as analyze_nets() — log consumers see one batch
   // lifecycle either way; "sections"/"bytes" mark the fused file path.
   obs::log::info("engine.batch.start",
                  {{"sections", static_cast<std::uint64_t>(n)},
                   {"bytes", static_cast<std::uint64_t>(text.size())},
-                  {"jobs", static_cast<std::uint64_t>(jobs)},
+                  {"jobs", static_cast<std::uint64_t>(pool.thread_count())},
                   {"use_cache", options.use_cache}});
 
   // One fused task per *D_NET section: parse it, then immediately analyze
@@ -458,9 +481,6 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   const PhaseTimer analyze;
   {
     const obs::Span span("engine.batch.analyze", "engine");
-    ThreadPool pool(jobs);
-    out.batch.stats.threads = pool.thread_count();
-    out.parse.threads = pool.thread_count();
     pool.parallel_for(n, [&](std::size_t i) {
       sections[i] = detail::parse_section_task(text, plan, i, spef_opts);
       if (!sections[i].error && !sections[i].nets.empty()) {
@@ -475,6 +495,7 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   }
   out.batch.stats.analyze = analyze.elapsed();
   out.parse.sections_seconds = out.batch.stats.analyze.wall_s;
+  clear_on(pool, cache);
 
   // File-order merge: rethrows the earliest strict-mode error (discarding
   // any analysis the overlap already did for later sections) and assembles
@@ -485,11 +506,14 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   out.nets_rejected = parsed.nets_rejected;
   out.parse.nets = parsed.nets.size();
   out.parse.nets_rejected = parsed.nets_rejected;
+  // The consumed parse state (the emptied nets, the shard results, the
+  // plan) is freed on a worker while this thread merges the slots.
+  free_on(pool, std::make_tuple(std::move(parsed), std::move(sections), std::move(plan)));
 
   const PhaseTimer merge;
   {
     const obs::Span span("engine.batch.merge", "engine");
-    out.batch.nets.reserve(parsed.nets.size());
+    out.batch.nets.reserve(out.parse.nets);
     for (std::size_t i = 0; i < n; ++i)
       if (has_net[i]) out.batch.nets.push_back(std::move(slots[i]));
     out.batch.stats.nets = out.batch.nets.size();
@@ -547,15 +571,27 @@ std::string format_batch(const BatchResult& result) {
   return os.str();
 }
 
-std::string format_batch_json(const BatchResult& result) {
-  std::string out;
-  out += "{\"design\":";
-  json::append_string(out, result.design);
-  out += ",\"nets\":[";
-  bool first_net = true;
-  for (const NetResult& net : result.nets) {
-    if (!first_net) out += ',';
-    first_net = false;
+namespace {
+
+/// Nets per render part below which a thread costs more than it saves.
+constexpr std::size_t kMinNetsPerPart = 256;
+
+/// Capacity estimate for one net's JSON object: fixed keys plus the widest
+/// shortest-round-trip numbers (24 chars); only escaped names exceed it.
+std::size_t net_json_estimate(const NetResult& net) {
+  std::size_t bytes = 176 + net.name.size() + net.driver.size();
+  if (!net.ok()) return bytes + 128 + net.error.size() + net.phase.size();
+  for (const NodeId load : net.loads) bytes += 184 + net.rows[load].name.size();
+  return bytes;
+}
+
+/// Appends nets [first, last) of the "nets" array, comma-separated as
+/// their place in the whole array requires.
+void append_nets_json(std::string& out, const std::vector<NetResult>& nets, std::size_t first,
+                      std::size_t last) {
+  for (std::size_t i = first; i < last; ++i) {
+    const NetResult& net = nets[i];
+    if (i != 0) out += ',';
     out += "{\"name\":";
     json::append_string(out, net.name);
     out += ",\"driver\":";
@@ -605,6 +641,49 @@ std::string format_batch_json(const BatchResult& result) {
       out += '}';
     }
     out += "]}";
+  }
+}
+
+}  // namespace
+
+std::string format_batch_json(const BatchResult& result) {
+  // Contiguous net ranges, one per batch thread, rendered concurrently and
+  // joined in order; serial for one thread (or a hand-built result with
+  // none) and for small batches.
+  const std::vector<NetResult>& nets = result.nets;
+  const std::size_t parts = std::max<std::size_t>(
+      1, std::min(result.stats.threads, nets.size() / kMinNetsPerPart));
+  std::vector<std::size_t> first(parts + 1);
+  for (std::size_t k = 0; k <= parts; ++k) first[k] = nets.size() * k / parts;
+
+  // Part 0 renders straight into `out`, the rest into their own strings.
+  // Every buffer is reserved here, on the calling thread: grown on the
+  // workers instead, the memory would stay behind in per-thread malloc
+  // arenas after the pool exits.
+  std::string out = "{\"design\":";
+  json::append_string(out, result.design);
+  out += ",\"nets\":[";
+  std::vector<std::string> rest(parts - 1);
+  std::size_t total = out.size() + 2;
+  for (std::size_t k = 0; k < parts; ++k) {
+    std::size_t bytes = 0;
+    for (std::size_t i = first[k]; i < first[k + 1]; ++i) bytes += net_json_estimate(nets[i]);
+    total += bytes;
+    if (k > 0) rest[k - 1].reserve(bytes);
+  }
+  out.reserve(total);
+  const auto render = [&](std::size_t k) {
+    append_nets_json(k == 0 ? out : rest[k - 1], nets, first[k], first[k + 1]);
+  };
+  if (parts == 1) {
+    render(0);
+  } else {
+    ThreadPool pool(parts);
+    pool.parallel_for(parts, render);
+  }
+  for (std::string& part : rest) {
+    out += part;
+    std::string().swap(part);  // release each part as soon as it is copied
   }
   out += "]}";
   return out;

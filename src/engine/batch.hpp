@@ -153,10 +153,14 @@ struct FileBatchResult {
   ParseStats parse;
 };
 
-/// Maps `path` and overlaps parsing with analysis on one thread pool: each
+/// Maps `path` and runs the whole pass on one thread pool of
+/// `options.jobs` workers, created before the index (which it stripes, see
+/// spef::index_spef), so it is not capped at the section count.  Each
 /// *D_NET section is one task that parses the section and immediately
 /// analyzes the net it produced, so early nets are being timed while late
 /// sections are still being tokenized — there is no parse/analyze barrier.
+/// The finished row cache is freed on the workers while the calling thread
+/// merges.
 /// Results land in per-section slots and are merged in file order, so
 /// nets, rows, diagnostics and the strict-mode error choice are identical
 /// to parse + analyze_batch() run back to back, for any thread count.
@@ -174,7 +178,9 @@ struct FileBatchResult {
 [[nodiscard]] std::string format_batch(const BatchResult& result);
 
 /// JSON renderer (schema documented in README.md), same determinism
-/// guarantee as format_batch().
+/// guarantee as format_batch().  Renders contiguous net ranges on
+/// `result.stats.threads` threads (serially for one thread or a small
+/// batch) and joins them in order; the bytes do not depend on the split.
 [[nodiscard]] std::string format_batch_json(const BatchResult& result);
 
 }  // namespace rct::engine

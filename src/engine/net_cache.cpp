@@ -201,14 +201,15 @@ std::shared_ptr<const Rendering> NetCache::attach_rendering(
   return slot;
 }
 
-std::size_t NetCache::clear() {
+std::size_t NetCache::clear(std::size_t part, std::size_t parts) {
   std::size_t entries = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    entries += shard->entries.size();
-    for (const Entry& entry : shard->entries) rendered_bytes_.fetch_sub(rendered_bytes_of(entry));
-    shard->entries.clear();
-    shard->index.clear();
+  for (std::size_t i = part; i < shards_.size(); i += parts) {
+    Shard& shard = *shards_[i];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    entries += shard.entries.size();
+    for (const Entry& entry : shard.entries) rendered_bytes_.fetch_sub(rendered_bytes_of(entry));
+    shard.entries.clear();
+    shard.index.clear();
   }
   return entries;
 }

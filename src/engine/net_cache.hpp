@@ -153,7 +153,9 @@ class NetCache {
 
   /// Drops every row entry with its renderings (the backend is untouched).
   /// Not counted as evictions.  Returns the number of entries dropped.
-  std::size_t clear();
+  /// With `parts` > 1 only shards part, part + parts, ... are dropped, so
+  /// `parts` threads can free one cache together.
+  std::size_t clear(std::size_t part = 0, std::size_t parts = 1);
 
   [[nodiscard]] std::size_t hits() const { return hits_.load(); }
   [[nodiscard]] std::size_t misses() const { return misses_.load(); }

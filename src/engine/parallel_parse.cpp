@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -61,6 +63,16 @@ robust::Code error_code_of(const std::exception_ptr& error) {
 
 namespace detail {
 
+spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
+                           const SpefParseOptions& options) {
+  if (pool == nullptr) return spef::prepare_spef(text, options);
+  return spef::prepare_spef(
+      text, options, spef::stripe_count(text.size(), pool->thread_count()),
+      [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+        pool->parallel_for(n, fn);
+      });
+}
+
 spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePlan& plan,
                                      std::size_t index, const SpefParseOptions& options) {
   const auto start = std::chrono::steady_clock::now();
@@ -114,35 +126,37 @@ ParsedSpef parse_spef_parallel(std::string_view text, const ParseOptions& option
   ParsedSpef out;
   out.stats.bytes = text.size();
 
+  // Created before the index, which it stripes; the section count that
+  // could have sized it is not known until the index is done.
+  std::optional<ThreadPool> pool;
+  if (options.jobs != 1) pool.emplace(options.jobs);
+
   const auto index_start = std::chrono::steady_clock::now();
-  spef::ParsePlan plan = spef::prepare_spef(text, options.spef);
+  spef::ParsePlan plan = detail::prepare_on(pool ? &*pool : nullptr, text, options.spef);
   out.stats.index_seconds = wall_since(index_start);
   if constexpr (obs::kTimingEnabled) index_histogram().observe(out.stats.index_seconds);
 
   const std::size_t n = plan.layout.sections.size();
   out.stats.sections = n;
   sections_total_counter().add(n);
-  const std::size_t jobs =
-      options.jobs == 0 ? 0 : std::min(options.jobs, std::max<std::size_t>(n, 1));
 
   const auto sections_start = std::chrono::steady_clock::now();
   std::vector<spef::ShardResult> results(n);
-  if (jobs == 1 || n < 2) {
+  if (!pool || n < 2) {
     out.stats.threads = 1;
     for (std::size_t i = 0; i < n; ++i) {
       results[i] = detail::parse_section_task(text, plan, i, options.spef);
       if (results[i].error) break;  // strict: nothing later can be observed
     }
   } else {
-    ThreadPool pool(jobs);
-    out.stats.threads = pool.thread_count();
+    out.stats.threads = pool->thread_count();
     obs::log::info("engine.parse.start",
                    {{"sections", static_cast<std::uint64_t>(n)},
-                    {"jobs", static_cast<std::uint64_t>(pool.thread_count())},
+                    {"jobs", static_cast<std::uint64_t>(pool->thread_count())},
                     {"bytes", static_cast<std::uint64_t>(text.size())}});
     // One task per section writing its preassigned slot: the merge below
     // walks slots in file order, so scheduling never shows in the output.
-    pool.parallel_for(n, [&](std::size_t i) {
+    pool->parallel_for(n, [&](std::size_t i) {
       results[i] = detail::parse_section_task(text, plan, i, options.spef);
     });
   }

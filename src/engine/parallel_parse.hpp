@@ -2,9 +2,11 @@
 // Parallel SPEF ingestion: the decomposed parse pipeline (rctree/
 // spef_pipeline.hpp) fanned across the engine's work-stealing ThreadPool.
 //
-// prepare_spef() indexes the mapped bytes and replays the file-scope lines
-// serially (units, *DESIGN, header keywords); the *D_NET sections it found
-// are independent, so parse_spef_parallel() parses them concurrently — one
+// The pool is created first: prepare_spef() indexes the mapped bytes in
+// newline-aligned stripes on it (one per worker once the input is at least
+// two spef::kMinStripeBytes long) and replays the file-scope lines serially
+// (units, *DESIGN, header keywords); the *D_NET sections it found are
+// independent, so parse_spef_parallel() parses them concurrently — one
 // task per section, each against its own unit snapshot with a per-thread
 // arena for scratch — and writes every result into a preassigned slot.
 // merge_spef() then stitches the slots back together in file order, so the
@@ -27,8 +29,10 @@ namespace rct::engine {
 
 /// Knobs for one parallel parse.
 struct ParseOptions {
-  /// Parser threads; 0 = hardware concurrency.  Capped at the section
-  /// count; 1 parses on the calling thread with no pool.
+  /// Parser threads; 0 = hardware concurrency.  The pool exists before the
+  /// index (which it stripes), so it is not capped at the section count.
+  /// 1 indexes and parses on the calling thread with no pool; a deck of
+  /// fewer than two sections is parsed on the calling thread too.
   std::size_t jobs = 0;
   SpefParseOptions spef;  ///< strict/lenient and the diagnostics path
 };
@@ -40,7 +44,7 @@ struct ParseStats {
   std::size_t sections = 0;       ///< *D_NET sections found by the index pass
   std::size_t nets = 0;           ///< nets that survived parsing
   std::size_t nets_rejected = 0;  ///< lenient mode: sections skipped
-  std::size_t threads = 0;        ///< pool size used (1 = serial)
+  std::size_t threads = 0;        ///< pool size used (1 = serial sections)
   double index_seconds = 0.0;     ///< index + file-scope pass
   double sections_seconds = 0.0;  ///< section fan-out (parallel wall)
   double total_seconds = 0.0;     ///< map + index + sections + merge
@@ -67,7 +71,14 @@ struct ParsedSpef {
 [[nodiscard]] ParsedSpef parse_spef_parallel_file(const std::string& path,
                                                   const ParseOptions& options = {});
 
+class ThreadPool;  // thread_pool.hpp
+
 namespace detail {
+
+/// spef::prepare_spef with the index striped across `pool`'s workers
+/// (spef::stripe_count); serial when `pool` is null.
+[[nodiscard]] spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
+                                         const SpefParseOptions& options);
 
 /// One section parse with its observability shell (per-thread arena reused
 /// across calls, completion counter, parse.nets.seconds sample, flight

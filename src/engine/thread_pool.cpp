@@ -131,9 +131,26 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < n; ++i)
-    submit([&fn, i] { fn(i); });
+  // The lowest failing index wins, so the rethrown error does not depend on
+  // scheduling.
+  std::mutex mutex;
+  std::size_t failed_at = n;
+  std::exception_ptr error;
+  for (std::size_t i = 0; i < n; ++i) {
+    submit([&, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (i < failed_at) {
+          failed_at = i;
+          error = std::current_exception();
+        }
+      }
+    });
+  }
   wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace rct::engine

@@ -8,8 +8,10 @@
 // through one global lock, while the strict mutex-per-deque design stays
 // verifiable by ThreadSanitizer.
 //
-// Tasks must handle their own exceptions; anything that escapes a task is
-// swallowed so one bad task can never take the pool (or the process) down.
+// Tasks must handle their own exceptions; anything that escapes a submit()
+// task is logged and swallowed so one bad task can never take the pool (or
+// the process) down.  parallel_for() instead hands the failure back to its
+// caller.
 
 #include <condition_variable>
 #include <cstddef>
@@ -42,8 +44,10 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished.
   void wait_idle();
 
-  /// Convenience: runs fn(0), ..., fn(n-1) across the pool and waits.
-  /// Requires the pool to be otherwise idle (shares wait_idle()).
+  /// Convenience: runs fn(0), ..., fn(n-1) across the pool and waits, then
+  /// rethrows the exception of the lowest index that threw, if any (every
+  /// index runs either way).  Requires the pool to be otherwise idle
+  /// (shares wait_idle()).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

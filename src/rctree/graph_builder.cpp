@@ -107,11 +107,13 @@ BuiltTree build_tree_from_dense(const DenseElements& elements, std::uint32_t inp
   visited.assign(n, 0);
   visited[input] = 1;
   std::vector<NodeId, ArenaAllocator<NodeId>> tree_id{ArenaAllocator<NodeId>{arena}};
-  tree_id.assign(n, 0);
+  tree_id.assign(n, kSource);
   CharVec used{ArenaAllocator<char>{arena}};
   used.assign(resistors.size(), 0);
 
+  // A tree gains exactly one node per resistor; anything else throws below.
   RCTreeBuilder builder;
+  builder.reserve(resistors.size());
   U32Vec frontier{ArenaAllocator<std::uint32_t>{arena}};
   U32Vec next{ArenaAllocator<std::uint32_t>{arena}};
   frontier.push_back(input);
@@ -127,7 +129,7 @@ BuiltTree build_tree_from_dense(const DenseElements& elements, std::uint32_t inp
           throw GraphBuildError("resistor closes a loop at node '" +
                                     std::string(elements.names[v]) + "' (not a tree)",
                                 resistors[ri].tag, robust::Code::kCycle);
-        const NodeId parent = (u == input) ? kSource : tree_id[u];
+        const NodeId parent = tree_id[u];  // kSource for the input node
         double cap = 0.0;
         if (elements.has_cap[v]) {
           cap = elements.caps[v];
@@ -163,6 +165,7 @@ BuiltTree build_tree_from_dense(const DenseElements& elements, std::uint32_t inp
                               "' is not connected to the tree",
                           0, robust::Code::kDisconnected);
   out.tree = std::move(builder).build();
+  out.tree_id = {tree_id.data(), tree_id.size()};
   return out;
 }
 

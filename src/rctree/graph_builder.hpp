@@ -5,13 +5,12 @@
 // capacitors grounded on tree nodes).
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "rctree/arena.hpp"
@@ -44,6 +43,10 @@ struct GraphBuildError : std::runtime_error {
 struct BuiltTree {
   RCTree tree;
   std::vector<std::string> warnings;  ///< capless nodes, ignored input cap
+  /// build_tree_from_dense only: dense id -> tree node id, kSource for the
+  /// input node and any node the BFS did not reach.  Arena-backed: valid
+  /// until the arena passed to build_tree_from_dense is reset.
+  std::span<const NodeId> tree_id;
 };
 
 /// Builds the RC tree rooted at `input_node`.  `cap_at` maps node name ->
@@ -52,18 +55,6 @@ struct BuiltTree {
 [[nodiscard]] BuiltTree build_tree_from_elements(const std::vector<ResistorEdge>& resistors,
                                                  std::map<std::string, double> cap_at,
                                                  const std::string& input_node);
-
-struct SvHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-/// Arena-backed name -> value scratch map (node links die at Arena::reset()).
-template <class V>
-using ArenaSvMap = std::unordered_map<std::string_view, V, SvHash, std::equal_to<>,
-                                      ArenaAllocator<std::pair<const std::string_view, V>>>;
 
 /// Sentinel for "input node never mentioned in the parasitics".
 inline constexpr std::uint32_t kNoDenseNode = 0xffffffffu;

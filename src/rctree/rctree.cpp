@@ -118,22 +118,20 @@ RCTree RCTreeBuilder::build() && {
   t.cap_ = std::move(cap_);
   t.name_ = std::move(name_);
 
-  // Build CSR children lists; the source occupies virtual slot n.
-  std::vector<std::size_t> count(n + 1, 0);
-  for (NodeId i = 0; i < n; ++i) {
-    const std::size_t slot = (t.parent_[i] == kSource) ? n : t.parent_[i];
-    ++count[slot];
-  }
-  if (count[n] == 0) throw std::invalid_argument("RCTreeBuilder: no node attaches to the source");
-
-  t.child_offset_.assign(n + 2, 0);
-  for (std::size_t i = 0; i <= n; ++i) t.child_offset_[i + 1] = t.child_offset_[i] + count[i];
+  // CSR children lists by counting sort, with no scratch arrays.  The
+  // source occupies virtual slot n.  Slot s is counted at offset[s + 2], so
+  // after the prefix sum offset[s + 1] is slot s's start; filling through
+  // it as a cursor leaves it at slot s's end, which is slot s + 1's start.
+  const auto slot_of = [&t, n](NodeId i) { return t.parent_[i] == kSource ? n : t.parent_[i]; };
+  std::vector<std::size_t>& offset = t.child_offset_;
+  offset.assign(n + 3, 0);
+  for (NodeId i = 0; i < n; ++i) ++offset[slot_of(i) + 2];
+  if (offset[n + 2] == 0)
+    throw std::invalid_argument("RCTreeBuilder: no node attaches to the source");
+  for (std::size_t s = 2; s < n + 3; ++s) offset[s] += offset[s - 1];
   t.child_list_.resize(n);
-  std::vector<std::size_t> cursor(t.child_offset_.begin(), t.child_offset_.end() - 1);
-  for (NodeId i = 0; i < n; ++i) {
-    const std::size_t slot = (t.parent_[i] == kSource) ? n : t.parent_[i];
-    t.child_list_[cursor[slot]++] = i;
-  }
+  for (NodeId i = 0; i < n; ++i) t.child_list_[offset[slot_of(i) + 1]++] = i;
+  offset.pop_back();  // the source's end, already at offset[n + 1]
   return t;
 }
 

@@ -120,6 +120,15 @@ class RCTreeBuilder {
 
   [[nodiscard]] std::size_t size() const { return parent_.size(); }
 
+  /// Presizes for `n` nodes, so a builder that adds exactly `n` hands
+  /// build() exact-size arrays.
+  void reserve(std::size_t n) {
+    parent_.reserve(n);
+    res_.reserve(n);
+    cap_.reserve(n);
+    name_.reserve(n);
+  }
+
   /// Finalizes the tree.  Throws std::invalid_argument if empty or if no
   /// node attaches to the source.
   [[nodiscard]] RCTree build() &&;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -19,6 +20,8 @@
 
 namespace rct {
 namespace {
+
+using detail::kNoDenseNode;
 
 std::string to_upper(std::string_view s) {
   std::string out(s);
@@ -53,16 +56,17 @@ struct Toks {
 };
 
 Toks split_line(std::string_view line) {
-  if (const auto comment = line.find("//"); comment != std::string_view::npos)
-    line = line.substr(0, comment);
+  // One pass: a `//` comment ends the line, even in the middle of a token.
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  const auto at_comment = [&p, end] { return p[0] == '/' && p + 1 < end && p[1] == '/'; };
   Toks toks;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && is_ws(line[i])) ++i;
-    if (i >= line.size()) break;
-    const std::size_t start = i;
-    while (i < line.size() && !is_ws(line[i])) ++i;
-    if (toks.n < 4) toks.t[toks.n] = line.substr(start, i - start);
+  for (;;) {
+    while (p < end && is_ws(*p)) ++p;
+    if (p == end || at_comment()) break;
+    const char* const start = p;
+    while (p < end && !is_ws(*p) && !at_comment()) ++p;
+    if (toks.n < 4) toks.t[toks.n] = {start, static_cast<std::size_t>(p - start)};
     ++toks.n;
   }
   return toks;
@@ -72,6 +76,108 @@ obs::Counter& diagnostics_counter() {
   static obs::Counter& c = obs::registry().counter("parse.diagnostics");
   return c;
 }
+
+/// Node-name interning for the SPEF section parser: names (views into the
+/// parse buffer) map to dense ids 0..size()-1 in first-seen order.  A
+/// power-of-two, linear-probing table kept at most half full and grown by
+/// rehash.  Slots and the name list live in the Arena, so a table dies with
+/// its section and cannot carry names into the next one.
+class NameTable {
+ public:
+  explicit NameTable(Arena& arena)
+      : arena_(&arena), names_(ArenaAllocator<std::string_view>{arena}) {}
+
+  /// Dense id of `name`, minting the next id on first sight (`minted`
+  /// reports which).
+  std::uint32_t intern(std::string_view name, bool& minted) {
+    if (2 * (names_.size() + 1) > capacity()) grow();
+    const std::uint32_t h = hash_of(name);
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.id == kNoDenseNode) {
+        slot = {h, static_cast<std::uint32_t>(names_.size())};
+        names_.push_back(name);
+        minted = true;
+        return slot.id;
+      }
+      if (slot.hash == h && names_[slot.id] == name) {
+        minted = false;
+        return slot.id;
+      }
+    }
+  }
+
+  /// Dense id of `name`, or kNoDenseNode.
+  [[nodiscard]] std::uint32_t find(std::string_view name) const {
+    if (slots_ == nullptr) return kNoDenseNode;
+    const std::uint32_t h = hash_of(name);
+    for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kNoDenseNode) return kNoDenseNode;
+      if (slot.hash == h && names_[slot.id] == name) return slot.id;
+    }
+  }
+
+  [[nodiscard]] std::span<const std::string_view> names() const {
+    return {names_.data(), names_.size()};
+  }
+
+  /// Forgets every name, keeping the slots for the next net.
+  void clear() {
+    names_.clear();
+    std::fill_n(slots_, capacity(), Slot{0, kNoDenseNode});
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t hash;
+    std::uint32_t id;  ///< kNoDenseNode marks an empty slot
+  };
+
+  static std::uint32_t hash_of(std::string_view s) {
+    const auto mix = [](std::uint64_t h, std::uint64_t word) {
+      h = (h ^ word) * 0xff51afd7ed558ccdull;
+      return h ^ (h >> 32);
+    };
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ s.size();
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, s.data() + i, 8);
+      h = mix(h, word);
+    }
+    if (i < s.size()) {  // byte loop: a variable-length memcpy is a call
+      std::uint64_t word = 0;
+      for (std::size_t k = i; k < s.size(); ++k)
+        word |= std::uint64_t{static_cast<unsigned char>(s[k])} << (8 * (k - i));
+      h = mix(h, word);
+    }
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return static_cast<std::uint32_t>(h >> 32);
+  }
+
+  [[nodiscard]] std::size_t capacity() const { return slots_ == nullptr ? 0 : mask_ + 1; }
+  /// Doubles the slot array (64 at first) and reinserts by stored hash.
+  void grow() {
+    const std::size_t old_capacity = capacity();
+    const std::size_t new_capacity = old_capacity == 0 ? 64 : 2 * old_capacity;
+    Slot* const old_slots = slots_;
+    slots_ = static_cast<Slot*>(arena_->allocate(new_capacity * sizeof(Slot), alignof(Slot)));
+    mask_ = new_capacity - 1;
+    std::fill_n(slots_, new_capacity, Slot{0, kNoDenseNode});
+    for (std::size_t k = 0; k < old_capacity; ++k) {
+      if (old_slots[k].id == kNoDenseNode) continue;
+      std::size_t i = old_slots[k].hash & mask_;
+      while (slots_[i].id != kNoDenseNode) i = (i + 1) & mask_;
+      slots_[i] = old_slots[k];
+    }
+  }
+
+  Arena* arena_;
+  Slot* slots_ = nullptr;
+  std::size_t mask_ = 0;
+  std::vector<std::string_view, ArenaAllocator<std::string_view>> names_;
+};
 
 enum class NetSection { kNone, kConn, kCap, kRes };
 
@@ -93,9 +199,7 @@ class Shard {
       : options_(options),
         units_(units),
         arena_(arena),
-        nodes_(32, detail::SvHash{}, std::equal_to<>{},
-               ArenaAllocator<std::pair<const std::string_view, std::uint32_t>>{arena}),
-        names_(ArenaAllocator<std::string_view>{arena}),
+        nodes_(arena),
         cap_val_(ArenaAllocator<double>{arena}),
         has_cap_(ArenaAllocator<unsigned char>{arena}),
         res_(ArenaAllocator<detail::DenseResistor>{arena}),
@@ -221,14 +325,13 @@ class Shard {
   /// Dense node id for `name` (a view into the parse buffer), minted on
   /// first encounter.
   std::uint32_t intern(std::string_view name) {
-    const auto [it, inserted] =
-        nodes_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
-    if (inserted) {
-      names_.push_back(name);
+    bool minted = false;
+    const std::uint32_t id = nodes_.intern(name, minted);
+    if (minted) {
       cap_val_.push_back(0.0);
       has_cap_.push_back(0);
     }
-    return it->second;
+    return id;
   }
 
   void process_line(std::string_view raw_line, std::size_t line_no) {
@@ -383,23 +486,27 @@ class Shard {
       SpefNet net;
       net.name = std::string(net_name_);
       net.driver = std::string(driver_);
+      std::span<const NodeId> tree_id;  // dense id -> tree node, kSource if not in the tree
       try {
-        const auto input_it = nodes_.find(driver_);
-        const std::uint32_t input =
-            input_it == nodes_.end() ? detail::kNoDenseNode : input_it->second;
-        const detail::DenseElements elements{{names_.data(), names_.size()},
+        const detail::DenseElements elements{nodes_.names(),
                                              {res_.data(), res_.size()},
                                              {cap_val_.data(), cap_val_.size()},
                                              {has_cap_.data(), has_cap_.size()}};
-        auto built = detail::build_tree_from_dense(elements, input, driver_, arena_);
+        auto built =
+            detail::build_tree_from_dense(elements, nodes_.find(driver_), driver_, arena_);
         net.tree = std::move(built.tree);
+        tree_id = built.tree_id;
       } catch (const detail::GraphBuildError& e) {
         fail(e.tag ? e.tag : line_no, e.code,
              "net '" + std::string(net_name_) + "': " + e.what());
       }
+      // The driver is the ideal source, not a tree node: a load naming it
+      // is as dangling as one naming no node at all.
+      net.loads.reserve(load_names_.size());
       for (const auto& [load, load_line] : load_names_) {
-        const auto id = net.tree.find(load);
-        if (!id) {
+        const std::uint32_t dense = nodes_.find(load);
+        const NodeId id = dense == kNoDenseNode ? kSource : tree_id[dense];
+        if (id == kSource) {
           const std::string msg = "net '" + std::string(net_name_) + "': load pin '" +
                                   std::string(load) + "' not in parasitics";
           if (!options_.lenient) fail(load_line, robust::Code::kDanglingLoad, msg);
@@ -407,7 +514,7 @@ class Shard {
                    net_name_);
           continue;
         }
-        net.loads.push_back(*id);
+        net.loads.push_back(id);
       }
       result_.nets.push_back(std::move(net));
     } catch (const NetDefect& d) {
@@ -425,7 +532,6 @@ class Shard {
 
   void reset_net() {
     nodes_.clear();
-    names_.clear();
     cap_val_.clear();
     has_cap_.clear();
     res_.clear();
@@ -444,8 +550,7 @@ class Shard {
 
   // Per-net element graph with node names interned to dense ids as lines
   // are parsed, so tree construction needs no hashing at all.
-  detail::ArenaSvMap<std::uint32_t> nodes_;
-  std::vector<std::string_view, ArenaAllocator<std::string_view>> names_;
+  NameTable nodes_;
   std::vector<double, ArenaAllocator<double>> cap_val_;
   std::vector<unsigned char, ArenaAllocator<unsigned char>> has_cap_;
   std::vector<detail::DenseResistor, ArenaAllocator<detail::DenseResistor>> res_;
@@ -465,10 +570,11 @@ class Shard {
 
 namespace spef {
 
-ParsePlan prepare_spef(std::string_view text, const SpefParseOptions& options) {
+ParsePlan prepare_spef(std::string_view text, const SpefParseOptions& options,
+                       std::size_t stripes, const ForEach& for_each) {
   obs::registry().counter("parse.bytes").add(text.size());
   ParsePlan plan;
-  plan.layout = index_spef(text);
+  plan.layout = index_spef(text, stripes, for_each);
   plan.section_units.reserve(plan.layout.sections.size());
   plan.run_results.resize(plan.layout.runs.size());
   Arena arena;

@@ -1,5 +1,6 @@
 #include "rctree/spef_index.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rct::spef {
@@ -18,45 +19,96 @@ bool token_is(const char* token, std::uint8_t len, const char* keyword, std::uin
   return true;
 }
 
+/// Event-buffer presize for a scan of `bytes`: generous for real decks
+/// (about three events per section of a few hundred bytes).
+std::size_t expected_events(std::uint64_t bytes) {
+  return static_cast<std::size_t>(bytes / 256) + 16;
+}
+
+/// The section/run state machine, fed the scanners' events in file order
+/// with file-global line numbers.
+class Replay {
+ public:
+  explicit Replay(std::size_t sections) {
+    layout_.sections.reserve(sections);
+    layout_.chunks.reserve(2 * sections + 1);
+  }
+
+  void apply(const LineEvent& e, std::size_t line) {
+    if (e.kind == LineEvent::kDnet) {
+      if (in_section_)
+        close_section(e.start, line, /*has_end=*/false);
+      else
+        close_run(e.start);
+      layout_.sections.push_back({e.start, 0, line, 0, false});
+      layout_.chunks.push_back({true, static_cast<std::uint32_t>(layout_.sections.size() - 1)});
+      in_section_ = true;
+    } else if (e.kind == LineEvent::kEnd && in_section_) {
+      // The extent includes the *END line with its newline (when present).
+      close_section(e.end, line, /*has_end=*/true);
+    } else if (!in_section_ && !in_run_) {
+      layout_.runs.push_back({e.start, 0, line});
+      layout_.chunks.push_back({false, static_cast<std::uint32_t>(layout_.runs.size() - 1)});
+      in_run_ = true;
+    }
+  }
+
+  Layout finish(std::uint64_t bytes, std::size_t lines) {
+    if (in_section_)
+      close_section(bytes, lines, /*has_end=*/false);
+    else
+      close_run(bytes);
+    layout_.bytes = bytes;
+    layout_.lines = lines;
+    return std::move(layout_);
+  }
+
+ private:
+  void close_run(std::uint64_t end_offset) {
+    if (!in_run_) return;
+    layout_.runs.back().length = end_offset - layout_.runs.back().offset;
+    in_run_ = false;
+  }
+
+  void close_section(std::uint64_t end_offset, std::size_t finish_line, bool has_end) {
+    Section& s = layout_.sections.back();
+    s.length = end_offset - s.offset;
+    s.end_line = finish_line;
+    s.has_end = has_end;
+    in_section_ = false;
+  }
+
+  Layout layout_;
+  bool in_section_ = false;
+  bool in_run_ = false;
+};
+
+std::size_t count_dnets(const std::vector<LineEvent>& events) {
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(),
+                    [](const LineEvent& e) { return e.kind == LineEvent::kDnet; }));
+}
+
 }  // namespace
 
-void Indexer::open_run(std::uint64_t offset, std::size_t line) {
-  layout_.runs.push_back({offset, 0, line});
-  layout_.chunks.push_back({false, static_cast<std::uint32_t>(layout_.runs.size() - 1)});
-  in_run_ = true;
+Indexer::Indexer(std::uint64_t base, std::size_t expected_events)
+    : base_(base), offset_(base), line_start_(base) {
+  events_.reserve(expected_events);
 }
 
-void Indexer::close_run(std::uint64_t end_offset) {
-  if (!in_run_) return;
-  layout_.runs.back().length = end_offset - layout_.runs.back().offset;
-  in_run_ = false;
-}
-
-void Indexer::close_section(std::uint64_t end_offset, std::size_t finish_line, bool has_end) {
-  Section& s = layout_.sections.back();
-  s.length = end_offset - s.offset;
-  s.end_line = finish_line;
-  s.has_end = has_end;
-  in_section_ = false;
-}
-
-void Indexer::line_complete(std::uint64_t line_start, std::uint64_t line_end) {
+void Indexer::line_complete(std::uint64_t line_end) {
   ++line_;
-  const bool is_dnet = token_is(token_, token_len_, "*d_net", 6);
-  const bool is_end = token_is(token_, token_len_, "*end", 4);
-  if (is_dnet) {
-    if (in_section_)
-      close_section(line_start, line_, /*has_end=*/false);
-    else
-      close_run(line_start);
-    layout_.sections.push_back({line_start, 0, line_, 0, false});
-    layout_.chunks.push_back({true, static_cast<std::uint32_t>(layout_.sections.size() - 1)});
-    in_section_ = true;
-  } else if (is_end && in_section_) {
-    // The extent includes the *END line with its newline (when present).
-    close_section(line_end, line_, /*has_end=*/true);
-  } else if (!in_section_ && !in_run_) {
-    open_run(line_start, line_);
+  LineEvent::Kind kind = LineEvent::kOther;
+  if (token_is(token_, token_len_, "*d_net", 6))
+    kind = LineEvent::kDnet;
+  else if (token_is(token_, token_len_, "*end", 4))
+    kind = LineEvent::kEnd;
+  // Inside a section only *D_NET / *END matter, and after any other line
+  // the state machine is either in a section or in a run: only the first
+  // other line after an *END (or the scan's start) can open a run.
+  if (kind != LineEvent::kOther || want_other_) {
+    events_.push_back({line_start_, line_end, line_, kind});
+    want_other_ = kind == LineEvent::kEnd;
   }
   token_len_ = 0;
   token_done_ = false;
@@ -79,7 +131,7 @@ void Indexer::feed(std::string_view chunk) {
     }
     const char c = chunk[i];
     if (c == '\n') {
-      line_complete(line_start_, offset_ + 1);
+      line_complete(offset_ + 1);
       line_start_ = offset_ + 1;
     } else if (!token_done_) {
       if (in_leading_ws_) {
@@ -104,26 +156,72 @@ void Indexer::feed(std::string_view chunk) {
   }
 }
 
-Layout Indexer::finish() {
-  if (finished_) return std::move(layout_);
-  finished_ = true;
-  const bool has_partial_line = offset_ > line_start_ || token_len_ > 0 || !in_leading_ws_;
-  if (has_partial_line) line_complete(line_start_, offset_);
-  // Legacy line accounting: a trailing newline yields a phantom final empty
-  // line, so total lines == #newlines + 1 whenever the file is non-empty.
-  layout_.lines = line_ + (has_partial_line ? 0 : 1);
-  if (in_section_)
-    close_section(offset_, layout_.lines, /*has_end=*/false);
-  else
-    close_run(offset_);
-  layout_.bytes = offset_;
-  return std::move(layout_);
+void Indexer::end_of_input() {
+  if (offset_ > line_start_ || token_len_ > 0 || !in_leading_ws_) {
+    line_complete(offset_);
+    line_start_ = offset_;
+    partial_line_ = true;
+  }
 }
 
-Layout index_spef(std::string_view text) {
-  Indexer indexer;
-  indexer.feed(text);
-  return indexer.finish();
+Layout Indexer::finish() {
+  end_of_input();
+  return replay(this, 1);
+}
+
+Layout Indexer::replay(const Indexer* scans, std::size_t count) {
+  std::size_t sections = 0;
+  for (std::size_t k = 0; k < count; ++k) sections += count_dnets(scans[k].events_);
+  Replay replay(sections);
+  std::size_t line_base = 0;
+  bool partial = false;
+  for (std::size_t k = 0; k < count; ++k) {
+    for (const LineEvent& e : scans[k].events_) replay.apply(e, line_base + e.line);
+    line_base += scans[k].line_;
+    partial = partial || scans[k].partial_line_;
+  }
+  // Legacy line accounting: a trailing newline yields a phantom final empty
+  // line, so total lines == #newlines + 1 whenever the file is non-empty.
+  return replay.finish(scans[count - 1].offset_, line_base + (partial ? 0 : 1));
+}
+
+std::size_t stripe_count(std::uint64_t bytes, std::size_t workers) {
+  const std::uint64_t fit = bytes / kMinStripeBytes;
+  return static_cast<std::size_t>(
+      std::clamp<std::uint64_t>(fit, 1, std::max<std::size_t>(workers, 1)));
+}
+
+Layout index_spef(std::string_view text, std::size_t stripes, const ForEach& for_each) {
+  stripes = std::max<std::size_t>(stripes, 1);
+  // Stripe k starts right after the first newline at or past k/stripes of
+  // the buffer, so no line spans two stripes (a stripe may be empty).
+  std::vector<std::uint64_t> cut(stripes + 1, text.size());
+  cut[0] = 0;
+  for (std::size_t k = 1; k < stripes; ++k) {
+    const std::size_t target = std::max<std::size_t>(cut[k - 1], text.size() / stripes * k);
+    const std::size_t nl = text.find('\n', target);
+    cut[k] = nl == std::string_view::npos ? text.size() : nl + 1;
+  }
+  // Event buffers are sized here, on the calling thread.
+  std::vector<Indexer> scans;
+  scans.reserve(stripes);
+  for (std::size_t k = 0; k < stripes; ++k)
+    scans.push_back(Indexer(cut[k], expected_events(cut[k + 1] - cut[k])));
+  const auto scan = [&](std::size_t k) {
+    // Scan in a local: neighbouring scanners share cache lines in `scans`,
+    // and every byte updates the scanner's offset.
+    Indexer local = std::move(scans[k]);
+    local.feed(text.substr(cut[k], cut[k + 1] - cut[k]));
+    local.end_of_input();
+    scans[k] = std::move(local);
+  };
+  if (stripes > 1 && for_each) {
+    for_each(stripes, scan);
+  } else {
+    for (std::size_t k = 0; k < stripes; ++k) scan(k);
+  }
+
+  return Indexer::replay(scans.data(), scans.size());
 }
 
 }  // namespace rct::spef

@@ -6,10 +6,11 @@
 //     results[i] = parse_spef_section(text, plan, i, arena);
 //   SpefFile file = merge_spef(plan, results, options);  // deterministic order
 //
-// prepare_spef() runs the index pass (spef_index.hpp) and then processes the
-// file-scope line runs serially — header keywords, *DESIGN, unit lines,
-// stray statements — recording the unit state each *D_NET section starts
-// with.  parse_spef_section() parses one *D_NET section against its unit
+// prepare_spef() runs the index pass (spef_index.hpp) — striped across a
+// caller's threads when it passes a stripe count and a ForEach — and then
+// processes the file-scope line runs serially — header keywords, *DESIGN,
+// unit lines, stray statements — recording the unit state each *D_NET
+// section starts with.  parse_spef_section() parses one *D_NET section against its unit
 // snapshot; sections are independent, so engine::parse_spef_parallel fans
 // them across a thread pool.  merge_spef() stitches run and section results
 // back together in file (chunk) order, which reproduces the serial parser's
@@ -65,7 +66,10 @@ struct ParsePlan {
   Units final_units;                     ///< unit state after the last run
 };
 
-[[nodiscard]] ParsePlan prepare_spef(std::string_view text, const SpefParseOptions& options);
+/// Indexes `text` in `stripes` stripes through `for_each` (see index_spef;
+/// the layout does not depend on either), then runs the header pass.
+[[nodiscard]] ParsePlan prepare_spef(std::string_view text, const SpefParseOptions& options,
+                                     std::size_t stripes = 1, const ForEach& for_each = {});
 
 /// Parses section `index` of plan.layout against `text` (the same buffer the
 /// plan was prepared from).  Scratch comes from `arena`; the caller may

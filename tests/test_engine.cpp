@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "helpers.hpp"
+#include "obs/json.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
 
@@ -91,6 +93,26 @@ TEST(ThreadPool, ParallelForCoversEveryIndex) {
   std::vector<int> hit(257, 0);
   pool.parallel_for(hit.size(), [&hit](std::size_t i) { hit[i] = 1; });
   for (std::size_t i = 0; i < hit.size(); ++i) EXPECT_EQ(hit[i], 1) << i;
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
+  // The striped index and the parallel JSON render run on parallel_for: a
+  // failure on a worker (bad_alloc, say) must reach the caller, not leave a
+  // silently missing stripe or part.
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  try {
+    pool.parallel_for(64, [&ran](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 40 || i == 17) throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "parallel_for swallowed the exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 17");
+  }
+  EXPECT_EQ(ran.load(), 64);
+  pool.parallel_for(4, [&ran](std::size_t) { ran.fetch_add(1); });  // still usable
+  EXPECT_EQ(ran.load(), 68);
 }
 
 TEST(ThreadPool, SurvivesThrowingTasks) {
@@ -497,6 +519,67 @@ TEST(Batch, StatsObserveWork) {
   const std::string s = r.stats.summary();
   EXPECT_NE(s.find("6 net(s)"), std::string::npos);
   EXPECT_NE(s.find("2 thread(s)"), std::string::npos);
+}
+
+/// A hand-built result: ok nets (some with exact rows, some degraded), a
+/// retried net, failed nets with error records, names that need escaping,
+/// and enough nets that the renderer splits them across 16 parts.
+BatchResult hand_built_batch(std::size_t count) {
+  BatchResult r;
+  r.design = "hand \"built\"";
+  for (std::size_t i = 0; i < count; ++i) {
+    NetResult net;
+    net.name = i % 97 == 5 ? "esc\\ape\"" + std::to_string(i) : "net" + std::to_string(i);
+    net.driver = "drv";
+    net.nodes = 2 + i % 5;
+    net.total_capacitance = 1e-15 * static_cast<double>(i + 1);
+    if (i % 50 == 7) {
+      net.error = "net '" + net.name + "' has an empty RC tree";
+      net.code = robust::Code::kEmptyTree;
+      net.phase = "analyze";
+    } else {
+      for (std::size_t k = 0; k < 3; ++k) {
+        core::NodeReport row{};
+        row.name = "n" + std::to_string(i) + "_" + std::to_string(k);
+        row.elmore = 1e-12 * static_cast<double>(k + 1) / static_cast<double>(i + 1);
+        row.sigma = row.elmore / 3.0;
+        row.lower_bound = row.elmore - row.sigma;
+        if (i % 3 == 0) row.exact_delay = 0.5 * (row.elmore + row.lower_bound);
+        row.degraded = i % 11 == 0 && k == 1;
+        net.rows.push_back(std::move(row));
+      }
+      net.loads = {2, 0};
+      net.degraded = i % 11 == 0;
+    }
+    if (i == 13) {
+      net.retried = true;
+      net.degraded = true;
+      net.timed_out = true;
+    }
+    r.nets.push_back(std::move(net));
+  }
+  return r;
+}
+
+TEST(Batch, JsonRenderIsIdenticalForEveryThreadCount) {
+  for (const std::size_t count : {std::size_t{0}, std::size_t{40}, std::size_t{4200}}) {
+    BatchResult batch = hand_built_batch(count);
+    std::string reference;
+    for (const std::size_t threads : {0u, 1u, 3u, 16u}) {
+      batch.stats.threads = threads;
+      const std::string json = format_batch_json(batch);
+      if (threads == 0) {
+        reference = json;
+        std::string error;
+        EXPECT_TRUE(json::parse(json, &error).has_value()) << error;
+        continue;
+      }
+      EXPECT_EQ(reference, json) << count << " nets, " << threads << " threads";
+    }
+    if (count == 0) {
+      EXPECT_EQ(reference, "{\"design\":\"hand \\\"built\\\"\",\"nets\":[]}");
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "helpers.hpp"
 #include "moments/path_tracing.hpp"
 #include "rctree/generators.hpp"
@@ -106,6 +110,68 @@ TEST(SpefParser, UnknownLoadPinRejected) {
   EXPECT_THROW((void)parse_spef("*D_NET n 1\n*CONN\n*P a I\n*I zz O\n*CAP\n1 b 1\n*RES\n"
                                 "1 a b 2\n*END\n"),
                SpefError);
+}
+
+TEST(SpefParser, ManyLoadsResolveInOrderWithDanglingDiagnostics) {
+  // A 3000-node net with 1500 *I loads: 1498 real pins in a scrambled
+  // order, one pin that names no node and one that names the driver (the
+  // ideal source is not a tree node).  Loads resolve through the parser's
+  // name table, not a per-load scan of the tree.
+  const RCTree tree = gen::random_tree(3000, 17);
+  std::vector<std::string> pins;
+  for (std::size_t k = 0; k < 1498; ++k) pins.push_back(tree.name((k * 1013) % 2999));
+  SpefFile file;
+  SpefNet net;
+  net.name = "clk";
+  net.driver = "drv";
+  net.tree = tree;
+  file.nets.push_back(std::move(net));
+  std::string text = write_spef(file);
+
+  std::string conn;
+  std::size_t line = 1 + static_cast<std::size_t>(
+                             std::count(text.begin(), text.begin() + text.find("*P drv"), '\n'));
+  std::size_t ghost_line = 0, driver_line = 0;
+  for (std::size_t k = 0; k < pins.size(); ++k) {
+    if (k == 600) {
+      conn += "*I ghost O\n";
+      ghost_line = ++line;
+    }
+    if (k == 1100) {
+      conn += "*I drv O\n";
+      driver_line = ++line;
+    }
+    conn += "*I " + pins[k] + " O\n";
+    ++line;
+  }
+  const std::size_t at = text.find('\n', text.find("*P drv")) + 1;
+  text.insert(at, conn);
+
+  SpefParseOptions lenient;
+  lenient.lenient = true;
+  const SpefFile parsed = parse_spef(text, lenient);
+  ASSERT_EQ(parsed.nets.size(), 1u);
+  const SpefNet& got = parsed.nets[0];
+  ASSERT_EQ(got.loads.size(), pins.size());
+  for (std::size_t k = 0; k < pins.size(); ++k) EXPECT_EQ(got.tree.name(got.loads[k]), pins[k]);
+  ASSERT_EQ(parsed.diagnostics.size(), 2u);
+  EXPECT_EQ(parsed.diagnostics[0].code, robust::Code::kDanglingLoad);
+  EXPECT_EQ(parsed.diagnostics[0].location.line, ghost_line);
+  EXPECT_EQ(parsed.diagnostics[0].message,
+            "dropped dangling load: net 'clk': load pin 'ghost' not in parasitics");
+  EXPECT_EQ(parsed.diagnostics[1].code, robust::Code::kDanglingLoad);
+  EXPECT_EQ(parsed.diagnostics[1].location.line, driver_line);
+  EXPECT_EQ(parsed.diagnostics[1].message,
+            "dropped dangling load: net 'clk': load pin 'drv' not in parasitics");
+
+  try {
+    (void)parse_spef(text);
+    FAIL() << "strict mode accepted a dangling load";
+  } catch (const SpefError& e) {
+    EXPECT_EQ(e.code(), robust::Code::kDanglingLoad);
+    EXPECT_EQ(e.location().line, ghost_line);
+    EXPECT_EQ(e.message(), "net 'clk': load pin 'ghost' not in parasitics");
+  }
 }
 
 TEST(SpefWriter, RoundTripPreservesElmore) {

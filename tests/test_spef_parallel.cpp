@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/batch.hpp"
@@ -295,6 +298,106 @@ TEST(SpefFusedCache, EigensolveThrowRetriesEveryNetOnTheMomentsPath) {
 #endif  // RCT_FAULT_ENABLED
 
 // ---------------------------------------------------------------------------
+// A deck of several index stripes through the fused path: striped index,
+// parallel render and the worker-side cache teardown all run (and run under
+// ThreadSanitizer in scripts/check.sh).
+
+/// Random nets, each followed by a renamed content twin every other time,
+/// with one malformed net (negative resistance) in the middle.
+struct StripedDeck {
+  fs::path path;
+  std::string text;
+  std::size_t malformed_line = 0;
+
+  StripedDeck() {
+    SpefFile file;
+    file.design = "striped";
+    for (std::size_t i = 0; text.size() < 3 * spef::kMinStripeBytes; ++i) {
+      const RCTree tree = gen::random_tree(6 + i % 12, 500 + i);
+      const auto add = [&file](std::string name, RCTree t) {
+        SpefNet net;
+        net.name = std::move(name);
+        net.driver = "drv";
+        net.loads = t.leaves();
+        net.tree = std::move(t);
+        file.nets.push_back(std::move(net));
+      };
+      add("net" + std::to_string(i), testing::renamed(tree, "n" + std::to_string(i) + "_"));
+      if (i % 2 == 0)
+        add("twin" + std::to_string(i), testing::renamed(tree, "t" + std::to_string(i) + "_"));
+      if (i % 64 == 0) text = write_spef(file);
+    }
+    text = write_spef(file);
+    const std::size_t middle = text.find("*D_NET", text.size() / 2);
+    malformed_line = 1 + static_cast<std::size_t>(
+                             std::count(text.begin(), text.begin() + middle, '\n')) + 7;
+    text.insert(middle,
+                "*D_NET broken 1\n*CONN\n*P drv I\n*I b1 O\n*CAP\n1 b1 0.5\n*RES\n"
+                "1 drv b1 -5\n*END\n\n");
+    path = fs::temp_directory_path() /
+           ("rct_striped_" + std::to_string(static_cast<unsigned long>(::getpid())) + ".spef");
+    std::ofstream(path, std::ios::binary) << text;
+  }
+  ~StripedDeck() { fs::remove(path); }
+};
+
+TEST(SpefParallel, StripedDeckFusedMatchesSerialParseThenBatch) {
+  const StripedDeck deck;
+  ASSERT_GE(deck.text.size(), 2 * spef::kMinStripeBytes);
+
+  SpefParseOptions lenient;
+  lenient.lenient = true;
+  lenient.path = deck.path.string();  // analyze_spef_file names its diagnostics by path
+  const SpefFile parsed = parse_spef(deck.text, lenient);
+  ASSERT_EQ(parsed.nets_rejected, 1u);
+  ASSERT_GE(parsed.nets.size(), 768u);  // enough for a three-part parallel render
+  engine::BatchOptions serial;
+  serial.jobs = 1;
+  serial.use_cache = false;
+  const std::string expected = engine::format_batch_json(engine::analyze_batch(parsed, serial));
+
+  engine::ParseOptions parse_options;
+  parse_options.spef.lenient = true;
+  for (std::size_t jobs = 1; jobs <= 4; ++jobs) {
+    engine::BatchOptions options;
+    options.jobs = jobs;
+    const engine::FileBatchResult fused =
+        engine::analyze_spef_file(deck.path.string(), options, parse_options);
+    EXPECT_EQ(expected, engine::format_batch_json(fused.batch)) << "jobs " << jobs;
+    EXPECT_EQ(fused.nets_rejected, parsed.nets_rejected) << "jobs " << jobs;
+    ASSERT_EQ(fused.diagnostics.size(), parsed.diagnostics.size()) << "jobs " << jobs;
+    for (std::size_t i = 0; i < parsed.diagnostics.size(); ++i)
+      EXPECT_EQ(fused.diagnostics[i].to_string("spef"), parsed.diagnostics[i].to_string("spef"))
+          << "jobs " << jobs;
+  }
+
+  robust::Code serial_code = robust::Code::kNone;
+  std::size_t serial_line = 0;
+  try {
+    (void)parse_spef(deck.text);
+  } catch (const SpefError& e) {
+    serial_code = e.code();
+    serial_line = e.location().line;
+  }
+  EXPECT_EQ(serial_code, robust::Code::kNonPhysicalValue);
+  EXPECT_EQ(serial_line, deck.malformed_line);
+  for (std::size_t jobs = 1; jobs <= 4; ++jobs) {
+    engine::BatchOptions options;
+    options.jobs = jobs;
+    robust::Code code = robust::Code::kNone;
+    std::size_t line = 0;
+    try {
+      (void)engine::analyze_spef_file(deck.path.string(), options);
+    } catch (const SpefError& e) {
+      code = e.code();
+      line = e.location().line;
+    }
+    EXPECT_EQ(code, serial_code) << "jobs " << jobs;
+    EXPECT_EQ(line, serial_line) << "jobs " << jobs;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tokenization edge cases through the full pipeline.
 
 TEST(SpefParallel, CrlfLineEndingsParse) {
@@ -458,6 +561,93 @@ TEST(SpefIndex, OffsetsPast2GiBStayExact) {
   EXPECT_EQ(layout.sections[0].first_line, blocks * lines_per_block + 1);
   EXPECT_EQ(layout.sections[0].end_line, blocks * lines_per_block + 2);
   EXPECT_TRUE(layout.sections[0].has_end);
+}
+
+// ---------------------------------------------------------------------------
+// Striped index: any stripe count, and any stripe run order, must give the
+// one-stripe layout field for field.
+
+void expect_same_layout(const spef::Layout& expected, const spef::Layout& actual,
+                        const std::string& context) {
+  EXPECT_EQ(expected.bytes, actual.bytes) << context;
+  EXPECT_EQ(expected.lines, actual.lines) << context;
+  ASSERT_EQ(expected.sections.size(), actual.sections.size()) << context;
+  for (std::size_t i = 0; i < expected.sections.size(); ++i) {
+    const spef::Section& e = expected.sections[i];
+    const spef::Section& a = actual.sections[i];
+    EXPECT_EQ(e.offset, a.offset) << context << " section " << i;
+    EXPECT_EQ(e.length, a.length) << context << " section " << i;
+    EXPECT_EQ(e.first_line, a.first_line) << context << " section " << i;
+    EXPECT_EQ(e.end_line, a.end_line) << context << " section " << i;
+    EXPECT_EQ(e.has_end, a.has_end) << context << " section " << i;
+  }
+  ASSERT_EQ(expected.runs.size(), actual.runs.size()) << context;
+  for (std::size_t i = 0; i < expected.runs.size(); ++i) {
+    EXPECT_EQ(expected.runs[i].offset, actual.runs[i].offset) << context << " run " << i;
+    EXPECT_EQ(expected.runs[i].length, actual.runs[i].length) << context << " run " << i;
+    EXPECT_EQ(expected.runs[i].first_line, actual.runs[i].first_line) << context << " run " << i;
+  }
+  ASSERT_EQ(expected.chunks.size(), actual.chunks.size()) << context;
+  for (std::size_t i = 0; i < expected.chunks.size(); ++i) {
+    EXPECT_EQ(expected.chunks[i].is_section, actual.chunks[i].is_section)
+        << context << " chunk " << i;
+    EXPECT_EQ(expected.chunks[i].index, actual.chunks[i].index) << context << " chunk " << i;
+  }
+}
+
+/// Runs the stripes last-first, so no stripe can lean on its predecessor.
+const spef::ForEach kReversed = [](std::size_t n, const std::function<void(std::size_t)>& fn) {
+  for (std::size_t k = n; k-- > 0;) fn(k);
+};
+
+void expect_stripes_match(const std::string& text, const std::string& context) {
+  const spef::Layout one = spef::index_spef(text);
+  for (std::size_t stripes = 1; stripes <= 8; ++stripes)
+    expect_same_layout(one, spef::index_spef(text, stripes, kReversed),
+                       context + " stripes=" + std::to_string(stripes));
+}
+
+TEST(SpefIndex, StripedMatchesOneStripeOnCorpus) {
+  for (const fs::path& deck : corpus()) expect_stripes_match(read_file(deck), deck.filename());
+}
+
+TEST(SpefIndex, StripedMatchesOneStripeOnEdgeTexts) {
+  const std::pair<const char*, const char*> texts[] = {
+      {"crlf", "*SPEF \"x\"\r\n*D_NET a 1\r\n*CONN\r\n*END\r\n\r\n*D_NET b 2\r\n*END\r\n"},
+      {"comments",
+       "// header\n*D_NET a 1 // trailing\n*END// glued\n  // indented\n*D_NET//x\n*END\n"},
+      {"lowercase", "*d_net a 1\n*conn\n*end\n\n*D_net b 1\n*End\n"},
+      {"end outside any section", "*END\n*SPEF \"x\"\n*END\n*D_NET a 1\n*END\n*END\nstray\n"},
+      {"missing end", "*D_NET a 1\n*CONN\n*D_NET b 1\n1 x 2\n"},
+      {"no trailing newline", "*D_NET a 1\n*END\n\n*D_NET b 1\n*END"},
+      {"empty", ""},
+      {"one newline", "\n"},
+  };
+  for (const auto& [name, text] : texts) expect_stripes_match(text, name);
+}
+
+TEST(SpefIndex, StripeCutsAnywhereMatchOneStripe) {
+  // A growing first line slides every stripe cut across each line of the
+  // body in turn: into a section, into a file-scope run, onto the blank
+  // separator lines, and onto *D_NET / *END lines themselves.
+  const std::string body =
+      "*SPEF \"x\"\n*DESIGN \"d\"\n\n*D_NET a 1\n*CONN\n*P p I\n*END\n\n"
+      "stray statement\n// comment\n\n*D_NET b 2\n*CAP\n1 n 1\n*END\n\n\n*D_NET c 3\n";
+  for (std::size_t pad = 0; pad <= 2 * body.size(); ++pad) {
+    const std::string text = "//" + std::string(pad, 'x') + "\n" + body;
+    const spef::Layout one = spef::index_spef(text);
+    for (const std::size_t stripes : {2u, 3u})
+      expect_same_layout(one, spef::index_spef(text, stripes, kReversed),
+                         "pad=" + std::to_string(pad) + " stripes=" + std::to_string(stripes));
+  }
+}
+
+TEST(SpefIndex, StripeCountFollowsInputSize) {
+  EXPECT_EQ(spef::stripe_count(0, 4), 1u);
+  EXPECT_EQ(spef::stripe_count(2 * spef::kMinStripeBytes - 1, 4), 1u);
+  EXPECT_EQ(spef::stripe_count(2 * spef::kMinStripeBytes, 4), 2u);
+  EXPECT_EQ(spef::stripe_count(100 * spef::kMinStripeBytes, 3), 3u);
+  EXPECT_EQ(spef::stripe_count(100 * spef::kMinStripeBytes, 0), 1u);
 }
 
 // ---------------------------------------------------------------------------
