@@ -36,14 +36,19 @@ obs::Counter& cache_store_hit_counter() {
   return c;
 }
 
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const std::uint64_t w : words) {
-    for (std::size_t byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  }
+// One multiply-rotate round per word (xxHash64's) and murmur3's fmix64
+// finalizer, so every output bit, the low ones that pick the shard and the
+// index bucket included, depends on every key bit.  In memory only: the
+// DiskStore addresses entries by its own, stable hash of the words.
+std::uint64_t mix_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0x27d4eb2f165667c5ULL + words.size();
+  for (const std::uint64_t w : words)
+    h = std::rotl(h + w * 0xc2b2ae3d27d4eb4fULL, 31) * 0x9e3779b185ebca87ULL;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
   return h;
 }
 
@@ -80,7 +85,7 @@ NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
     key.words.push_back(std::bit_cast<std::uint64_t>(tree.resistance(i)));
     key.words.push_back(std::bit_cast<std::uint64_t>(tree.capacitance(i)));
   }
-  key.hash = fnv1a(key.words);
+  key.hash = mix_words(key.words);
   return key;
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // Content-addressed cache of per-net report rows.
 //
-// Key: 64-bit FNV-1a over the net's topology (parent ids), the exact bit
-// patterns of its R/C values, and the ReportOptions that shaped the rows.
+// Key: the net's topology (parent ids), the exact bit patterns of its R/C
+// values, and the ReportOptions that shaped the rows, packed into words and
+// hashed a word at a time for sharding and lookup.
 // Node names are deliberately excluded — repeated physical nets (clock
 // meshes, stamped macro pins) differ only in names — and are re-bound from
 // the live tree on a hit, so a hit returns rows indistinguishable from a
@@ -52,7 +53,7 @@ namespace rct::engine {
 /// Name-independent key material of a (tree, options) pair.
 struct NetKey {
   std::vector<std::uint64_t> words;  ///< packed topology/R/C/options
-  std::uint64_t hash = 0;            ///< FNV-1a of words
+  std::uint64_t hash = 0;            ///< word-wise mix of words (in-memory only)
 
   /// Builds the key for one net's report computation.
   [[nodiscard]] static NetKey of(const RCTree& tree, const core::ReportOptions& options);

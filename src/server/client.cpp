@@ -34,7 +34,7 @@ void Client::close() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
+  reader_.clear();
 }
 
 bool Client::connect(const std::string& target) {
@@ -100,21 +100,18 @@ bool Client::roundtrip(const std::string& request_line, std::string& response_li
     off += static_cast<std::size_t>(n);
   }
   for (;;) {
-    const std::size_t pos = buffer_.find('\n');
-    if (pos != std::string::npos) {
-      response_line = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
+    std::string_view line;
+    if (reader_.next_line(line)) {
+      response_line.assign(line);
       return true;
     }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = reader_.read_from(fd_);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       error_ = n == 0 ? "server closed the connection"
                       : "recv: " + std::string(std::strerror(errno));
       return false;
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 

@@ -2,7 +2,8 @@
 // server::Client — the thin connection `rct client` (and the tests and
 // rctbench) use to talk to a running `rct serve`.
 //
-// One blocking socket, one buffered line reader.  The target spec mirrors
+// One blocking socket, one LineReader (large reads straight into its
+// buffer, one scan per byte, one copy per response).  The target spec mirrors
 // the server's listen spec: a unix socket path, or an all-digits TCP port
 // on 127.0.0.1.
 //
@@ -23,6 +24,8 @@
 
 #include <cstdint>
 #include <string>
+
+#include "server/line_reader.hpp"
 
 namespace rct::server {
 
@@ -78,7 +81,7 @@ class Client {
   [[nodiscard]] std::uint64_t backoff_ms(const RetryPolicy& policy, int attempt);
 
   int fd_ = -1;
-  std::string buffer_;  ///< bytes read past the last consumed line
+  LineReader reader_;  ///< bytes read past the last consumed line
   std::string error_;
   std::string target_;  ///< last successful connect() spec, for reconnects
   std::uint64_t jitter_state_ = 0;  ///< xorshift64 state (lazily seeded)

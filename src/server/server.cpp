@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <future>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -28,6 +28,7 @@
 #include "rctree/mapped_file.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "server/line_reader.hpp"
 #include "server/version.hpp"
 
 namespace rct::server {
@@ -570,19 +571,24 @@ void Server::reap_connections(bool all) {
 }
 
 void Server::serve_connection(int fd) {
-  std::string buffer;
-  char chunk[4096];
+  LineReader reader;
+  std::string line;  // handle_line's argument, reused across requests
   bool open = true;
   // Oversized-line recovery: once a request blows kMaxRequestLine we
   // answer with `request-too-large` and throw bytes away until the next
   // newline, so one runaway line does not cost the client its connection.
   bool discarding = false;
+  const auto too_large = [] {
+    request_too_large_counter().add();
+    return error_response(0, "request-too-large",
+                          "request line exceeds " + std::to_string(kMaxRequestLine) + " bytes");
+  };
   auto last_activity = std::chrono::steady_clock::now();
   while (open) {
     // Chaos site: a reader that stalls mid-stream (network hiccup, stuck
     // client) — the idle timeout below is what keeps this bounded.
     robust::fault::maybe_sleep("server.conn.read");
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = reader.read_from(fd);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // recv timeout tick: notice stop()/drain promptly, enforce idle cap.
@@ -600,39 +606,18 @@ void Server::serve_connection(int fd) {
     }
     if (n <= 0) break;
     last_activity = std::chrono::steady_clock::now();
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    if (discarding) {
-      const std::size_t nl = buffer.find('\n');
-      if (nl == std::string::npos) {
-        buffer.clear();
+    std::string_view view;
+    while (open && reader.next_line(view)) {
+      if (discarding) {  // the runaway line's tail: drop it, answer the rest
+        discarding = false;
         continue;
       }
-      buffer.erase(0, nl + 1);
-      discarding = false;
-    }
-    if (buffer.size() > kMaxRequestLine && buffer.find('\n') == std::string::npos) {
-      request_too_large_counter().add();
-      std::string response =
-          error_response(0, "request-too-large",
-                         "request line exceeds " + std::to_string(kMaxRequestLine) + " bytes");
-      response.push_back('\n');
-      if (!send_all(fd, response)) break;
-      buffer.clear();
-      discarding = true;
-      continue;
-    }
-    std::size_t pos = 0;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (line.empty()) continue;
+      if (view.empty()) continue;
       std::string response;
-      if (line.size() > kMaxRequestLine) {
-        request_too_large_counter().add();
-        response = error_response(
-            0, "request-too-large",
-            "request line exceeds " + std::to_string(kMaxRequestLine) + " bytes");
+      if (view.size() > kMaxRequestLine) {
+        response = too_large();
       } else {
+        line.assign(view);
         response = handle_line(line);
       }
       response.push_back('\n');
@@ -660,11 +645,20 @@ void Server::serve_connection(int fd) {
         open = false;
         break;
       }
-      {
-        std::lock_guard<std::mutex> lock(stop_mutex_);
-        if (shutdown_requested_) open = false;
-      }
-      if (!open) break;
+      std::lock_guard<std::mutex> lock(stop_mutex_);
+      if (shutdown_requested_) open = false;
+    }
+    if (!open) break;
+    // Every pending byte is scanned and newline-free: a partial line.  Past
+    // the cap it is answered now and its remainder discarded as it arrives.
+    if (discarding) {
+      reader.clear();
+    } else if (reader.pending() > kMaxRequestLine) {
+      std::string response = too_large();
+      response.push_back('\n');
+      if (!send_all(fd, response)) break;
+      reader.clear();
+      discarding = true;
     }
   }
   disconnect_counter().add();
@@ -764,7 +758,8 @@ void Server::note_shed() {
   last_shed_ns_.store(steady_now_ns(), std::memory_order_relaxed);
 }
 
-std::string Server::run_on_pool(std::function<std::string()> fn) {
+template <class Fn>
+std::string Server::run_on_pool(Fn&& fn) {
   // Admission control: the depth counts pool-bound requests queued or
   // running.  Shedding here — before any submit — keeps the rejection
   // cost near zero, which is exactly what an overloaded server needs.
@@ -785,10 +780,30 @@ std::string Server::run_on_pool(std::function<std::string()> fn) {
                         "server overloaded: dispatch queue full (depth " +
                             std::to_string(depth) + ", cap " + std::to_string(cap) + ")");
   }
-  auto task = std::make_shared<std::packaged_task<std::string()>>(std::move(fn));
-  std::future<std::string> future = task->get_future();
-  pool_.submit([task] { (*task)(); });
-  return future.get();  // rethrows what the task threw
+  // The completion lives in this frame, and the worker signals it under its
+  // mutex: the wait below cannot return, and the record cannot die, until
+  // the worker has released that lock and touches the record no more.
+  struct Completion {
+    std::mutex mutex;
+    std::condition_variable ready;
+    bool done = false;  // guarded by mutex
+    std::string result;
+    std::exception_ptr error;
+  } completion;
+  pool_.submit([&completion, &fn] {
+    try {
+      completion.result = fn();
+    } catch (...) {
+      completion.error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(completion.mutex);
+    completion.done = true;
+    completion.ready.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(completion.mutex);
+  completion.ready.wait(lock, [&completion] { return completion.done; });
+  if (completion.error) std::rethrow_exception(completion.error);
+  return std::move(completion.result);
 }
 
 std::string Server::cmd_ping(const Request& request) {

@@ -117,9 +117,10 @@ struct ServeOptions {
   /// Telemetry HTTP listener spec: unix socket path, or an all-digits TCP
   /// port on 127.0.0.1 (0 = ephemeral); "" = no HTTP endpoint.
   std::string http;
-  /// Admission control: concurrent client connections (0 = unbounded) and
-  /// pool-bound requests queued or running (0 = 4× worker threads).
-  std::size_t max_connections = 0;
+  /// Admission control: concurrent client connections (0 = unbounded; the
+  /// default 256 bounds the one-thread-per-connection model) and pool-bound
+  /// requests queued or running (0 = 4× worker threads).
+  std::size_t max_connections = 256;
   std::size_t max_queue_depth = 0;
   /// Close connections silent for this long (0 = never).
   std::uint64_t idle_timeout_ms = 30000;
@@ -251,10 +252,13 @@ class Server {
   /// loaded).  nullptr when unknown.
   [[nodiscard]] std::shared_ptr<const Design> find_design(const std::string& ref);
 
-  /// Runs `fn` on the pool and waits; exceptions cross back to the caller.
-  /// Admission control lives here: past the queue cap the call throws
-  /// robust::Error(kOverloaded) without submitting anything.
-  [[nodiscard]] std::string run_on_pool(std::function<std::string()> fn);
+  /// Runs `fn` (callable as std::string()) on the pool and waits; its
+  /// exception is rethrown on the caller.  The hand-off allocates nothing:
+  /// the pool task refers to `fn` and to a completion record in the
+  /// caller's frame.  Admission control lives here: past the queue cap the
+  /// call throws robust::Error(kOverloaded) without submitting anything.
+  template <class Fn>
+  [[nodiscard]] std::string run_on_pool(Fn&& fn);
 
   /// Queue cap in effect (options or the 4×threads default).
   [[nodiscard]] std::size_t effective_queue_cap() const;

@@ -99,6 +99,17 @@ std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
   return h;
 }
 
+/// An entry's on-disk address: FNV-1a over the key words' little-endian
+/// bytes.  Not NetKey::hash, which is an in-memory mix free to change: this
+/// value names files and sits in envelopes, so it must stay what existing
+/// store directories were written with.
+std::uint64_t entry_address(const engine::NetKey& key) {
+  std::string bytes;
+  bytes.reserve(key.words.size() * sizeof(std::uint64_t));
+  for (const std::uint64_t w : key.words) put_u64(bytes, w);
+  return fnv1a_bytes(reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
+}
+
 std::string hash_hex(std::uint64_t hash) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(hash));
@@ -202,14 +213,15 @@ void DiskStore::recover_and_scan() {
   store_bytes_gauge().set(static_cast<double>(total));
 }
 
-std::string DiskStore::path_for(const engine::NetKey& key) const {
-  const std::string hex = hash_hex(key.hash);
+std::string DiskStore::path_for(std::uint64_t address) const {
+  const std::string hex = hash_hex(address);
   return dir_ + "/" + hex.substr(0, 2) + "/" + hex + ".rct";
 }
 
 std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKey& key) {
   if (!ok_) return std::nullopt;
-  const std::string path = path_for(key);
+  const std::uint64_t address = entry_address(key);
+  const std::string path = path_for(address);
   MappedFile file(path);
   if (!file.open()) {
     load_miss_counter().add();
@@ -220,7 +232,7 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
     obs::log::warn("store.corrupt", {{"path", std::string_view(path)}, {"reason", why}});
     return std::nullopt;
   };
-  // Fixed header: magic(4) version(4) hash(8) n_words(8).
+  // Fixed header: magic(4) version(4) address(8) n_words(8).
   if (!file.mapped() || file.size < 24) return corrupt("truncated header");
   const unsigned char* p = file.data;
   if (std::memcmp(p, kMagic, 4) != 0) return corrupt("bad magic");
@@ -229,13 +241,13 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   if (file.size < 24 + 8) return corrupt("truncated checksum");
   const std::size_t body = file.size - 8;
   if (get_u64(p + body) != fnv1a_bytes(p, body)) return corrupt("checksum mismatch");
-  const std::uint64_t stored_hash = get_u64(p + 8);
+  const std::uint64_t stored_address = get_u64(p + 8);
   const std::uint64_t n_words = get_u64(p + 16);
   if (n_words > (body - 24) / 8) return corrupt("key overruns file");
   std::size_t off = 24;
   // Exact key comparison: a hash-colliding foreign key is a miss, not an
   // error — the slot just belongs to someone else.
-  bool key_matches = stored_hash == key.hash && n_words == key.words.size();
+  bool key_matches = stored_address == address && n_words == key.words.size();
   for (std::uint64_t i = 0; i < n_words; ++i, off += 8) {
     if (key_matches && get_u64(p + off) != key.words[i]) key_matches = false;
   }
@@ -264,7 +276,8 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
 
 void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeReport>& rows) {
   if (!ok_) return;
-  const std::string path = path_for(key);
+  const std::uint64_t address = entry_address(key);
+  const std::string path = path_for(address);
   const auto slash = path.rfind('/');
   std::error_code ec;
   std::filesystem::create_directories(path.substr(0, slash), ec);
@@ -276,7 +289,7 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
   std::string blob;
   blob.append(kMagic, 4);
   put_u32(blob, kVersion);
-  put_u64(blob, key.hash);
+  put_u64(blob, address);
   put_u64(blob, key.words.size());
   for (const std::uint64_t w : key.words) put_u64(blob, w);
   const std::string payload = core::serialize_report(rows);

@@ -2,14 +2,18 @@
 // server::DiskStore — a versioned, content-addressed on-disk backend for
 // the engine's NetCache (the second level behind the in-memory tier).
 //
-// Layout: one file per NetKey under `dir`, sharded by the first byte of
-// the key hash so no directory grows unbounded:
+// Layout: one file per NetKey under `dir`, named by the key's address and
+// sharded by its first byte so no directory grows unbounded:
 //
 //   <dir>/ab/abcdef0123456789.rct
 //
+// The address is FNV-1a over the key words' little-endian bytes.  It is
+// computed here, not taken from NetKey::hash: the in-memory hash is free to
+// change, while store directories must keep resolving across builds.
+//
 // Each file is a self-validating envelope: magic "RCTS", format version,
-// the full key material (hash + packed words, so a hit is exact even
-// across hash collisions — a colliding key reads as a miss), the
+// the full key material (address + packed words, so a hit is exact even
+// across address collisions — a colliding key reads as a miss), the
 // serialized report rows (core::serialize_report) and a trailing FNV-1a
 // checksum over everything before it.  Any mismatch — bad magic, wrong
 // version, truncation, bit flips, foreign key — makes load() return
@@ -80,7 +84,8 @@ class DiskStore final : public engine::CacheBackend {
   static constexpr std::uint32_t kVersion = 1;
 
  private:
-  [[nodiscard]] std::string path_for(const engine::NetKey& key) const;
+  /// Entry file for the on-disk address of a key (see the layout above).
+  [[nodiscard]] std::string path_for(std::uint64_t address) const;
   /// Finishes a journaled sweep a crashed process left behind and removes
   /// orphaned writer temp files; then seeds total_bytes_ from a full walk.
   void recover_and_scan();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -165,6 +166,20 @@ TEST(NetCache, KeySeesValueAndOptionChanges) {
   core::ReportOptions other = opt;
   other.fraction = 0.4;
   EXPECT_FALSE(NetKey::of(a, opt) == NetKey::of(a, other));
+}
+
+TEST(NetCache, KeyHashSpreadsEvenlyOverShards) {
+  // The low bits of NetKey::hash pick one of NetCache's 16 shards (and the
+  // bucket inside it); no shard may carry more than 1.5x its share.
+  std::array<int, 16> per_shard{};
+  const core::ReportOptions opt;
+  for (std::uint64_t seed = 0; seed < 4096; ++seed) {
+    const RCTree tree = gen::random_tree(4 + seed % 29, seed);
+    ++per_shard[NetKey::of(tree, opt).hash % per_shard.size()];
+  }
+  const int mean = 4096 / 16;
+  for (std::size_t s = 0; s < per_shard.size(); ++s)
+    EXPECT_LE(per_shard[s] * 2, mean * 3) << "shard " << s << " holds " << per_shard[s];
 }
 
 TEST(NetCache, HitReturnsRowsWithReboundNames) {

@@ -31,6 +31,7 @@
 #include "rctree/spef.hpp"
 #include "robust/fault.hpp"
 #include "server/client.hpp"
+#include "server/line_reader.hpp"
 #include "server/protocol.hpp"
 #include "server/request_trace.hpp"
 #include "server/server.hpp"
@@ -549,6 +550,21 @@ TEST(DiskStore, UnusableDirectoryDegradesToNoop) {
   const engine::NetKey key = engine::NetKey::of(gen::random_tree(4, 1), {});
   store.save(key, sample_rows(4, 1));  // must not throw
   EXPECT_FALSE(store.load(key).has_value());
+}
+
+TEST(DiskStore, EntryPathIsStableAcrossBuilds) {
+  // Store directories outlive builds: the entry address is FNV-1a over the
+  // key words, whatever the in-memory NetKey::hash is.  The path below was
+  // written by a build whose NetKey::hash was that same FNV-1a.
+  const ScratchDir dir("store_path");
+  const RCTree tree = gen::random_tree(8, 7);
+  server::DiskStore store(dir.path);
+  ASSERT_TRUE(store.ok()) << store.error();
+  const engine::NetKey key = engine::NetKey::of(tree, {});
+  store.save(key, core::build_report(tree));
+  EXPECT_TRUE(std::filesystem::is_regular_file(dir.path + "/72/72fab0b1bf479a3e.rct"));
+  EXPECT_EQ(store.entry_count(), 1u);
+  EXPECT_TRUE(store.load(key).has_value());
 }
 
 // ---------------------------------------------------- server (in-process)
@@ -1375,6 +1391,156 @@ TEST(Server, ConnectionCapRejectsWithTypedLine) {
   ASSERT_TRUE(first.roundtrip("{\"id\":2,\"cmd\":\"ping\"}", response));
   EXPECT_TRUE(server::response_ok(response));
   server.stop();
+}
+
+TEST(Server, MaxConnectionsDefaultIsFinite) {
+  // One thread per connection: the default must bound them; 0 still means
+  // unbounded for deployments that opt out.
+  EXPECT_EQ(server::ServeOptions{}.max_connections, 256u);
+  const ScratchDir dir("conndefault");
+  server::ServeOptions options;
+  options.listen = dir.path + "/rct.sock";
+  server::Server server(options);
+  ASSERT_TRUE(server.start()) << server.error();
+  server::Client a;
+  server::Client b;
+  ASSERT_TRUE(a.connect(options.listen)) << a.error();
+  ASSERT_TRUE(b.connect(options.listen)) << b.error();
+  std::string response;
+  ASSERT_TRUE(a.roundtrip("{\"id\":1,\"cmd\":\"ping\"}", response));
+  EXPECT_TRUE(server::response_ok(response)) << response;
+  ASSERT_TRUE(b.roundtrip("{\"id\":2,\"cmd\":\"ping\"}", response));
+  EXPECT_TRUE(server::response_ok(response)) << response;
+  server.stop();
+}
+
+// ------------------------------------------------------------- framing
+
+TEST(Framing, RequestsInOneSendAreAnsweredInOrder) {
+  const ScratchDir dir("pipelined");
+  server::ServeOptions options;
+  options.listen = dir.path + "/rct.sock";
+  server::Server server(options);
+  ASSERT_TRUE(server.start()) << server.error();
+  const int fd = unix_connect(options.listen);
+  ASSERT_GE(fd, 0);
+  const std::string burst =
+      "{\"id\":1,\"cmd\":\"ping\"}\n{\"id\":2,\"cmd\":\"stats\"}\n\n"
+      "{\"id\":3,\"cmd\":\"ping\"}\n";
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0), static_cast<ssize_t>(burst.size()));
+  for (int id = 1; id <= 3; ++id) {
+    const std::string line = recv_line(fd);
+    EXPECT_TRUE(server::response_ok(line)) << line;
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(id) + ",", 0), 0u) << line;
+  }
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Framing, ResponseLargerThanOneReadMatchesHandleLine) {
+  const ScratchDir dir("bigresponse");
+  const std::string deck = write_deck(dir.path, "big", 1, 400, 4200);
+  server::ServeOptions options;
+  options.listen = dir.path + "/rct.sock";
+  options.jobs = 1;
+  server::Server server(options);
+  ASSERT_TRUE(server.start()) << server.error();
+  server::Client client;
+  ASSERT_TRUE(client.connect(options.listen)) << client.error();
+  server::Request load;
+  load.id = 1;
+  load.cmd = "load";
+  load.path = deck;
+  std::string response;
+  ASSERT_TRUE(client.roundtrip(server::encode_request(load), response));
+  ASSERT_TRUE(server::response_ok(response)) << response;
+
+  server::Request report;
+  report.id = 2;
+  report.cmd = "report";
+  report.net = "net_0";
+  report.has_with_exact = true;
+  report.with_exact = false;  // moments-only rows keep the test fast
+  const std::string line = server::encode_request(report);
+  ASSERT_TRUE(client.roundtrip(line, response));  // computed
+  ASSERT_TRUE(server::response_ok(response)) << response.substr(0, 200);
+  const std::string in_process = server.handle_line(line);  // memory hit
+  ASSERT_GT(in_process.size(), server::LineReader::kReadSize);
+  ASSERT_TRUE(client.roundtrip(line, response));
+  EXPECT_EQ(response, in_process);
+  server.stop();
+}
+
+TEST(Framing, TwoResponsesInOneReadServeTwoRoundtrips) {
+  // A scripted peer writes both answers in one send, so the client's first
+  // read holds both lines; the second roundtrip must answer from the
+  // buffer.  The peer closes once it has both requests, so a client that
+  // read again would see the hang-up and fail instead of blocking.
+  const ScratchDir dir("tworesponses");
+  const std::string path = dir.path + "/peer.sock";
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string both = "{\"id\":1,\"ok\":true}\n{\"id\":2,\"ok\":true}\n";
+    (void)::send(fd, both.data(), both.size(), 0);
+    int newlines = 0;
+    char c = 0;
+    while (newlines < 2 && ::recv(fd, &c, 1, 0) == 1)
+      if (c == '\n') ++newlines;
+    ::close(fd);
+  });
+  server::Client client;
+  ASSERT_TRUE(client.connect(path)) << client.error();
+  std::string first;
+  std::string second;
+  EXPECT_TRUE(client.roundtrip("{\"id\":1,\"cmd\":\"ping\"}", first)) << client.error();
+  EXPECT_TRUE(client.roundtrip("{\"id\":2,\"cmd\":\"ping\"}", second)) << client.error();
+  EXPECT_EQ(first, "{\"id\":1,\"ok\":true}");
+  EXPECT_EQ(second, "{\"id\":2,\"ok\":true}");
+  client.close();
+  peer.join();
+  ::close(listener);
+}
+
+TEST(Server, ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers) {
+  // Four callers share one pool worker, so every hand-off completes while
+  // other callers wait on theirs: each must get exactly its own answer.
+  const ScratchDir dir("handoff");
+  const std::string deck = write_deck(dir.path, "handoff", 4, 12, 700);
+  server::ServeOptions options;
+  options.jobs = 1;
+  server::Server server(options);
+  ASSERT_TRUE(server::response_ok(
+      server.handle_line("{\"id\":1,\"cmd\":\"load\",\"path\":\"" + deck + "\"}")));
+  std::vector<std::string> requests;
+  std::vector<std::string> expected;
+  for (int net = 0; net < 4; ++net) {
+    requests.push_back("{\"id\":" + std::to_string(10 + net) +
+                       ",\"cmd\":\"report\",\"net\":\"net_" + std::to_string(net) + "\"}");
+    ASSERT_TRUE(server::response_ok(server.handle_line(requests.back())));  // computed
+    expected.push_back(server.handle_line(requests.back()));                 // memory
+    ASSERT_NE(expected.back().find("\"source\":\"memory\""), std::string::npos);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const int net = (t + i) % 4;
+        if (server.handle_line(requests[net]) != expected[net]) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server.requests_shed(), 0u);
 }
 
 // ------------------------------------------------------- socket hygiene

@@ -132,7 +132,8 @@ struct SpefFlags {
   std::string http;          ///< serve: telemetry HTTP listener spec ("" = off)
   std::uint64_t request_timeout_ms = 0;   ///< serve: default per-request deadline
   std::vector<std::string> preload;       ///< serve: SPEF files loaded at startup
-  std::size_t max_connections = 0;        ///< serve: connection cap (0 = unbounded)
+  /// serve: connection cap (0 = unbounded; default ServeOptions' 256)
+  std::size_t max_connections = server::ServeOptions{}.max_connections;
   std::size_t max_queue_depth = 0;        ///< serve: dispatch-queue cap (0 = 4x workers)
   std::uint64_t drain_timeout_ms = 5000;  ///< serve: graceful-drain budget
   std::uint64_t idle_timeout_ms = 30000;  ///< serve: silent-connection cap (0 = never)
