@@ -165,7 +165,7 @@ metrics = json.load(open(sys.argv[2]))
 assert metrics["schema_version"] == 1, "schema_version"
 for section in ("counters", "gauges", "histograms"):
     assert isinstance(metrics[section], dict), section
-for name in ("engine.cache.hits", "engine.context.built", "pool.tasks.run"):
+for name in ("engine.cache.hits", "engine.tasks.run", "pool.tasks.run"):
     assert name in metrics["counters"], f"counter missing: {name}"
 for name in ("engine.net.analyze_seconds", "analysis.context.build_seconds"):
     hist = metrics["histograms"][name]
@@ -186,12 +186,17 @@ PY
   # of a running (TSan-built) daemon instead of a --metrics-out file: start
   # the daemon with an ephemeral telemetry port, feed it one load+report,
   # scrape /metrics with python's stdlib (no curl in the image) and pipe
-  # the body through validate_prom.py.
+  # the body through validate_prom.py.  The daemon also writes its own
+  # --trace-out, and one client-traced report (its tape crosses from the
+  # connection thread to a pool worker under TSan) is stitched client-side;
+  # both files are checked after shutdown.
   SERVE_SOCK=build-tsan/check-serve.sock
   SERVE_OUT=build-tsan/check-serve.out
-  rm -f "$SERVE_SOCK"
+  SERVE_TRACE=build-tsan/check-serve-trace.json
+  CLIENT_TRACE=build-tsan/check-client-trace.json
+  rm -f "$SERVE_SOCK" "$SERVE_TRACE" "$CLIENT_TRACE"
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct serve \
-    --listen "$SERVE_SOCK" --http 0 > "$SERVE_OUT" 2>&1 &
+    --listen "$SERVE_SOCK" --http 0 --trace-out "$SERVE_TRACE" > "$SERVE_OUT" 2>&1 &
   SERVE_PID=$!
   trap 'kill "$SERVE_PID" 2> /dev/null || true' EXIT
   for _ in $(seq 1 250); do
@@ -201,6 +206,8 @@ PY
   done
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct client "$SERVE_SOCK" \
     load testdata/two_nets.spef > /dev/null
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct client "$SERVE_SOCK" \
+    --trace-out "$CLIENT_TRACE" report net_a > /dev/null
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct client "$SERVE_SOCK" \
     report net_a > /dev/null
   HTTP_PORT=$(sed -n 's#^telemetry on http://127\.0\.0\.1:##p' "$SERVE_OUT")
@@ -213,10 +220,27 @@ with urllib.request.urlopen(f"http://127.0.0.1:{sys.argv[1]}/metrics", timeout=1
     assert "version=0.0.4" in ct, f"Content-Type {ct!r}"
     sys.stdout.write(r.read().decode())
 PY
+  SERVED=$(TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct client "$SERVE_SOCK" stats |
+    python3 -c 'import json, sys; print(json.loads(sys.stdin.read())["requests"])')
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tools/rct client "$SERVE_SOCK" shutdown \
     > /dev/null
   wait "$SERVE_PID" 2> /dev/null || true
   trap - EXIT
+  # `stats` counts itself; the shutdown request follows it.
+  python3 - "$SERVE_TRACE" "$CLIENT_TRACE" "$((SERVED + 1))" <<'PY'
+import json, sys
+served = json.load(open(sys.argv[1]))["traceEvents"]
+roots = [e for e in served if e["ph"] == "X" and e["name"] == "server.request"]
+assert len(roots) == int(sys.argv[3]), \
+    f"{len(roots)} server.request events for {sys.argv[3]} requests served"
+stitched = json.load(open(sys.argv[2]))["traceEvents"]
+names = {e["name"] for e in stitched if e["ph"] == "X" and e["pid"] == 2}
+phases = {"server.request", "server.queue_wait", "server.cache.lookup",
+          "server.context.build", "server.report.build", "server.render"}
+assert phases <= names, f"stitched slice lacks {sorted(phases - names)}"
+print(f"serve trace OK ({len(roots)} requests, one root span each); "
+      f"stitched slice OK ({len(names)} server span names)")
+PY
 
   echo "== chaos: fault-injected daemon vs retry client (TSan) =="
   # A live daemon with socket-layer faults armed through RCT_FAULT: the

@@ -37,8 +37,7 @@ TreeContext::TreeContext(std::shared_ptr<const RCTree> tree)
 }
 
 void TreeContext::build_arrays() {
-  const obs::Span span("analysis.context.build", "analysis");
-  const obs::ScopedTimer timer(build_histogram());
+  const obs::Span span("analysis.context.build", "analysis", {}, &build_histogram());
   build_counter().add();
   const RCTree& t = *tree_;
   const std::size_t n = t.size();

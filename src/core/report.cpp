@@ -105,8 +105,7 @@ std::vector<NodeReport> build_report(const RCTree& tree, const ReportOptions& op
 
 std::vector<NodeReport> build_report(const analysis::TreeContext& context,
                                      const ReportOptions& options) {
-  const obs::Span span("core.report.build", "core");
-  const obs::ScopedTimer timer(build_histogram());
+  const obs::Span span("core.report.build", "core", {}, &build_histogram());
   const RCTree& tree = context.tree();
   if (options.deadline) options.deadline->check("core.report.build");
   const auto stats = context.impulse_stats();
@@ -118,8 +117,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
   bool eigensolve_invalid = false;
   if (options.with_exact && tree.size() <= options.exact_node_limit) {
     if (options.deadline) options.deadline->check("core.report.eigensolve");
-    const obs::Span solve_span("core.report.eigensolve", "core");
-    const obs::ScopedTimer solve_timer(eigensolve_histogram());
+    const obs::Span solve_span("core.report.eigensolve", "core", {}, &eigensolve_histogram());
     // An eigensolve that THROWS propagates to the caller (the batch engine
     // retries the net on the moments path); one that returns garbage is
     // caught just below and degrades every row instead.

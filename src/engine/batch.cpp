@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -60,8 +59,6 @@ struct EngineCounters {
   obs::Counter& nets_timed_out = obs::registry().counter("engine.nets.timed_out");
   obs::Counter& nets_cancelled = obs::registry().counter("engine.nets.cancelled");
   obs::Counter& tasks_run = obs::registry().counter("engine.tasks.run");
-  obs::Counter& contexts_built = obs::registry().counter("engine.context.built");
-  obs::Counter& context_reuses = obs::registry().counter("engine.context.reused");
   /// Incremented by NetCache itself (engine.cache.hits); read for deltas.
   obs::Counter& cache_hits = obs::registry().counter("engine.cache.hits");
 
@@ -94,8 +91,7 @@ obs::Histogram& merge_phase_histogram() {
 /// options.report.
 NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report,
                            NetCache* cache) {
-  const obs::Span span("engine.net.analyze", "engine", net.name);
-  const obs::ScopedTimer timer(net_analyze_histogram());
+  const obs::Span span("engine.net.analyze", "engine", net.name, &net_analyze_histogram());
   EngineCounters& ec = EngineCounters::get();
   NetResult r;
   r.name = net.name;
@@ -121,7 +117,6 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
     // A miss builds a transient context: within one batch every net shares
     // one ReportOptions, so a row miss means no twin has built one either.
     ec.tasks_run.add();
-    ec.contexts_built.add();
     const analysis::TreeContext ctx(net.tree);
     r.rows = core::build_report(ctx, report);
     if (key.has_value()) cache->insert(*key, r.rows);
@@ -243,9 +238,7 @@ void run_net_slot(const SpefNet& net, NetResult& slot, const BatchOptions& optio
                   NetCache* cache, std::size_t budget, std::atomic<std::size_t>& failed_so_far,
                   std::uint64_t enqueue_ns) {
   EngineCounters& ec = EngineCounters::get();
-  if constexpr (obs::kTimingEnabled)
-    queue_wait_histogram().observe(static_cast<double>(obs::timestamp_ns() - enqueue_ns) *
-                                   1e-9);
+  obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns, &queue_wait_histogram());
   if (budget != 0 && failed_so_far.load(std::memory_order_relaxed) >= budget) {
     slot.name = net.name;
     slot.driver = net.driver;
@@ -293,10 +286,9 @@ std::string EngineStats::summary() const {
   char buf[384];
   std::snprintf(buf, sizeof(buf),
                 "engine: %zu net(s), %zu analyzed, %zu cache hit(s), %zu failed, %zu thread(s); "
-                "contexts %zu built / %zu reused; "
                 "analyze %.3fs wall / %.3fs cpu, total %.3fs wall",
-                nets, tasks_run, cache_hits, failures, threads, contexts_built, context_reuses,
-                analyze.wall_s, analyze.cpu_s, total.wall_s);
+                nets, tasks_run, cache_hits, failures, threads, analyze.wall_s, analyze.cpu_s,
+                total.wall_s);
   os << buf;
   // Robustness line items only when something actually went sideways.
   if (degraded != 0 || retried != 0 || timed_out != 0 || cancelled != 0) {
@@ -308,7 +300,7 @@ std::string EngineStats::summary() const {
   // Per-net latency quantiles from the global histogram (process-lifetime,
   // not per-run — runs are sequential in practice, see the struct comment).
   // Absent when nothing was observed, which is also the -DRCT_OBS=OFF path:
-  // scoped timers compile out, so the histogram stays empty.
+  // Spans observe no histogram there, so it stays empty.
   if (const obs::Histogram* h = obs::registry().find_histogram("engine.net.analyze_seconds");
       h != nullptr && h->count() > 0) {
     os << "; analyze latency p50 " << format_time(h->quantile(0.50)) << " / p95 "
@@ -332,8 +324,6 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
   // into each other's deltas, while the registry totals stay correct).
   EngineCounters& ec = EngineCounters::get();
   const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_built = ec.contexts_built.value();
-  const std::uint64_t base_reused = ec.context_reuses.value();
   const std::uint64_t base_hits = ec.cache_hits.value();
   ec.nets_total.add(nets.size());
 
@@ -378,8 +368,6 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
   {
     const obs::Span span("engine.batch.merge", "engine");
     out.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.stats.contexts_built = ec.contexts_built.value() - base_built;
-    out.stats.context_reuses = ec.context_reuses.value() - base_reused;
     out.stats.cache_hits = ec.cache_hits.value() - base_hits;
     // Deterministic robustness tallies straight from the merged results
     // (the global counters feed --metrics-out; these feed the summary).
@@ -402,8 +390,6 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
                   {"failures", static_cast<std::uint64_t>(out.stats.failures)},
                   {"cache_hits", static_cast<std::uint64_t>(out.stats.cache_hits)},
                   {"wall_s", out.stats.total.wall_s}});
-  // Every analyzed (non-cache-hit) net built its own transient TreeContext.
-  assert(out.stats.contexts_built + out.stats.context_reuses == out.stats.tasks_run);
   return out;
 }
 
@@ -452,8 +438,6 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
 
   EngineCounters& ec = EngineCounters::get();
   const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_built = ec.contexts_built.value();
-  const std::uint64_t base_reused = ec.context_reuses.value();
   const std::uint64_t base_hits = ec.cache_hits.value();
 
   const std::size_t budget = options.fail_fast ? std::size_t{1} : options.max_failures;
@@ -518,8 +502,6 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
       if (has_net[i]) out.batch.nets.push_back(std::move(slots[i]));
     out.batch.stats.nets = out.batch.nets.size();
     out.batch.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.batch.stats.contexts_built = ec.contexts_built.value() - base_built;
-    out.batch.stats.context_reuses = ec.context_reuses.value() - base_reused;
     out.batch.stats.cache_hits = ec.cache_hits.value() - base_hits;
     for (const NetResult& r : out.batch.nets) {
       if (!r.ok()) ++out.batch.stats.failures;

@@ -114,12 +114,6 @@ struct EngineStats {
   std::size_t timed_out = 0;  ///< nets that hit the cooperative deadline
   std::size_t cancelled = 0;  ///< nets skipped after the failure budget tripped
   std::size_t threads = 0;    ///< pool size used
-  /// Derived-array (TreeContext) accounting: every analyzed net builds a
-  /// transient context, so contexts_built == tasks_run and context_reuses
-  /// (kept for the stats schema) is 0; contexts_built + context_reuses ==
-  /// tasks_run holds either way.
-  std::size_t contexts_built = 0;
-  std::size_t context_reuses = 0;
   PhaseTime analyze;        ///< fan-out + per-net analysis
   PhaseTime merge;          ///< in-order result collection
   PhaseTime total;

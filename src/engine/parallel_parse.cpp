@@ -75,17 +75,21 @@ spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
 
 spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePlan& plan,
                                      std::size_t index, const SpefParseOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  Arena& arena = worker_arena();
-  spef::ShardResult result = spef::parse_spef_section(text, plan, index, options, arena);
-  arena.reset();
-  const double seconds = wall_since(start);
-  if constexpr (obs::kTimingEnabled) section_histogram().observe(seconds);
+  // The flight ring keeps its own clock, read only while it is armed.
+  obs::flight::Recorder& fr = obs::flight::recorder();
+  const bool flight = fr.enabled();
+  const std::uint64_t flight_start_ns = flight ? obs::steady_now_ns() : 0;
+  spef::ShardResult result;
+  {
+    const obs::Span span("engine.parse.section", "engine", {}, &section_histogram());
+    Arena& arena = worker_arena();
+    result = spef::parse_spef_section(text, plan, index, options, arena);
+    arena.reset();
+  }
   sections_completed_counter().add();
   // One flight event per section: named by the net it carried (a section
   // holds at most one *D_NET), or its first line when the net was rejected.
-  obs::flight::Recorder& fr = obs::flight::recorder();
-  if (fr.enabled()) {
+  if (flight) {
     char fallback[32];
     std::string_view label;
     if (!result.nets.empty()) {
@@ -98,8 +102,7 @@ spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePla
     const bool failed = result.error != nullptr || result.nets_rejected != 0;
     fr.record(label, "parse",
               failed ? obs::flight::Outcome::kFailed : obs::flight::Outcome::kOk,
-              error_code_of(result.error),
-              static_cast<std::uint64_t>(seconds * 1e9));
+              error_code_of(result.error), obs::steady_now_ns() - flight_start_ns);
   }
   return result;
 }

@@ -117,10 +117,9 @@ void ThreadPool::worker_loop(std::size_t home) {
       continue;
     }
     if (stop_) return;
-    {
-      const obs::ScopedTimer idle(idle_histogram());
-      work_ready_.wait(lock, [this] { return stop_ || unclaimed_ > 0; });
-    }
+    const std::uint64_t idle_ns = obs::timestamp_ns();
+    work_ready_.wait(lock, [this] { return stop_ || unclaimed_ > 0; });
+    obs::record_wait("pool.worker.idle", "pool", idle_ns, &idle_histogram());
     if (stop_ && unclaimed_ == 0) return;
   }
 }

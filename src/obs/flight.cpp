@@ -1,22 +1,16 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <unistd.h>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace rct::obs::flight {
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
 
 std::atomic<std::uint64_t> next_recorder_id{1};
 

@@ -5,15 +5,10 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace rct::obs::log {
 namespace {
-
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
 
 std::uint64_t wall_now_us() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -303,22 +302,5 @@ MetricsRegistry& registry() {
   static MetricsRegistry instance;
   return instance;
 }
-
-#if RCT_OBS_ENABLED
-ScopedTimer::ScopedTimer(Histogram& histogram)
-    : histogram_(histogram),
-      start_ns_(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count())) {}
-
-ScopedTimer::~ScopedTimer() {
-  const auto now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  histogram_.observe(static_cast<double>(now - start_ns_) * 1e-9);
-}
-#endif
 
 }  // namespace rct::obs

@@ -18,10 +18,12 @@
 // machine-readable schema (schema_version 1, documented in README.md);
 // `rct batch --metrics-out FILE` writes it to disk.
 //
+// Latency histograms are fed by obs::Span (trace.hpp), the one RAII timer.
+//
 // Compile-time switch: building with -DRCT_OBS_ENABLED=0 compiles out the
-// *timing* half of the layer (Span / ScopedTimer stop reading the clock or
-// recording anything, see trace.hpp) so the disabled overhead is provably
-// near zero.  Counters, gauges and direct Histogram::observe() calls stay
+// *timing* half of the layer (Spans stop observing histograms and recording
+// trace events, see trace.hpp) so the disabled overhead is provably near
+// zero.  Counters, gauges and direct Histogram::observe() calls stay
 // live in both modes: counters are one relaxed atomic add each and double
 // as the engine's EngineStats source of truth.  Keep live hooks off per-row
 // loops; tests/test_report.cpp counts the updates a report makes.
@@ -191,26 +193,5 @@ class MetricsRegistry {
 /// telemetry without temp files); false on I/O error.  Every obs file sink
 /// (metrics, trace, flight dump) writes through it.
 bool write_text(const std::string& path, std::string_view body);
-
-/// RAII stopwatch: observes its lifetime in seconds into a histogram on
-/// destruction.  Compiled to an empty shell when RCT_OBS_ENABLED=0 — no
-/// clock read, no observe.
-class ScopedTimer {
- public:
-#if RCT_OBS_ENABLED
-  explicit ScopedTimer(Histogram& histogram);
-  ~ScopedTimer();
-#else
-  explicit ScopedTimer(Histogram&) {}
-#endif
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-#if RCT_OBS_ENABLED
- private:
-  Histogram& histogram_;
-  std::uint64_t start_ns_;
-#endif
-};
 
 }  // namespace rct::obs

@@ -1,20 +1,18 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/json.hpp"
 
 namespace rct::obs {
 namespace {
 
-std::uint64_t steady_now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
 std::atomic<std::uint64_t> next_collector_id{1};
+
+/// Tapes installed across all threads: while 0, current_tape() never reads
+/// the thread-local (a __tls_get_addr call in a shared-library build).
+std::atomic<std::uint32_t> installed_tapes{0};
+thread_local Tape* tl_tape = nullptr;
 
 }  // namespace
 
@@ -121,19 +119,57 @@ TraceCollector& tracer() {
   return instance;
 }
 
-#if RCT_OBS_ENABLED
-Span::Span(const char* name, const char* cat, std::string_view detail)
-    : name_(name), cat_(cat), armed_(tracer().enabled()) {
-  if (!armed_) return;
-  detail_ = std::string(detail);
+Tape* current_tape() {
+  return installed_tapes.load(std::memory_order_relaxed) == 0 ? nullptr : tl_tape;
+}
+
+TapeScope::TapeScope(Tape* tape) {
+  if (tape == nullptr) return;
+  installed_tapes.fetch_add(1, std::memory_order_relaxed);
+  previous_ = tl_tape;
+  tl_tape = tape;
+  installed_ = true;
+}
+
+TapeScope::~TapeScope() {
+  if (!installed_) return;
+  tl_tape = previous_;
+  installed_tapes.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void record_wait(const char* name, const char* cat, std::uint64_t start_ns,
+                 Histogram* histogram) {
+  if constexpr (!kTimingEnabled) histogram = nullptr;
+  Tape* const tape = current_tape();
+  if (tape == nullptr && histogram == nullptr) return;
+  const std::uint64_t dur_ns = tracer().now_ns() - start_ns;
+  if (histogram != nullptr) histogram->observe(static_cast<double>(dur_ns) * 1e-9);
+  if (tape != nullptr) tape->push_back(TraceEvent{name, cat, {}, start_ns, dur_ns, 0});
+}
+
+Span::Span(const char* name, const char* cat, std::string_view detail, Histogram* histogram,
+           Histogram* split)
+    : name_(name), cat_(cat), tape_(current_tape()) {
+  if constexpr (kTimingEnabled) {
+    histogram_ = histogram;
+    split_ = split;
+    traced_ = tracer().enabled();
+  }
+  timed_ = traced_ || tape_ != nullptr || histogram_ != nullptr || split_ != nullptr;
+  if (!timed_) return;
+  if (traced_ || tape_ != nullptr) detail_ = std::string(detail);
   start_ns_ = tracer().now_ns();
 }
 
 Span::~Span() {
-  if (!armed_) return;
+  if (!timed_) return;
   TraceCollector& t = tracer();
-  t.record(name_, cat_, start_ns_, t.now_ns() - start_ns_, std::move(detail_));
+  const std::uint64_t dur_ns = t.now_ns() - start_ns_;
+  const double seconds = static_cast<double>(dur_ns) * 1e-9;
+  if (histogram_ != nullptr) histogram_->observe(seconds);
+  if (split_ != nullptr) split_->observe(seconds);
+  if (tape_ != nullptr) tape_->push_back(TraceEvent{name_, cat_, detail_, start_ns_, dur_ns, 0});
+  if (traced_) t.record(name_, cat_, start_ns_, dur_ns, std::move(detail_));
 }
-#endif
 
 }  // namespace rct::obs

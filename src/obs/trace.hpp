@@ -1,28 +1,26 @@
 #pragma once
-// obs tracing — RAII spans collected into per-thread buffers and exported
-// as Chrome trace-event JSON (load the file in chrome://tracing or
-// https://ui.perfetto.dev).
+// obs tracing — the one RAII timer (Span) and the Chrome trace-event export
+// (load the file in chrome://tracing or https://ui.perfetto.dev).
 //
-// A Span marks one timed operation.  Its name follows the registry's
-// `layer.component.op` convention and its category is the layer
-// ("cli", "engine", "analysis", "core", "pool"), which is what the trace
-// viewers group and filter by.  An optional detail string (e.g. the net
-// name) is emitted as args.detail.
+// A Span names one timed operation `layer.component.op`; its category is
+// the layer, which trace viewers filter by, and an optional detail (e.g.
+// the net name) becomes args.detail.  It reads the clock once at each edge
+// and feeds every sink that wants the interval: its histogram, when given;
+// the global trace, while armed (--trace-out); and the calling thread's
+// request tape, while one is installed (TapeScope).  With no sink it reads
+// no clock: two relaxed loads, the armed flag and a global count of
+// installed tapes that keeps the thread-local read off that path.
 //
-// Recording is opt-in at runtime: spans do nothing — not even read the
-// clock — until tracer().set_enabled(true) (the CLI arms it for
-// --trace-out).  Each recording thread appends to its own buffer behind
-// its own (uncontended) mutex; buffers are merged and time-sorted only at
-// export.  Buffers are shared_ptr-owned by both the thread and the
-// collector, so events survive worker threads that exit before export
-// (the engine's pool joins its workers before the CLI writes the file).
+// Each thread appends trace events to its own shared_ptr-owned buffer
+// (uncontended mutex), so events survive workers that exit before export;
+// buffers are merged and time-sorted only at export.
 //
-// Building with -DRCT_OBS_ENABLED=0 compiles spans out entirely: Span
-// becomes an empty object and no call site reads the clock, which is the
-// "provably near zero disabled overhead" path (scripts/obs_gate.py measures
-// the default build against it).
+// -DRCT_OBS_ENABLED=0 compiles the timing out: Spans observe no histogram
+// and record no trace event, reading the clock only for an installed tape,
+// so client-requested request traces work in both builds.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -34,6 +32,14 @@
 
 namespace rct::obs {
 
+/// Steady-clock nanoseconds: the one clock read behind every obs timestamp
+/// (each consumer keeps its own epoch).
+[[nodiscard]] inline std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now().time_since_epoch())
+                                        .count());
+}
+
 /// One completed span ("X" phase in the Chrome trace format).
 struct TraceEvent {
   const char* name;    ///< static string: `layer.component.op`
@@ -41,7 +47,7 @@ struct TraceEvent {
   std::string detail;  ///< optional args.detail ("" = omitted)
   std::uint64_t ts_ns;   ///< start, relative to the collector epoch
   std::uint64_t dur_ns;  ///< duration
-  std::uint32_t tid;     ///< collector-assigned thread id (dense, from 1)
+  std::uint32_t tid;     ///< collector-assigned thread id (dense, from 1); 0 on a tape
 };
 
 class TraceCollector {
@@ -94,41 +100,69 @@ class TraceCollector {
 /// The process-global collector every Span records into.
 [[nodiscard]] TraceCollector& tracer();
 
-/// True when the timing instrumentation (spans, scoped timers, timestamps)
-/// is compiled in.
+/// True when the timing instrumentation (histogram-timed spans, the trace,
+/// timestamps) is compiled in.
 inline constexpr bool kTimingEnabled = RCT_OBS_ENABLED != 0;
 
-/// Nanoseconds on the global tracer's clock; constant 0 when compiled out
-/// (callers guard the matching observe with `if constexpr (kTimingEnabled)`).
+/// A request tape: the spans one request closed, in closing order.
+using Tape = std::vector<TraceEvent>;
+
+/// The calling thread's installed tape, or nullptr.  One relaxed load while
+/// no thread in the process has a tape installed.
+[[nodiscard]] Tape* current_tape();
+
+/// Installs `tape` as the calling thread's request tape for the scope's
+/// lifetime, restoring the previous one after; nullptr installs nothing.
+class TapeScope {
+ public:
+  explicit TapeScope(Tape* tape);
+  ~TapeScope();
+  TapeScope(const TapeScope&) = delete;
+  TapeScope& operator=(const TapeScope&) = delete;
+
+ private:
+  Tape* previous_ = nullptr;
+  bool installed_ = false;
+};
+
+/// Nanoseconds on the global tracer's clock; with timing compiled out, 0
+/// unless a tape is installed.
 [[nodiscard]] inline std::uint64_t timestamp_ns() {
   if constexpr (kTimingEnabled)
     return tracer().now_ns();
   else
-    return 0;
+    return current_tape() != nullptr ? tracer().now_ns() : 0;
 }
 
-/// RAII span over the global collector.  `name` and `cat` must be string
-/// literals (stored by pointer); `detail` is copied only when recording is
-/// armed, so a disarmed span never allocates.
+/// Ends an interval begun at `start_ns` (a timestamp_ns() reading) on
+/// another thread or before a blocking wait (queue wait, pool idle): feeds
+/// `histogram` and the thread's tape, but no trace event — a trace event
+/// belongs to the thread that ran the interval.
+void record_wait(const char* name, const char* cat, std::uint64_t start_ns,
+                 Histogram* histogram = nullptr);
+
+/// RAII timer; see the file comment.  `name` and `cat` must be string
+/// literals; `detail` is copied only for the trace or a tape.  `histogram`
+/// observes the interval in seconds, and `split` too (a per-kind split of
+/// the same interval, e.g. the server's per-command latency).
 class Span {
  public:
-#if RCT_OBS_ENABLED
-  explicit Span(const char* name, const char* cat, std::string_view detail = {});
+  explicit Span(const char* name, const char* cat, std::string_view detail = {},
+                Histogram* histogram = nullptr, Histogram* split = nullptr);
   ~Span();
-#else
-  explicit Span(const char*, const char*, std::string_view = {}) {}
-#endif
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-#if RCT_OBS_ENABLED
  private:
   const char* name_;
   const char* cat_;
   std::string detail_;
+  Histogram* histogram_ = nullptr;
+  Histogram* split_ = nullptr;
+  Tape* tape_;
   std::uint64_t start_ns_ = 0;
-  bool armed_;
-#endif
+  bool traced_ = false;  ///< the global trace was armed at construction
+  bool timed_ = false;   ///< some sink wants the interval
 };
 
 }  // namespace rct::obs

@@ -12,9 +12,8 @@
 
 namespace rct::server {
 
-void RequestTraceStore::record(std::string_view trace_id, TraceSpan span) {
-  if (trace_id.empty() || capacity_ == 0) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
+std::vector<TraceSpan>* RequestTraceStore::slot(std::string_view trace_id) {
+  if (trace_id.empty() || capacity_ == 0) return nullptr;
   auto it = traces_.find(std::string(trace_id));
   if (it == traces_.end()) {
     while (order_.size() >= capacity_) {
@@ -24,7 +23,20 @@ void RequestTraceStore::record(std::string_view trace_id, TraceSpan span) {
     order_.emplace_back(trace_id);
     it = traces_.emplace(std::string(trace_id), std::vector<TraceSpan>{}).first;
   }
-  it->second.push_back(std::move(span));
+  return &it->second;
+}
+
+void RequestTraceStore::record(std::string_view trace_id, TraceSpan span) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (std::vector<TraceSpan>* spans = slot(trace_id)) spans->push_back(std::move(span));
+}
+
+void RequestTraceStore::record(std::string_view trace_id, const obs::Tape& tape) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<TraceSpan>* spans = slot(trace_id);
+  if (spans == nullptr) return;
+  for (const obs::TraceEvent& e : tape)
+    spans->push_back(TraceSpan{e.name, e.detail, e.ts_ns, e.dur_ns});
 }
 
 std::vector<TraceSpan> RequestTraceStore::fetch(std::string_view trace_id) const {

@@ -3,12 +3,14 @@
 // across the client/server boundary.
 //
 // The server side is RequestTraceStore: a bounded map from a client-minted
-// 16-hex trace id to the per-phase spans the server recorded while handling
-// requests under that trace (queue wait, dispatch, cache lookup, context
-// build, report build, render).  Spans are timestamped on the server's own
-// steady clock (the global obs tracer epoch); the store keeps the most
-// recent `capacity` traces and evicts FIFO, so a daemon that serves
-// millions of requests holds a constant few hundred KB of tape.
+// 16-hex trace id to the spans of the requests under that trace: each
+// request's obs::Tape (obs/trace.hpp), handed over in one record() call,
+// holds the server phases (request, queue wait, cache lookup, context
+// build, report build, render) and the library spans inside them (e.g.
+// core.report.build).  Spans are timestamped on the server's own steady
+// clock (the global obs tracer epoch); the store keeps the most recent
+// `capacity` traces and evicts FIFO, so a daemon that serves millions of
+// requests holds a constant few hundred KB of tape.
 //
 // The client side fetches a slice with the `trace` protocol command and
 // stitches both halves into one Chrome trace-event file:
@@ -33,6 +35,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace rct::server {
 
 /// One span of a traced request, on whichever clock recorded it.
@@ -54,6 +58,9 @@ class RequestTraceStore {
   /// Appends one span under `trace_id`; a new id may evict the oldest
   /// trace (FIFO) once `capacity` traces are resident.
   void record(std::string_view trace_id, TraceSpan span);
+  /// Appends every span of one request's tape under `trace_id`, under one
+  /// lock; eviction as above.
+  void record(std::string_view trace_id, const obs::Tape& tape);
 
   /// All spans recorded under `trace_id`, sorted by start time; empty when
   /// the id is unknown (never recorded, or already evicted).
@@ -63,6 +70,10 @@ class RequestTraceStore {
   [[nodiscard]] std::size_t size() const;
 
  private:
+  /// The span list of `trace_id`, created (evicting FIFO) when new;
+  /// nullptr when the store keeps nothing.  Caller holds mutex_.
+  std::vector<TraceSpan>* slot(std::string_view trace_id);
+
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::vector<TraceSpan>> traces_;

@@ -134,36 +134,6 @@ obs::Histogram* command_histogram(const std::string& cmd) {
   return nullptr;
 }
 
-/// RAII phase span for one traced request: on destruction the interval is
-/// taped into the trace store (always, when tracing) and into the global
-/// tracer (when --trace-out armed it), so the same phase shows up in both
-/// the stitched client timeline and the server's own trace file.  `name`
-/// must be a static string.
-class TracePhase {
- public:
-  TracePhase(RequestTraceStore* store, const std::string* trace_id, const char* name,
-             std::string detail = {})
-      : store_(store), trace_id_(trace_id), name_(name), detail_(std::move(detail)) {
-    if (store_ != nullptr) start_ns_ = obs::tracer().now_ns();
-  }
-  TracePhase(const TracePhase&) = delete;
-  TracePhase& operator=(const TracePhase&) = delete;
-  ~TracePhase() {
-    if (store_ == nullptr) return;
-    const std::uint64_t dur_ns = obs::tracer().now_ns() - start_ns_;
-    if (obs::tracer().enabled())
-      obs::tracer().record(name_, "server", start_ns_, dur_ns, detail_);
-    store_->record(*trace_id_, TraceSpan{name_, detail_, start_ns_, dur_ns});
-  }
-
- private:
-  RequestTraceStore* store_;  ///< nullptr = request is untraced, record nothing
-  const std::string* trace_id_;
-  const char* name_;
-  std::string detail_;
-  std::uint64_t start_ns_ = 0;
-};
-
 bool is_all_digits(const std::string& s) {
   if (s.empty()) return false;
   return std::all_of(s.begin(), s.end(),
@@ -284,13 +254,6 @@ void splice_rows(std::string& out, const engine::Rendering& rendering, const RCT
   }
 }
 
-/// Steady-clock nanoseconds since an arbitrary epoch (for shed freshness).
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 std::string_view server_state_name(ServerState state) {
@@ -401,8 +364,8 @@ ServerState Server::current_state() const {
   const std::size_t cap = effective_queue_cap();
   if (cap != 0 && queue_depth_.load(std::memory_order_relaxed) >= cap - cap / 4)
     return ServerState::kDegraded;
-  const std::int64_t last = last_shed_ns_.load(std::memory_order_relaxed);
-  if (last != 0 && steady_now_ns() - last < 5'000'000'000LL) return ServerState::kDegraded;
+  const std::uint64_t last = last_shed_ns_.load(std::memory_order_relaxed);
+  if (last != 0 && obs::steady_now_ns() - last < 5'000'000'000ULL) return ServerState::kDegraded;
   return ServerState::kServing;
 }
 
@@ -669,24 +632,32 @@ void Server::serve_connection(int fd) {
 std::string Server::handle_line(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   request_counter().add();
-  obs::ScopedTimer timer(request_histogram());
-  ParsedRequest parsed = parse_request(line);
+  const ParsedRequest parsed = parse_request(line);
+  // Adopt the client's trace: every span the request closes lands on its
+  // tape, which reaches the store in one record once the root span has
+  // closed.  A `trace` fetch itself is never taped — reading a trace must
+  // not grow it.
+  if (!parsed.ok || parsed.request.trace.empty() || parsed.request.cmd == "trace")
+    return handle_request(parsed);
+  obs::Tape tape;
+  std::string response;
+  {
+    const obs::TapeScope taping(&tape);
+    response = handle_request(parsed);
+  }
+  traces_.record(parsed.request.trace, tape);
+  return response;
+}
+
+std::string Server::handle_request(const ParsedRequest& parsed) {
+  const Request& request = parsed.request;
+  // The root span covers dispatch to response render, on every exit path.
+  const obs::Span span("server.request", "server", request.cmd, &request_histogram(),
+                       parsed.ok ? command_histogram(request.cmd) : nullptr);
   if (!parsed.ok) {
     request_error_counter().add();
     return error_response(0, "syntax", parsed.error);
   }
-  const Request& request = parsed.request;
-  std::optional<obs::ScopedTimer> cmd_timer;
-  if (obs::Histogram* h = command_histogram(request.cmd)) cmd_timer.emplace(*h);
-  // Adopt the client's trace: the root phase span covers dispatch to
-  // response render, on every exit path.  A `trace` fetch itself is never
-  // taped — reading a trace must not grow it.
-  RequestTraceStore* const sink =
-      !request.trace.empty() && request.cmd != "trace" ? &traces_ : nullptr;
-  const TracePhase root_phase(sink, &request.trace, "server.request",
-                              request.net.empty() ? request.cmd
-                                                  : request.cmd + " " + request.net);
-  obs::Span span("server.request", "server", request.cmd);
   auto flight = obs::flight::recorder().begin(
       request.net.empty() ? std::string_view(request.cmd) : std::string_view(request.net),
       "serve");
@@ -755,7 +726,7 @@ std::uint64_t Server::retry_after_hint_ms() const {
 void Server::note_shed() {
   sheds_.fetch_add(1, std::memory_order_relaxed);
   shed_counter().add();
-  last_shed_ns_.store(steady_now_ns(), std::memory_order_relaxed);
+  last_shed_ns_.store(obs::steady_now_ns(), std::memory_order_relaxed);
 }
 
 template <class Fn>
@@ -790,8 +761,10 @@ std::string Server::run_on_pool(Fn&& fn) {
     std::string result;
     std::exception_ptr error;
   } completion;
-  pool_.submit([&completion, &fn] {
+  // The task body runs under the request's tape, if it has one.
+  pool_.submit([&completion, &fn, tape = obs::current_tape()] {
     try {
+      const obs::TapeScope taping(tape);
       completion.result = fn();
     } catch (...) {
       completion.error = std::current_exception();
@@ -945,19 +918,12 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
       request.timeout_ms != 0 ? request.timeout_ms : options_.request_timeout_ms;
 
   // The gap between submit and the task body running is pool queue wait —
-  // under load, the span that explains "the server was busy".
-  RequestTraceStore* const sink = !request.trace.empty() ? &traces_ : nullptr;
-  const std::uint64_t submit_ns = sink != nullptr ? obs::tracer().now_ns() : 0;
+  // under load, the interval that explains "the server was busy".
+  const std::uint64_t submit_ns = obs::timestamp_ns();
 
-  return run_on_pool([this, design, &net, &request, report, timeout_ms, bounds_only, sink,
+  return run_on_pool([this, design, &net, &request, report, timeout_ms, bounds_only,
                       submit_ns]() -> std::string {
-    if (sink != nullptr) {
-      const std::uint64_t now_ns = obs::tracer().now_ns();
-      if (obs::tracer().enabled())
-        obs::tracer().record("server.queue_wait", "server", submit_ns, now_ns - submit_ns);
-      sink->record(request.trace, TraceSpan{"server.queue_wait", {}, submit_ns,
-                                            now_ns - submit_ns});
-    }
+    obs::record_wait("server.queue_wait", "server", submit_ns);
     const robust::Deadline deadline = robust::Deadline::after_ms(timeout_ms);
     core::ReportOptions effective = report;
     // Always pass the deadline, armed or not: an unarmed Deadline is still
@@ -981,7 +947,7 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
         bounds_only ? engine::RenderFlavor::kBounds : engine::RenderFlavor::kReport;
     engine::NetCache::RenderedLookup hit;
     {
-      const TracePhase phase(sink, &request.trace, "server.cache.lookup", request.net);
+      const obs::Span span("server.cache.lookup", "server", request.net);
       hit = cache_.lookup_rendered(key, net.tree, flavor);
     }
     if (hit.rendering == nullptr && !hit.rows.has_value()) {
@@ -990,15 +956,15 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
       // is O(N) next to the report itself.
       std::optional<analysis::TreeContext> context;
       {
-        const TracePhase phase(sink, &request.trace, "server.context.build", request.net);
+        const obs::Span span("server.context.build", "server", request.net);
         context.emplace(net.tree);
       }
-      const TracePhase phase(sink, &request.trace, "server.report.build", request.net);
+      const obs::Span span("server.report.build", "server", request.net);
       hit.rows = core::build_report(*context, effective);
       cache_.insert(key, *hit.rows);
     }
 
-    const TracePhase render_phase(sink, &request.trace, "server.render", request.net);
+    const obs::Span render_span("server.render", "server", request.net);
     std::shared_ptr<const engine::Rendering> rendering = std::move(hit.rendering);
     if (rendering != nullptr) {
       render_cached_counter().add();
@@ -1044,7 +1010,6 @@ std::string Server::cmd_stats(const Request& request) {
   out += ",\"queue_depth\":" + std::to_string(queue_depth_.load(std::memory_order_relaxed));
   out += ",\"queue_cap\":" + std::to_string(effective_queue_cap());
   out += ",\"cache\":{\"entries\":" + std::to_string(cache_.size());
-  out += ",\"contexts\":0";  // the server keeps no TreeContexts
   out += ",\"hits\":" + std::to_string(cache_.hits());
   out += ",\"misses\":" + std::to_string(cache_.misses());
   out += ",\"store_hits\":" + std::to_string(cache_.backend_hits());
@@ -1089,16 +1054,13 @@ std::string Server::cmd_evict(const Request& request) {
   update_gauges();
   return "{\"id\":" + std::to_string(request.id) +
          ",\"ok\":true,\"designs_evicted\":" + std::to_string(designs_evicted) +
-         ",\"entries_dropped\":" + std::to_string(entries_dropped) +
-         ",\"contexts_dropped\":0}";
+         ",\"entries_dropped\":" + std::to_string(entries_dropped) + "}";
 }
 
 void Server::update_gauges() {
   static obs::Gauge& designs_gauge = obs::registry().gauge("server.designs");
   static obs::Gauge& nets_gauge = obs::registry().gauge("server.nets.loaded");
   static obs::Gauge& entries_gauge = obs::registry().gauge("server.cache.entries");
-  // Kept for scrapers; the server holds no TreeContexts, so it reads 0.
-  static obs::Gauge& contexts_gauge = obs::registry().gauge("server.cache.contexts");
   static obs::Gauge& cache_hit_gauge = obs::registry().gauge("server.cache.hit_rate");
   static obs::Gauge& store_hit_gauge = obs::registry().gauge("server.store.hit_rate");
   std::size_t n_designs = 0;
@@ -1111,7 +1073,6 @@ void Server::update_gauges() {
   designs_gauge.set(static_cast<double>(n_designs));
   nets_gauge.set(static_cast<double>(n_nets));
   entries_gauge.set(static_cast<double>(cache_.size()));
-  contexts_gauge.set(0.0);
   rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
   // hits = memory, backend_hits = store, misses = recomputed; the three are
   // disjoint, so hit rates are straightforward fractions.

@@ -25,24 +25,26 @@
 //     first memory hit of a (net, report|bounds) pair attaches the rows'
 //     name-free JSON to the entry; later hits splice the live tree's node
 //     names into those bytes instead of re-rendering.  The server retains
-//     no TreeContext: a miss builds a transient one, so `stats.contexts`
-//     reads 0.
+//     no TreeContext: a miss builds a transient one.
 //   - The disk store is multi-writer safe (atomic renames); entries are
 //     immutable once written, so cross-server sharing needs no locking.
 //
-// Every request runs under an obs::Span ("server.request"), lands in the
-// `server.request.seconds` histogram (plus a per-command split,
-// `server.request.<cmd>.seconds`), and is recorded in the flight recorder
-// (phase "serve"); failures optionally dump the recorder to `flight_out`.
+// Every request runs under one obs::Span ("server.request") that feeds the
+// `server.request.seconds` histogram, a per-command split
+// (`server.request.<cmd>.seconds`) and the trace; the report phases
+// (server.cache.lookup, context.build, report.build, render) are spans
+// inside it.  Each request is recorded in the flight recorder (phase
+// "serve"); failures optionally dump the recorder to `flight_out`.
 // Connect/disconnect/evict/shutdown emit structured log events.
 //
 // Telemetry surface: `http` in ServeOptions starts an embedded HTTP
 // listener (see http.hpp) serving /metrics (Prometheus exposition),
 // /healthz, /varz (JSON metrics snapshot) and /flight (flight-recorder
-// dump).  Requests carrying a client trace id get their server-side phase
-// spans taped into a bounded RequestTraceStore, fetchable with the `trace`
-// command and stitched client-side into one Perfetto timeline (see
-// request_trace.hpp).
+// dump).  A request carrying a client trace id runs with an obs::Tape
+// installed on its connection thread and its pool task; the spans it
+// closes (plus server.queue_wait) go to a bounded RequestTraceStore,
+// fetchable with the `trace` command and stitched client-side into one
+// Perfetto timeline (see request_trace.hpp).
 //
 // Listening: `listen` is a unix-domain socket path, or — when it is all
 // digits — a TCP port on 127.0.0.1 (0 picks an ephemeral port, reported
@@ -233,6 +235,9 @@ class Server {
     std::atomic<bool> done{false};
   };
 
+  /// handle_line after the parse: the root span, dispatch and the typed
+  /// error responses.
+  [[nodiscard]] std::string handle_request(const ParsedRequest& parsed);
   [[nodiscard]] std::string dispatch(const Request& request);
   [[nodiscard]] std::string cmd_ping(const Request& request);
   [[nodiscard]] std::string cmd_load(const Request& request);
@@ -314,7 +319,7 @@ class Server {
   std::atomic<int> state_{static_cast<int>(ServerState::kStarting)};
   std::atomic<std::size_t> queue_depth_{0};
   std::atomic<std::uint64_t> sheds_{0};
-  std::atomic<std::int64_t> last_shed_ns_{0};  ///< steady-clock ns of the last shed
+  std::atomic<std::uint64_t> last_shed_ns_{0};  ///< steady-clock ns of the last shed
 
   std::mutex inflight_mutex_;
   std::vector<const robust::Deadline*> inflight_;

@@ -220,8 +220,8 @@ TEST(Cli, BatchMetricsOutHasCacheContextPoolAndLatency) {
   const std::string body = slurp(metrics);
   EXPECT_NE(body.find("\"schema_version\":1"), std::string::npos);
   for (const char* key :
-       {"\"engine.cache.hits\"", "\"engine.cache.misses\"", "\"engine.context.built\"",
-        "\"engine.context.reused\"", "\"pool.tasks.run\"", "\"engine.nets.completed\"",
+       {"\"engine.cache.hits\"", "\"engine.cache.misses\"", "\"pool.tasks.run\"",
+        "\"engine.nets.completed\"",
         "\"engine.net.analyze_seconds\"",
         "\"analysis.context.build_seconds\"", "\"core.report.build_seconds\""})
     EXPECT_NE(body.find(key), std::string::npos) << key;

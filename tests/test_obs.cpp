@@ -163,10 +163,10 @@ TEST(ObsRegistry, ResetZeroesButKeepsReferencesValid) {
   EXPECT_EQ(obs::registry().counter_value("test.obs.reset_counter"), 2u);
 }
 
-TEST(ObsRegistry, ScopedTimerObservesElapsedSeconds) {
+TEST(ObsRegistry, SpanObservesElapsedSeconds) {
   obs::Histogram& h = obs::registry().histogram("test.obs.timer_seconds");
   h.reset();
-  { const obs::ScopedTimer t(h); }
+  { const obs::Span t("test.obs.timer", "test", {}, &h); }
 #if RCT_OBS_ENABLED
   EXPECT_EQ(h.count(), 1u);
   EXPECT_GE(h.min(), 0.0);
@@ -308,6 +308,46 @@ TEST(ObsTrace, ClearDropsEvents) {
 }
 
 #endif  // RCT_OBS_ENABLED
+
+// Holds in both builds: a tape is how a client-requested request trace is
+// recorded, and that works with the timing compiled out too.
+TEST(ObsTape, CollectsSpansOfItsThreadWhileInstalled) {
+  obs::Tape tape;
+  {
+    const obs::TapeScope taping(&tape);
+    { const obs::Span s("test.tape.outer", "test", "net_0"); }
+    obs::record_wait("test.tape.wait", "test", obs::timestamp_ns());
+    // Another thread has no tape installed: its span must not land here.
+    std::thread([] { const obs::Span s("test.tape.other_thread", "test"); }).join();
+  }
+  { const obs::Span s("test.tape.after_uninstall", "test"); }
+  ASSERT_EQ(tape.size(), 2u);
+  EXPECT_STREQ(tape[0].name, "test.tape.outer");
+  EXPECT_STREQ(tape[0].cat, "test");
+  EXPECT_EQ(tape[0].detail, "net_0");
+  EXPECT_STREQ(tape[1].name, "test.tape.wait");
+  EXPECT_LE(tape[0].ts_ns + tape[0].dur_ns, tape[1].ts_ns + tape[1].dur_ns);
+  EXPECT_EQ(obs::current_tape(), nullptr);
+
+  // Re-installing the tape on a second thread (the server's pool hand-off)
+  // collects that thread's spans, nested scopes restore the outer tape,
+  // and a null scope installs nothing.
+  obs::Tape inner;
+  std::thread([&tape, &inner] {
+    const obs::TapeScope taping(&tape);
+    {
+      const obs::TapeScope nested(&inner);
+      const obs::Span s("test.tape.inner", "test");
+    }
+    const obs::TapeScope none(nullptr);
+    EXPECT_EQ(obs::current_tape(), &tape);
+    const obs::Span s("test.tape.worker", "test");
+  }).join();
+  ASSERT_EQ(tape.size(), 3u);
+  EXPECT_STREQ(tape[2].name, "test.tape.worker");
+  ASSERT_EQ(inner.size(), 1u);
+  EXPECT_STREQ(inner[0].name, "test.tape.inner");
+}
 
 // --- quantile estimation ----------------------------------------------------
 

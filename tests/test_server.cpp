@@ -19,7 +19,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "engine/net_cache.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
 #include "robust/fault.hpp"
@@ -792,9 +795,9 @@ TEST(ServerRender, ContentTwinsSpliceTheirOwnNamesIntoCachedBytes) {
   EXPECT_EQ(rows_text(bounds_twin), prefix_row_names(rows_text(bounds_computed), "twin_"));
   EXPECT_EQ(rows_text(leaves_twin), prefix_row_names(rows_text(leaves_first), "twin_"));
 
-  // The server retains no TreeContext; a full evict drops every rendering.
+  // A full evict drops every rendering.
   const std::string stats = server.handle_line("{\"id\":9,\"cmd\":\"stats\"}");
-  EXPECT_NE(stats.find("\"contexts\":0"), std::string::npos) << stats;
+  EXPECT_EQ(stats.find("\"contexts\""), std::string::npos) << stats;
   ASSERT_TRUE(server::response_ok(server.handle_line("{\"id\":10,\"cmd\":\"evict\"}")));
   EXPECT_EQ(rendered_bytes(), 0.0);
 }
@@ -1109,6 +1112,75 @@ TEST(Server, AdoptsClientTraceAndServesItBack) {
   EXPECT_GT(before, 0u);  // the traced request's tape is still there
 }
 
+TEST(Server, DaemonTraceHasOneRootSpanPerRequestAndPhasesOfUntracedReports) {
+  const ScratchDir dir("daemon_trace");
+  const std::string deck = write_deck(dir.path, "daemon", 2, 10, 810);
+  server::Server server({});
+  obs::tracer().clear();
+  obs::tracer().set_enabled(true);  // what `rct serve --trace-out` does
+  const std::uint64_t served_before = server.requests_served();
+  server::Request load;
+  load.id = 1;
+  load.cmd = "load";
+  load.path = deck;
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(load))));
+  server::Request traced;
+  traced.id = 2;
+  traced.cmd = "report";
+  traced.net = "net_0";
+  traced.trace = server::generate_trace_id();
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(traced))));
+  server::Request untraced;
+  untraced.id = 3;
+  untraced.cmd = "report";
+  untraced.net = "net_1";
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(untraced))));
+  server::Request fetch;
+  fetch.id = 4;
+  fetch.cmd = "trace";
+  fetch.trace = traced.trace;
+  const std::string slice = server.handle_line(server::encode_request(fetch));
+  obs::tracer().set_enabled(false);
+  const std::vector<obs::TraceEvent> events = obs::tracer().events();  // sorted by start
+  obs::tracer().clear();
+  ASSERT_EQ(server.requests_served() - served_before, 4u);
+
+  // The client-requested slice holds every server phase of the traced
+  // report (and may hold the library spans that ran inside it).
+  std::vector<server::TraceSpan> spans;
+  ASSERT_TRUE(server::parse_trace_spans(slice, spans)) << slice;
+  std::set<std::string> slice_names;
+  for (const server::TraceSpan& s : spans) slice_names.insert(s.name);
+  for (const char* expected : {"server.request", "server.queue_wait", "server.cache.lookup",
+                               "server.context.build", "server.report.build", "server.render"})
+    EXPECT_EQ(slice_names.count(expected), 1u) << "slice lacks " << expected;
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const server::TraceSpan& s) { return s.name == "server.request"; }),
+            1);
+
+#if RCT_OBS_ENABLED
+  // The daemon's own trace: exactly one root span per handled request,
+  // traced or not.
+  std::vector<const obs::TraceEvent*> roots;
+  for (const obs::TraceEvent& e : events)
+    if (std::string_view(e.name) == "server.request") roots.push_back(&e);
+  ASSERT_EQ(roots.size(), server.requests_served() - served_before);
+  // The untraced report (third request) shows its phases, which ran on a
+  // pool worker inside the root span's window.
+  const obs::TraceEvent& root = *roots[2];
+  EXPECT_EQ(root.detail, "report");
+  for (const char* phase : {"server.cache.lookup", "server.render"}) {
+    const bool found = std::any_of(events.begin(), events.end(), [&](const obs::TraceEvent& e) {
+      return std::string_view(e.name) == phase && e.ts_ns >= root.ts_ns &&
+             e.ts_ns + e.dur_ns <= root.ts_ns + root.dur_ns && e.detail == "net_1";
+    });
+    EXPECT_TRUE(found) << "untraced report lacks " << phase;
+  }
+#else
+  EXPECT_TRUE(events.empty());  // the trace is compiled out; the slice is not
+#endif
+}
+
 TEST(Server, BoundGapHistogramObservesReportRows) {
   const ScratchDir dir("gap");
   const std::string deck = write_deck(dir.path, "gap", 1, 14, 900);
@@ -1145,7 +1217,7 @@ TEST(Server, PerCommandHistogramsSplitByVocabulary) {
   ping_h = obs::registry().find_histogram("server.request.ping.seconds");
   ASSERT_NE(ping_h, nullptr);
 #if RCT_OBS_ENABLED
-  // ScopedTimer is compiled out under -DRCT_OBS=OFF, so the count only
+  // Spans observe no histogram under -DRCT_OBS=OFF, so the count only
   // moves in instrumented builds; the vocabulary gating below holds in both.
   EXPECT_GT(ping_h->count(), before);
 #else

@@ -437,7 +437,7 @@ class ProgressMeter {
                     elapsed * static_cast<double>(total - done_nets) /
                         static_cast<double>(done_nets));
     // Live latency quantiles ride along once the histogram has samples
-    // (absent under -DRCT_OBS=OFF, where the scoped timers compile out).
+    // (absent under -DRCT_OBS=OFF, where Spans observe no histogram).
     char quantiles[64] = "";
     if (const obs::Histogram* h = reg.find_histogram("engine.net.analyze_seconds");
         h != nullptr && h->count() > 0)
