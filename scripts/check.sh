@@ -334,8 +334,8 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   echo "== malformed corpus through the ASan CLI (strict + lenient) =="
   for deck in testdata/malformed/*.spef; do
     for args in "batch $deck" "batch $deck --lenient --jobs 4" \
-                "batch $deck --lenient --parse-jobs 2" "validate $deck" \
-                "validate $deck --parse-jobs 4"; do
+                "batch $deck --lenient --jobs 2" "validate $deck" \
+                "validate $deck --jobs 4"; do
       set +e
       ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
         ./build-asan/tools/rct $args > /dev/null 2> /dev/null

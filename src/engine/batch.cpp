@@ -5,11 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
 
 #include "analysis/tree_context.hpp"
 #include "engine/net_cache.hpp"
@@ -230,54 +230,118 @@ NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cac
   return r;
 }
 
-/// The complete per-net task: queue-wait sample, failure-budget
-/// cancellation, run_net, completion counters.  Shared by analyze_nets()
-/// (as the task body) and analyze_spef_file() (run inline right after the
-/// net's section is parsed).
-void run_net_slot(const SpefNet& net, NetResult& slot, const BatchOptions& options,
-                  NetCache* cache, std::size_t budget, std::atomic<std::size_t>& failed_so_far,
-                  std::uint64_t enqueue_ns) {
-  EngineCounters& ec = EngineCounters::get();
-  obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns, &queue_wait_histogram());
-  if (budget != 0 && failed_so_far.load(std::memory_order_relaxed) >= budget) {
-    slot.name = net.name;
-    slot.driver = net.driver;
-    slot.loads = net.loads;
-    slot.nodes = net.tree.size();
-    slot.error = "cancelled: failure budget (" + std::to_string(budget) + ") exhausted";
-    slot.code = robust::Code::kCancelled;
-    slot.phase = "cancelled";
-    ec.nets_cancelled.add();
-    ec.nets_failed.add();
+/// The lifecycle both batch entry points share: row cache and backend,
+/// counter baselines, failure budget, start/done events and the closing
+/// tally.  Declare the pool after it, so the pool drains before the cache.
+class BatchRun {
+ public:
+  explicit BatchRun(const BatchOptions& options)
+      : options_(options),
+        cache_(16, options.cache_max_entries),
+        cache_ptr_(options.use_cache ? &cache_ : nullptr),
+        // EngineStats is a per-run delta over the global registry: runs are
+        // assumed not to interleave (the registry totals stay correct).
+        base_tasks_(EngineCounters::get().tasks_run.value()),
+        base_hits_(EngineCounters::get().cache_hits.value()),
+        // Failure budget (0 = unlimited): once spent, nets not yet started
+        // record kCancelled instead of running; running nets finish.
+        budget_(options.fail_fast ? std::size_t{1} : options.max_failures) {
+    if (options.cache_backend != nullptr) cache_.set_backend(options.cache_backend);
+  }
+  BatchRun(const BatchRun&) = delete;  // pool tasks hold its address
+  BatchRun& operator=(const BatchRun&) = delete;
+
+  /// Logs engine.batch.start; `input` names what `count` counts.
+  void start(const char* input, std::size_t count, std::size_t jobs) const {
+    obs::log::info("engine.batch.start",
+                   {{input, static_cast<std::uint64_t>(count)},
+                    {"jobs", static_cast<std::uint64_t>(jobs)},
+                    {"use_cache", options_.use_cache},
+                    {"net_timeout_ms", options_.net_timeout_ms}});
+  }
+
+  /// The complete per-net task: queue-wait sample, failure-budget
+  /// cancellation, run_net, completion counters.
+  void analyze_net(const SpefNet& net, NetResult& slot, std::uint64_t enqueue_ns) {
+    EngineCounters& ec = EngineCounters::get();
+    obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns, &queue_wait_histogram());
+    if (budget_ != 0 && failed_so_far_.load(std::memory_order_relaxed) >= budget_) {
+      slot.name = net.name;
+      slot.driver = net.driver;
+      slot.loads = net.loads;
+      slot.nodes = net.tree.size();
+      slot.error = "cancelled: failure budget (" + std::to_string(budget_) + ") exhausted";
+      slot.code = robust::Code::kCancelled;
+      slot.phase = "cancelled";
+      ec.nets_cancelled.add();
+      ec.nets_failed.add();
+      ec.nets_completed.add();
+      obs::flight::recorder().record(net.name, "cancelled", obs::flight::Outcome::kCancelled,
+                                     robust::Code::kCancelled, 0);
+      obs::log::debug("engine.net.cancelled", {{"net", net.name}});
+      return;
+    }
+    slot = run_net(net, options_, cache_ptr_);
+    if (!slot.ok()) {
+      ec.nets_failed.add();
+      failed_so_far_.fetch_add(1, std::memory_order_relaxed);
+    }
     ec.nets_completed.add();
-    obs::flight::recorder().record(net.name, "cancelled", obs::flight::Outcome::kCancelled,
-                                   robust::Code::kCancelled, 0);
-    obs::log::debug("engine.net.cancelled", {{"net", net.name}});
-    return;
   }
-  slot = run_net(net, options, cache);
-  if (!slot.ok()) {
-    ec.nets_failed.add();
-    failed_so_far.fetch_add(1, std::memory_order_relaxed);
+
+  /// Frees the finished row cache on the pool's workers, one share of its
+  /// shards each, while the calling thread merges; the pool's drain joins
+  /// them before the cache is destroyed.
+  void clear_on(ThreadPool& pool) {
+    const std::size_t parts = pool.thread_count();
+    for (std::size_t k = 0; k < parts; ++k)
+      pool.submit([this, k, parts] { cache_.clear(k, parts); });
   }
-  ec.nets_completed.add();
-}
 
-/// Frees the finished row cache on the pool's workers, one share of its
-/// shards each, while the calling thread merges; the pool's drain joins
-/// them before the cache (declared first) is destroyed.
-void clear_on(ThreadPool& pool, NetCache& cache) {
-  const std::size_t parts = pool.thread_count();
-  for (std::size_t k = 0; k < parts; ++k)
-    pool.submit([&cache, k, parts] { cache.clear(k, parts); });
-}
+  /// The merge phase — `collect` (if any) fills out.nets, then the counter
+  /// deltas and robustness tallies (these feed the summary, the counters
+  /// --metrics-out) — then the total, phase histograms and done event.
+  void finish(BatchResult& out, const std::function<void()>& collect = {}) const {
+    EngineStats& stats = out.stats;
+    const PhaseTimer merge;
+    {
+      const obs::Span span("engine.batch.merge", "engine");
+      if (collect) collect();
+      stats.nets = out.nets.size();
+      EngineCounters& ec = EngineCounters::get();
+      stats.tasks_run = ec.tasks_run.value() - base_tasks_;
+      stats.cache_hits = ec.cache_hits.value() - base_hits_;
+      for (const NetResult& r : out.nets) {
+        if (!r.ok()) ++stats.failures;
+        if (r.degraded) ++stats.degraded;
+        if (r.retried) ++stats.retried;
+        if (r.timed_out) ++stats.timed_out;
+        if (r.code == robust::Code::kCancelled) ++stats.cancelled;
+      }
+    }
+    stats.merge = merge.elapsed();
+    stats.total = total_.elapsed();
+    if constexpr (obs::kTimingEnabled) {
+      analyze_phase_histogram().observe(stats.analyze.wall_s);
+      merge_phase_histogram().observe(stats.merge.wall_s);
+    }
+    obs::log::info("engine.batch.done",
+                   {{"nets", static_cast<std::uint64_t>(stats.nets)},
+                    {"failures", static_cast<std::uint64_t>(stats.failures)},
+                    {"cache_hits", static_cast<std::uint64_t>(stats.cache_hits)},
+                    {"wall_s", stats.total.wall_s}});
+  }
 
-/// Hands `garbage` to a pool task that only drops it, so its frees run on
-/// a worker; the pool's drain joins them.
-template <class T>
-void free_on(ThreadPool& pool, T garbage) {
-  pool.submit([dead = std::move(garbage)] {});
-}
+ private:
+  const BatchOptions& options_;
+  const PhaseTimer total_;
+  NetCache cache_;
+  NetCache* const cache_ptr_;
+  const std::uint64_t base_tasks_;
+  const std::uint64_t base_hits_;
+  const std::size_t budget_;
+  std::atomic<std::size_t> failed_so_far_{0};
+};
 
 }  // namespace
 
@@ -310,42 +374,18 @@ std::string EngineStats::summary() const {
 }
 
 BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& options) {
-  const PhaseTimer total;
+  BatchRun run(options);
   BatchResult out;
   out.nets.resize(nets.size());
-  out.stats.nets = nets.size();
-
-  NetCache cache(16, options.cache_max_entries);
-  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
-  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
-  // EngineStats is a per-run delta over the process-global registry: runs
-  // are assumed not to interleave (concurrent analyze_nets calls would fold
-  // into each other's deltas, while the registry totals stay correct).
-  EngineCounters& ec = EngineCounters::get();
-  const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_hits = ec.cache_hits.value();
-  ec.nets_total.add(nets.size());
+  EngineCounters::get().nets_total.add(nets.size());
 
   // More workers than nets is pure thread-create/join overhead.
   const std::size_t jobs =
       options.jobs == 0 ? 0 : std::min(options.jobs, std::max<std::size_t>(nets.size(), 1));
-
-  // Failure budget: once `budget` nets have failed, remaining tasks skip
-  // their analysis and record kCancelled instead (cooperative — running
-  // nets finish).  0 = unlimited.
-  const std::size_t budget =
-      options.fail_fast ? std::size_t{1} : options.max_failures;
-  std::atomic<std::size_t> failed_so_far{0};
-
-  obs::log::info("engine.batch.start",
-                 {{"nets", static_cast<std::uint64_t>(nets.size())},
-                  {"jobs", static_cast<std::uint64_t>(jobs)},
-                  {"use_cache", options.use_cache},
-                  {"net_timeout_ms", options.net_timeout_ms}});
+  run.start("nets", nets.size(), jobs);
 
   const PhaseTimer analyze;
-  ThreadPool pool(jobs);  // declared after `cache`: drains before it is destroyed
+  ThreadPool pool(jobs);
   out.stats.threads = pool.thread_count();
   {
     const obs::Span span("engine.batch.analyze", "engine");
@@ -355,41 +395,13 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
       const SpefNet& net = nets[i];
       NetResult& slot = out.nets[i];
       const std::uint64_t enqueue_ns = obs::timestamp_ns();
-      pool.submit([&net, &slot, &options, cache_ptr, enqueue_ns, budget, &failed_so_far] {
-        run_net_slot(net, slot, options, cache_ptr, budget, failed_so_far, enqueue_ns);
-      });
+      pool.submit([&run, &net, &slot, enqueue_ns] { run.analyze_net(net, slot, enqueue_ns); });
     }
     pool.wait_idle();
   }
   out.stats.analyze = analyze.elapsed();
-  clear_on(pool, cache);
-
-  const PhaseTimer merge;
-  {
-    const obs::Span span("engine.batch.merge", "engine");
-    out.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.stats.cache_hits = ec.cache_hits.value() - base_hits;
-    // Deterministic robustness tallies straight from the merged results
-    // (the global counters feed --metrics-out; these feed the summary).
-    for (const NetResult& r : out.nets) {
-      if (!r.ok()) ++out.stats.failures;
-      if (r.degraded) ++out.stats.degraded;
-      if (r.retried) ++out.stats.retried;
-      if (r.timed_out) ++out.stats.timed_out;
-      if (r.code == robust::Code::kCancelled) ++out.stats.cancelled;
-    }
-  }
-  out.stats.merge = merge.elapsed();
-  out.stats.total = total.elapsed();
-  if constexpr (obs::kTimingEnabled) {
-    analyze_phase_histogram().observe(out.stats.analyze.wall_s);
-    merge_phase_histogram().observe(out.stats.merge.wall_s);
-  }
-  obs::log::info("engine.batch.done",
-                 {{"nets", static_cast<std::uint64_t>(out.stats.nets)},
-                  {"failures", static_cast<std::uint64_t>(out.stats.failures)},
-                  {"cache_hits", static_cast<std::uint64_t>(out.stats.cache_hits)},
-                  {"wall_s", out.stats.total.wall_s}});
+  run.clear_on(pool);
+  run.finish(out);
   return out;
 }
 
@@ -400,125 +412,70 @@ BatchResult analyze_batch(const SpefFile& file, const BatchOptions& options) {
 }
 
 FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& options,
-                                  const ParseOptions& parse_options) {
-  const PhaseTimer total;
-  FileBatchResult out;
-
+                                  const SpefParseOptions& parse_options) {
   MappedFile mapped;
   if (!mapped.open(path))
     throw SpefError(robust::Code::kFileOpen, "cannot open '" + path + "'", {path, 0}, "spef");
-  SpefParseOptions spef_opts = parse_options.spef;
+  SpefParseOptions spef_opts = parse_options;
   if (spef_opts.path.empty()) spef_opts.path = path;
   const std::string_view text = mapped.view();
+
+  BatchRun run(options);
+  FileBatchResult out;
   out.parse.bytes = text.size();
-
-  NetCache cache(16, options.cache_max_entries);
-  if (options.cache_backend != nullptr) cache.set_backend(options.cache_backend);
-  NetCache* cache_ptr = options.use_cache ? &cache : nullptr;
-
   // One pool for the whole pass, created before the index it stripes (so
-  // it is sized by `jobs` alone: the section count is not known yet) and
-  // declared after `cache`, so its drain runs before the cache dies.
+  // it is sized by `jobs` alone: the section count is not known yet).
   ThreadPool pool(options.jobs);
   out.batch.stats.threads = pool.thread_count();
-  out.parse.threads = pool.thread_count();
 
-  const PhaseTimer index_timer;
-  spef::ParsePlan plan = [&] {
-    const obs::Span span("engine.batch.index", "engine");
-    return detail::prepare_on(&pool, text, spef_opts);
-  }();
-  out.parse.index_seconds = index_timer.elapsed().wall_s;
-  if constexpr (obs::kTimingEnabled)
-    obs::registry().histogram("parse.index.seconds").observe(out.parse.index_seconds);
-
-  const std::size_t n = plan.layout.sections.size();
-  out.parse.sections = n;
-  obs::registry().counter("parse.sections.total").add(n);
-
-  EngineCounters& ec = EngineCounters::get();
-  const std::uint64_t base_tasks = ec.tasks_run.value();
-  const std::uint64_t base_hits = ec.cache_hits.value();
-
-  const std::size_t budget = options.fail_fast ? std::size_t{1} : options.max_failures;
-  std::atomic<std::size_t> failed_so_far{0};
-
-  // Same event names as analyze_nets() — log consumers see one batch
-  // lifecycle either way; "sections"/"bytes" mark the fused file path.
-  obs::log::info("engine.batch.start",
-                 {{"sections", static_cast<std::uint64_t>(n)},
-                  {"bytes", static_cast<std::uint64_t>(text.size())},
-                  {"jobs", static_cast<std::uint64_t>(pool.thread_count())},
-                  {"use_cache", options.use_cache}});
-
-  // One fused task per *D_NET section: parse it, then immediately analyze
-  // the net it produced on the same worker — early nets are being timed
-  // while late sections are still being tokenized.  Each task writes only
-  // its own preassigned slots, and the compaction below walks them in file
-  // order, so the output matches parse + analyze_batch() exactly.  The
-  // slot keeps copies of everything the renderers read, so the task frees
-  // the parsed net on its own worker; the emptied SpefNet stays behind for
-  // merge_spef's net count and empty-input check.
-  std::vector<spef::ShardResult> sections(n);
-  std::vector<NetResult> slots(n);
-  std::vector<unsigned char> has_net(n, 0);
-  const PhaseTimer analyze;
-  {
-    const obs::Span span("engine.batch.analyze", "engine");
-    pool.parallel_for(n, [&](std::size_t i) {
-      sections[i] = detail::parse_section_task(text, plan, i, spef_opts);
-      if (!sections[i].error && !sections[i].nets.empty()) {
-        ec.nets_total.add();
-        has_net[i] = 1;
-        SpefNet& net = sections[i].nets.front();
-        run_net_slot(net, slots[i], options, cache_ptr, budget, failed_so_far,
-                     obs::timestamp_ns());
-        net = SpefNet{};
-      }
-    });
-  }
+  // Each *D_NET section is parsed and its net analyzed at once, on the
+  // same worker — early nets are being timed while late sections are still
+  // being tokenized.  The slot keeps copies of everything the renderers
+  // read, so the net is freed right there; the compaction below walks the
+  // slots in file order, so the output matches parse + analyze_batch().
+  std::vector<NetResult> slots;
+  std::vector<unsigned char> has_net;
+  PhaseTimer analyze;
+  detail::SectionHooks hooks;
+  hooks.index_span = "engine.batch.index";
+  hooks.sections_span = "engine.batch.analyze";
+  hooks.indexed = [&](std::size_t sections) {
+    slots.resize(sections);
+    has_net.assign(sections, 0);
+    run.start("sections", sections, pool.thread_count());
+    analyze = PhaseTimer();
+  };
+  hooks.parsed = [&](std::size_t i, spef::ShardResult& section) {
+    if (section.error || section.nets.empty()) return;
+    EngineCounters::get().nets_total.add();
+    has_net[i] = 1;
+    run.analyze_net(section.nets.front(), slots[i], obs::timestamp_ns());
+    section.nets.clear();
+  };
+  auto [plan, sections] = detail::parse_sections(&pool, text, spef_opts, out.parse, hooks);
   out.batch.stats.analyze = analyze.elapsed();
-  out.parse.sections_seconds = out.batch.stats.analyze.wall_s;
-  clear_on(pool, cache);
+  run.clear_on(pool);
 
-  // File-order merge: rethrows the earliest strict-mode error (discarding
-  // any analysis the overlap already did for later sections) and assembles
-  // the lenient diagnostics exactly as the serial parser ordered them.
-  SpefFile parsed = spef::merge_spef(std::move(plan), std::move(sections), spef_opts);
-  out.batch.design = parsed.design;
-  out.diagnostics = std::move(parsed.diagnostics);
-  out.nets_rejected = parsed.nets_rejected;
-  out.parse.nets = parsed.nets.size();
-  out.parse.nets_rejected = parsed.nets_rejected;
-  // The consumed parse state (the emptied nets, the shard results, the
-  // plan) is freed on a worker while this thread merges the slots.
-  free_on(pool, std::make_tuple(std::move(parsed), std::move(sections), std::move(plan)));
+  // File-order merge of everything but the nets: rethrows the earliest
+  // strict-mode error (discarding any analysis the overlap already did for
+  // later sections) and orders the lenient diagnostics as the serial
+  // parser did.  The consumed parse state is then freed by a pool task
+  // that only drops it while this thread compacts the slots; the pool's
+  // drain joins it.
+  out.parse.nets = static_cast<std::size_t>(std::count(has_net.begin(), has_net.end(), 1));
+  spef::FileScope scope = spef::merge_file_scope(plan, sections, out.parse.nets, spef_opts);
+  out.batch.design = std::move(scope.design);
+  out.diagnostics = std::move(scope.diagnostics);
+  out.nets_rejected = scope.nets_rejected;
+  out.parse.nets_rejected = scope.nets_rejected;
+  pool.submit([dead = std::make_pair(std::move(sections), std::move(plan))] {});
 
-  const PhaseTimer merge;
-  {
-    const obs::Span span("engine.batch.merge", "engine");
+  run.finish(out.batch, [&] {
     out.batch.nets.reserve(out.parse.nets);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < slots.size(); ++i)
       if (has_net[i]) out.batch.nets.push_back(std::move(slots[i]));
-    out.batch.stats.nets = out.batch.nets.size();
-    out.batch.stats.tasks_run = ec.tasks_run.value() - base_tasks;
-    out.batch.stats.cache_hits = ec.cache_hits.value() - base_hits;
-    for (const NetResult& r : out.batch.nets) {
-      if (!r.ok()) ++out.batch.stats.failures;
-      if (r.degraded) ++out.batch.stats.degraded;
-      if (r.retried) ++out.batch.stats.retried;
-      if (r.timed_out) ++out.batch.stats.timed_out;
-      if (r.code == robust::Code::kCancelled) ++out.batch.stats.cancelled;
-    }
-  }
-  out.batch.stats.merge = merge.elapsed();
-  out.batch.stats.total = total.elapsed();
+  });
   out.parse.total_seconds = out.batch.stats.total.wall_s;
-  obs::log::info("engine.batch.done",
-                 {{"nets", static_cast<std::uint64_t>(out.batch.stats.nets)},
-                  {"failures", static_cast<std::uint64_t>(out.batch.stats.failures)},
-                  {"cache_hits", static_cast<std::uint64_t>(out.batch.stats.cache_hits)},
-                  {"wall_s", out.batch.stats.total.wall_s}});
   return out;
 }
 

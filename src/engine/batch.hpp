@@ -158,12 +158,11 @@ struct FileBatchResult {
 /// Results land in per-section slots and are merged in file order, so
 /// nets, rows, diagnostics and the strict-mode error choice are identical
 /// to parse + analyze_batch() run back to back, for any thread count.
-/// `parse_options.jobs` is ignored (the shared pool uses `options.jobs`);
-/// its SpefParseOptions select strict/lenient.  Throws SpefError exactly
-/// where parse_spef_file() would.
+/// `parse_options` selects strict/lenient.  Throws SpefError exactly where
+/// parse_spef_file() would.
 [[nodiscard]] FileBatchResult analyze_spef_file(const std::string& path,
                                                 const BatchOptions& options = {},
-                                                const ParseOptions& parse_options = {});
+                                                const SpefParseOptions& parse_options = {});
 
 /// Plain-text renderer used by `rct batch`.  Deterministic: no timings,
 /// thread counts or cache provenance, so output is byte-identical for any

@@ -59,10 +59,8 @@ robust::Code error_code_of(const std::exception_ptr& error) {
   }
 }
 
-}  // namespace
-
-namespace detail {
-
+/// spef::prepare_spef with the index striped across `pool`'s workers
+/// (spef::stripe_count); serial when `pool` is null.
 spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
                            const SpefParseOptions& options) {
   if (pool == nullptr) return spef::prepare_spef(text, options);
@@ -73,6 +71,9 @@ spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
       });
 }
 
+/// One section parse with its observability shell: the per-thread arena
+/// reused across calls, the completion counter, the parse.nets.seconds
+/// sample and the flight recorder "parse" event.
 spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePlan& plan,
                                      std::size_t index, const SpefParseOptions& options) {
   // The flight ring keeps its own clock, read only while it is armed.
@@ -107,6 +108,55 @@ spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePla
   return result;
 }
 
+}  // namespace
+
+namespace detail {
+
+ParsedSections parse_sections(ThreadPool* pool, std::string_view text,
+                              const SpefParseOptions& options, ParseStats& stats,
+                              const SectionHooks& hooks) {
+  ParsedSections out;
+  {
+    std::optional<obs::Span> span;
+    if (hooks.index_span != nullptr) span.emplace(hooks.index_span, "engine");
+    const auto index_start = std::chrono::steady_clock::now();
+    out.plan = prepare_on(pool, text, options);
+    stats.index_seconds = wall_since(index_start);
+  }
+  if constexpr (obs::kTimingEnabled) index_histogram().observe(stats.index_seconds);
+
+  const std::size_t n = out.plan.layout.sections.size();
+  stats.sections = n;
+  sections_total_counter().add(n);
+  const bool fan_out = pool != nullptr && n >= 2;
+  stats.threads = fan_out ? pool->thread_count() : 1;
+  obs::log::info("engine.parse.start", {{"sections", static_cast<std::uint64_t>(n)},
+                                        {"jobs", static_cast<std::uint64_t>(stats.threads)},
+                                        {"bytes", static_cast<std::uint64_t>(text.size())}});
+  if (hooks.indexed) hooks.indexed(n);
+
+  std::optional<obs::Span> span;
+  if (hooks.sections_span != nullptr) span.emplace(hooks.sections_span, "engine");
+  const auto sections_start = std::chrono::steady_clock::now();
+  out.sections.resize(n);
+  // Every section writes only its preassigned slot: the file-order merge
+  // walks slots, so scheduling never shows in the output.
+  const auto parse_one = [&](std::size_t i) {
+    out.sections[i] = parse_section_task(text, out.plan, i, options);
+    if (hooks.parsed) hooks.parsed(i, out.sections[i]);
+  };
+  if (fan_out) {
+    pool->parallel_for(n, parse_one);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      parse_one(i);
+      if (out.sections[i].error) break;  // strict: nothing later can be observed
+    }
+  }
+  stats.sections_seconds = wall_since(sections_start);
+  return out;
+}
+
 }  // namespace detail
 
 std::string ParseStats::summary() const {
@@ -134,38 +184,9 @@ ParsedSpef parse_spef_parallel(std::string_view text, const ParseOptions& option
   std::optional<ThreadPool> pool;
   if (options.jobs != 1) pool.emplace(options.jobs);
 
-  const auto index_start = std::chrono::steady_clock::now();
-  spef::ParsePlan plan = detail::prepare_on(pool ? &*pool : nullptr, text, options.spef);
-  out.stats.index_seconds = wall_since(index_start);
-  if constexpr (obs::kTimingEnabled) index_histogram().observe(out.stats.index_seconds);
-
-  const std::size_t n = plan.layout.sections.size();
-  out.stats.sections = n;
-  sections_total_counter().add(n);
-
-  const auto sections_start = std::chrono::steady_clock::now();
-  std::vector<spef::ShardResult> results(n);
-  if (!pool || n < 2) {
-    out.stats.threads = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = detail::parse_section_task(text, plan, i, options.spef);
-      if (results[i].error) break;  // strict: nothing later can be observed
-    }
-  } else {
-    out.stats.threads = pool->thread_count();
-    obs::log::info("engine.parse.start",
-                   {{"sections", static_cast<std::uint64_t>(n)},
-                    {"jobs", static_cast<std::uint64_t>(pool->thread_count())},
-                    {"bytes", static_cast<std::uint64_t>(text.size())}});
-    // One task per section writing its preassigned slot: the merge below
-    // walks slots in file order, so scheduling never shows in the output.
-    pool->parallel_for(n, [&](std::size_t i) {
-      results[i] = detail::parse_section_task(text, plan, i, options.spef);
-    });
-  }
-  out.stats.sections_seconds = wall_since(sections_start);
-
-  out.file = spef::merge_spef(std::move(plan), std::move(results), options.spef);
+  auto [plan, sections] =
+      detail::parse_sections(pool ? &*pool : nullptr, text, options.spef, out.stats);
+  out.file = spef::merge_spef(std::move(plan), std::move(sections), options.spef);
   out.stats.nets = out.file.nets.size();
   out.stats.nets_rejected = out.file.nets_rejected;
   out.stats.total_seconds = wall_since(total_start);

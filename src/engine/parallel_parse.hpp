@@ -19,8 +19,10 @@
 // one flight-recorder "parse" event per section.
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "rctree/spef.hpp"
 #include "rctree/spef_pipeline.hpp"
@@ -75,19 +77,31 @@ class ThreadPool;  // thread_pool.hpp
 
 namespace detail {
 
-/// spef::prepare_spef with the index striped across `pool`'s workers
-/// (spef::stripe_count); serial when `pool` is null.
-[[nodiscard]] spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
-                                         const SpefParseOptions& options);
+/// The caller's hooks into the section driver.
+struct SectionHooks {
+  const char* index_span = nullptr;     ///< trace name of the index pass (null: none)
+  const char* sections_span = nullptr;  ///< trace name of the fan-out (null: none)
+  /// On the calling thread once the index has counted the sections.
+  std::function<void(std::size_t sections)> indexed;
+  /// On the thread that parsed section `i`, with its result slot.
+  std::function<void(std::size_t i, spef::ShardResult& section)> parsed;
+};
 
-/// One section parse with its observability shell (per-thread arena reused
-/// across calls, completion counter, parse.nets.seconds sample, flight
-/// recorder "parse" event).  Safe to call concurrently for distinct
-/// sections; analyze_spef_file() runs it inline inside its per-net tasks.
-[[nodiscard]] spef::ShardResult parse_section_task(std::string_view text,
-                                                  const spef::ParsePlan& plan,
-                                                  std::size_t index,
-                                                  const SpefParseOptions& options);
+/// The index plan plus one result slot per section.
+struct ParsedSections {
+  spef::ParsePlan plan;
+  std::vector<spef::ShardResult> sections;
+};
+
+/// The section driver behind parse_spef_parallel() and analyze_spef_file().
+/// Indexes `text` (striped across `pool` when given), then parses every
+/// *D_NET section into its slot: one task per section on `pool` when there
+/// is one and the deck has two or more sections, otherwise on the calling
+/// thread, stopping at the first strict error.  Fills the index, section
+/// and thread fields of `stats`.
+[[nodiscard]] ParsedSections parse_sections(ThreadPool* pool, std::string_view text,
+                                            const SpefParseOptions& options,
+                                            ParseStats& stats, const SectionHooks& hooks = {});
 
 }  // namespace detail
 

@@ -605,38 +605,49 @@ ShardResult parse_spef_section(std::string_view text, const ParsePlan& plan, std
   return shard.run(text.substr(s.offset, s.length), s.first_line, s.end_line);
 }
 
-SpefFile merge_spef(ParsePlan&& plan, std::vector<ShardResult>&& sections,
-                    const SpefParseOptions& options) {
-  SpefFile file;
-  file.time_unit = plan.final_units.time;
-  file.cap_unit = plan.final_units.cap;
-  file.res_unit = plan.final_units.res;
-  std::size_t net_count = 0;
+FileScope merge_file_scope(ParsePlan& plan, std::vector<ShardResult>& sections,
+                           std::size_t nets, const SpefParseOptions& options) {
+  FileScope scope;
+  scope.units = plan.final_units;
   std::size_t diag_count = 0;
-  for (const ShardResult& r : sections) {
-    net_count += r.nets.size();
-    diag_count += r.diagnostics.size();
-  }
-  file.nets.reserve(net_count);
-  file.diagnostics.reserve(diag_count);
+  for (const ShardResult& r : sections) diag_count += r.diagnostics.size();
+  scope.diagnostics.reserve(diag_count);
   for (const Chunk& c : plan.layout.chunks) {
     ShardResult& r = c.is_section ? sections[c.index] : plan.run_results[c.index];
     if (r.error) std::rethrow_exception(r.error);
-    if (r.has_design) file.design = std::move(r.design);
-    for (auto& d : r.diagnostics) file.diagnostics.push_back(std::move(d));
-    for (auto& n : r.nets) file.nets.push_back(std::move(n));
-    file.nets_rejected += r.nets_rejected;
+    if (r.has_design) scope.design = std::move(r.design);
+    for (auto& d : r.diagnostics) scope.diagnostics.push_back(std::move(d));
+    scope.nets_rejected += r.nets_rejected;
   }
-  if (file.nets.empty()) {
+  if (nets == 0) {
     if (!options.lenient)
       throw SpefError(robust::Code::kEmptyInput, "no *D_NET sections found",
                       {options.path, 0}, "spef");
-    if (file.diagnostics.empty()) {
+    if (scope.diagnostics.empty()) {
       diagnostics_counter().add();
-      file.diagnostics.push_back(
+      scope.diagnostics.push_back(
           {robust::Code::kEmptyInput, "no *D_NET sections found", {options.path, 0}, {}});
     }
   }
+  return scope;
+}
+
+SpefFile merge_spef(ParsePlan&& plan, std::vector<ShardResult>&& sections,
+                    const SpefParseOptions& options) {
+  // Only sections carry nets: a *D_NET line always opens one.
+  std::size_t nets = 0;
+  for (const ShardResult& r : sections) nets += r.nets.size();
+  FileScope scope = merge_file_scope(plan, sections, nets, options);
+  SpefFile file;
+  file.design = std::move(scope.design);
+  file.time_unit = scope.units.time;
+  file.cap_unit = scope.units.cap;
+  file.res_unit = scope.units.res;
+  file.diagnostics = std::move(scope.diagnostics);
+  file.nets_rejected = scope.nets_rejected;
+  file.nets.reserve(nets);
+  for (ShardResult& r : sections)
+    for (SpefNet& n : r.nets) file.nets.push_back(std::move(n));
   return file;
 }
 

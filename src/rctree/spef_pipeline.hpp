@@ -16,6 +16,8 @@
 // back together in file (chunk) order, which reproduces the serial parser's
 // diagnostic order exactly; in strict mode it rethrows the error from the
 // earliest chunk — the same error the serial parser would have thrown first.
+// Its file-level half, merge_file_scope(), serves callers that consume the
+// nets as they are parsed (engine::analyze_spef_file) and only count them.
 //
 // Known (intentional) divergence from the old single-pass parser, affecting
 // only pathological inputs: a unit line INSIDE a *D_NET section used to
@@ -79,9 +81,23 @@ struct ParsePlan {
                                              std::size_t index,
                                              const SpefParseOptions& options, Arena& arena);
 
-/// Assembles the final SpefFile in file order.  `sections[i]` must be the
-/// result for plan.layout.sections[i].  Strict mode: rethrows the earliest
-/// chunk's error.  Consumes both arguments.
+/// Everything a merged SpefFile holds except its nets.
+struct FileScope {
+  Units units;  ///< unit state after the last run
+  std::string design;
+  std::vector<robust::Diagnostic> diagnostics;  ///< lenient mode, file order
+  std::size_t nets_rejected = 0;
+};
+
+/// The file-level half of the merge, in chunk order.  `sections[i]` must be
+/// the result for plan.layout.sections[i]; their nets are left alone, and
+/// `nets` (how many the parse produced) decides the empty-input rule.
+/// Strict mode: rethrows the earliest chunk's error.
+[[nodiscard]] FileScope merge_file_scope(ParsePlan& plan, std::vector<ShardResult>& sections,
+                                         std::size_t nets, const SpefParseOptions& options);
+
+/// Assembles the final SpefFile in file order: merge_file_scope plus the
+/// nets.  Consumes both arguments.
 [[nodiscard]] SpefFile merge_spef(ParsePlan&& plan, std::vector<ShardResult>&& sections,
                                   const SpefParseOptions& options);
 

@@ -140,22 +140,13 @@ bool is_all_digits(const std::string& s) {
                      [](unsigned char c) { return std::isdigit(c) != 0; });
 }
 
-std::uint64_t fnv1a_text(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// 12-hex content handle of a design (FNV-1a of the raw file bytes,
 /// truncated — short enough to type, long enough that two designs loaded
 /// into one server never collide in practice).
 std::string design_handle(std::string_view file_bytes) {
   char buf[13];
   std::snprintf(buf, sizeof(buf), "%012llx",
-                static_cast<unsigned long long>(fnv1a_text(file_bytes) & 0xffffffffffffULL));
+                static_cast<unsigned long long>(fnv1a(file_bytes) & 0xffffffffffffULL));
   return buf;
 }
 

@@ -21,6 +21,16 @@
 #include "robust/fault.hpp"
 
 namespace rct::server {
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
 namespace {
 
 obs::Counter& load_hit_counter() {
@@ -90,15 +100,6 @@ std::uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
-std::uint64_t fnv1a_bytes(const unsigned char* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// An entry's on-disk address: FNV-1a over the key words' little-endian
 /// bytes.  Not NetKey::hash, which is an in-memory mix free to change: this
 /// value names files and sits in envelopes, so it must stay what existing
@@ -107,7 +108,7 @@ std::uint64_t entry_address(const engine::NetKey& key) {
   std::string bytes;
   bytes.reserve(key.words.size() * sizeof(std::uint64_t));
   for (const std::uint64_t w : key.words) put_u64(bytes, w);
-  return fnv1a_bytes(reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size());
+  return fnv1a(bytes);
 }
 
 std::string hash_hex(std::uint64_t hash) {
@@ -240,7 +241,8 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   // Checksum covers everything before the trailing 8 bytes.
   if (file.size < 24 + 8) return corrupt("truncated checksum");
   const std::size_t body = file.size - 8;
-  if (get_u64(p + body) != fnv1a_bytes(p, body)) return corrupt("checksum mismatch");
+  if (get_u64(p + body) != fnv1a({reinterpret_cast<const char*>(p), body}))
+    return corrupt("checksum mismatch");
   const std::uint64_t stored_address = get_u64(p + 8);
   const std::uint64_t n_words = get_u64(p + 16);
   if (n_words > (body - 24) / 8) return corrupt("key overruns file");
@@ -295,7 +297,7 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
   const std::string payload = core::serialize_report(rows);
   put_u64(blob, payload.size());
   blob += payload;
-  put_u64(blob, fnv1a_bytes(reinterpret_cast<const unsigned char*>(blob.data()), blob.size()));
+  put_u64(blob, fnv1a(blob));
 
   // Unique temp name per process + call so concurrent writers (threads or
   // separate server instances sharing the store) never clobber each

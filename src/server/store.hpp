@@ -48,12 +48,18 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.hpp"
 #include "engine/net_cache.hpp"
 
 namespace rct::server {
+
+/// 64-bit FNV-1a of `bytes`.  It names store entries, checksums their
+/// envelopes and gives loaded designs their handles: values that outlive a
+/// build, so it must never change.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes);
 
 class DiskStore final : public engine::CacheBackend {
  public:

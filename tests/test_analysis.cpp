@@ -105,7 +105,9 @@ TEST(TreeContext, PreorderIsParentFirstPermutation) {
       seen[v] = 1;
       EXPECT_EQ(ctx.preorder_index()[v], pos);
       const NodeId p = t.parent(v);
-      if (p != kSource) EXPECT_LT(ctx.preorder_index()[p], pos);
+      if (p != kSource) {
+        EXPECT_LT(ctx.preorder_index()[p], pos);
+      }
     }
   }
 }

@@ -535,6 +535,24 @@ void shutdown_daemon(const std::string& sock) {
   for (int i = 0; i < 250 && access(sock.c_str(), F_OK) == 0; ++i) usleep(20 * 1000);
 }
 
+TEST(Cli, ParseJobsIsServeOnly) {
+  // batch, spef and validate parse on their --jobs pool; only serve has a
+  // separate parser pool to size.
+  for (const char* cmd : {"batch", "spef", "validate"}) {
+    const auto r = run(std::string(cmd) + " " + data("two_nets.spef") + " --parse-jobs 2");
+    EXPECT_EQ(r.exit_code, 2) << cmd;
+    EXPECT_NE(r.output.find("unknown flag '--parse-jobs'"), std::string::npos)
+        << cmd << ": " << r.output;
+  }
+  const std::string sock = ::testing::TempDir() + "/rct_cli_parse_jobs.sock";
+  const std::string log = ::testing::TempDir() + "/rct_cli_parse_jobs.txt";
+  ASSERT_TRUE(launch_daemon(sock, "--parse-jobs 2 --preload " + data("two_nets.spef"), log))
+      << slurp(log);
+  const auto report = run("client " + sock + " report net_a");
+  EXPECT_EQ(report.exit_code, 0) << report.output;
+  shutdown_daemon(sock);
+}
+
 /// One HTTP/1.0 GET against 127.0.0.1:port via a raw socket (no curl in the
 /// test environment); returns status line through body, or "" on failure.
 std::string http_get(int port, const std::string& path) {

@@ -447,7 +447,7 @@ TEST(ObsPrometheus, HistogramBucketsAreCumulative) {
   obs::registry().reset();
   obs::Histogram& h = obs::registry().histogram("test.prom.cumulative");
   (void)h;
-  obs::registry().histogram("test.prom.cumulative");  // same instrument
+  (void)obs::registry().histogram("test.prom.cumulative");  // same instrument
   h.observe(1.5e-6);
   h.observe(3e-6);
   h.observe(3e-6);

@@ -572,6 +572,14 @@ TEST(DiskStore, EntryPathIsStableAcrossBuilds) {
 
 // ---------------------------------------------------- server (in-process)
 
+TEST(Server, DesignHandleIsStableAcrossBuilds) {
+  // Clients hold design handles across daemon restarts: the handle is the
+  // low 48 bits of the FNV-1a of the deck's bytes, and must not drift.
+  server::Server server(server::ServeOptions{});
+  EXPECT_EQ(server.load_design(std::string(RCT_TESTDATA_DIR) + "/two_nets.spef", false),
+            "c9fe1c8ea586");
+}
+
 TEST(Server, HandleLineCommandSurface) {
   const ScratchDir dir("inproc");
   const std::string deck = write_deck(dir.path, "alpha", 3, 12, 100);

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -138,27 +139,49 @@ TEST(SpefParallel, FileEntryPointMatchesInMemoryParse) {
 }
 
 TEST(SpefParallel, FusedAnalyzeMatchesParseThenBatch) {
-  for (const char* name : {"two_nets.spef", "malformed/mixed_good_bad.spef"}) {
-    const fs::path deck = fs::path(RCT_TESTDATA_DIR) / name;
-    engine::ParseOptions parse_options;
-    parse_options.spef.lenient = true;
-    engine::BatchOptions batch_options;
-    batch_options.jobs = 2;
-    batch_options.use_cache = false;
+  // The fused pass counts its nets instead of merging them: its file-level
+  // outcome (design, diagnostics, rejects, the empty-input rule that
+  // empty.spef trips, the strict error) must still match the full merge.
+  for (const fs::path& deck : corpus()) {
+    for (const bool lenient : {true, false}) {
+      const std::string context =
+          deck.filename().string() + (lenient ? " (lenient)" : " (strict)");
+      engine::ParseOptions parse_options;
+      parse_options.spef.lenient = lenient;
+      engine::BatchOptions batch_options;
+      batch_options.jobs = 2;
+      batch_options.use_cache = false;
 
-    const engine::ParsedSpef parsed =
-        engine::parse_spef_parallel_file(deck.string(), parse_options);
-    const engine::BatchResult expected = engine::analyze_batch(parsed.file, batch_options);
-    const engine::FileBatchResult fused =
-        engine::analyze_spef_file(deck.string(), batch_options, parse_options);
+      std::optional<engine::ParsedSpef> parsed;
+      std::string parse_what;
+      try {
+        parsed = engine::parse_spef_parallel_file(deck.string(), parse_options);
+      } catch (const SpefError& e) {
+        parse_what = e.what();
+      }
+      std::optional<engine::FileBatchResult> fused;
+      std::string fused_what;
+      try {
+        fused = engine::analyze_spef_file(deck.string(), batch_options, parse_options.spef);
+      } catch (const SpefError& e) {
+        fused_what = e.what();
+      }
+      EXPECT_EQ(parse_what, fused_what) << context;
+      ASSERT_EQ(parsed.has_value(), fused.has_value()) << context;
+      if (!parsed) continue;
 
-    EXPECT_EQ(engine::format_batch(expected), engine::format_batch(fused.batch)) << name;
-    EXPECT_EQ(parsed.file.nets_rejected, fused.nets_rejected) << name;
-    ASSERT_EQ(parsed.file.diagnostics.size(), fused.diagnostics.size()) << name;
-    for (std::size_t i = 0; i < fused.diagnostics.size(); ++i)
-      EXPECT_EQ(parsed.file.diagnostics[i].to_string("spef"),
-                fused.diagnostics[i].to_string("spef"))
-          << name;
+      const engine::BatchResult expected = engine::analyze_batch(parsed->file, batch_options);
+      EXPECT_EQ(engine::format_batch(expected), engine::format_batch(fused->batch)) << context;
+      EXPECT_EQ(parsed->file.design, fused->batch.design) << context;
+      EXPECT_EQ(parsed->stats.nets, fused->parse.nets) << context;
+      EXPECT_EQ(parsed->stats.sections, fused->parse.sections) << context;
+      EXPECT_EQ(parsed->file.nets_rejected, fused->nets_rejected) << context;
+      ASSERT_EQ(parsed->file.diagnostics.size(), fused->diagnostics.size()) << context;
+      for (std::size_t i = 0; i < fused->diagnostics.size(); ++i)
+        EXPECT_EQ(parsed->file.diagnostics[i].to_string("spef"),
+                  fused->diagnostics[i].to_string("spef"))
+            << context;
+    }
   }
 }
 
@@ -355,8 +378,8 @@ TEST(SpefParallel, StripedDeckFusedMatchesSerialParseThenBatch) {
   serial.use_cache = false;
   const std::string expected = engine::format_batch_json(engine::analyze_batch(parsed, serial));
 
-  engine::ParseOptions parse_options;
-  parse_options.spef.lenient = true;
+  SpefParseOptions parse_options;
+  parse_options.lenient = true;
   for (std::size_t jobs = 1; jobs <= 4; ++jobs) {
     engine::BatchOptions options;
     options.jobs = jobs;

@@ -61,10 +61,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: rct report <deck.sp>\n"
                "       rct dot <deck.sp>\n"
-               "       rct spef <file.spef> [--exact-limit N] [--lenient] "
-               "[--parse-jobs N] [--metrics-out FILE]\n"
-               "       rct batch <file.spef> [--jobs N] [--parse-jobs N] [--json] "
-               "[--no-cache] [--exact-limit N]\n"
+               "       rct spef <file.spef> [--jobs N] [--exact-limit N] [--lenient] "
+               "[--metrics-out FILE]\n"
+               "       rct batch <file.spef> [--jobs N] [--json] [--no-cache] "
+               "[--exact-limit N]\n"
                "                 [--lenient] [--net-timeout-ms N] [--max-failures N] "
                "[--fail-fast]\n"
                "                 [--store DIR] [--cache-max-entries N]\n"
@@ -100,7 +100,7 @@ int usage() {
                "server's retry_after_ms)\n"
                "       rct client <PATH|PORT> [--trace-out FILE] ...   (stitched "
                "client+server trace)\n"
-               "       rct validate <file.spef> [--jobs N] [--parse-jobs N]\n"
+               "       rct validate <file.spef> [--jobs N]\n"
                "       rct convert <deck.sp> <out.spef>\n"
                "       rct delay-curve <deck.sp> <node>\n"
                "       rct bode <deck.sp> <node>\n"
@@ -113,9 +113,6 @@ int usage() {
 struct SpefFlags {
   std::vector<std::string> positional;
   engine::BatchOptions batch;  // carries jobs/use_cache/deadlines and the ReportOptions
-  /// --parse-jobs: SPEF parser threads.  SIZE_MAX = "not given, follow
-  /// --jobs"; 0 = hardware concurrency.
-  std::size_t parse_jobs = SIZE_MAX;
   bool json = false;
   bool lenient = false;      ///< skip malformed *D_NET sections with diagnostics
   bool progress = false;     ///< single-line stderr heartbeat (batch only)
@@ -129,6 +126,7 @@ struct SpefFlags {
   std::size_t top_slow = 0;  ///< stderr table of the N slowest nets (0 = off)
   std::string store_dir;     ///< on-disk content-addressed net cache ("" = off)
   std::string listen;        ///< serve: unix socket path or all-digits TCP port
+  std::size_t parse_jobs = SIZE_MAX;  ///< serve: parser threads (SIZE_MAX = follow --jobs)
   std::string http;          ///< serve: telemetry HTTP listener spec ("" = off)
   std::uint64_t request_timeout_ms = 0;   ///< serve: default per-request deadline
   std::vector<std::string> preload;       ///< serve: SPEF files loaded at startup
@@ -155,8 +153,6 @@ SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = f
     };
     if (arg == "--jobs") {
       if (const char* v = value("--jobs")) f.batch.jobs = std::strtoul(v, nullptr, 10);
-    } else if (arg == "--parse-jobs") {
-      if (const char* v = value("--parse-jobs")) f.parse_jobs = std::strtoul(v, nullptr, 10);
     } else if (arg == "--exact-limit") {
       if (const char* v = value("--exact-limit"))
         f.batch.report.exact_node_limit = std::strtoul(v, nullptr, 10);
@@ -213,6 +209,8 @@ SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = f
         f.batch.cache_max_entries = std::strtoul(v, nullptr, 10);
     } else if (serve_mode && arg == "--listen") {
       if (const char* v = value("--listen")) f.listen = v;
+    } else if (serve_mode && arg == "--parse-jobs") {
+      if (const char* v = value("--parse-jobs")) f.parse_jobs = std::strtoul(v, nullptr, 10);
     } else if (serve_mode && arg == "--http") {
       if (const char* v = value("--http")) f.http = v;
     } else if (serve_mode && arg == "--request-timeout-ms") {
@@ -246,11 +244,6 @@ SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = f
   return f;
 }
 
-/// Parser threads for a command: --parse-jobs when given, else --jobs.
-std::size_t effective_parse_jobs(const SpefFlags& flags) {
-  return flags.parse_jobs == SIZE_MAX ? flags.batch.jobs : flags.parse_jobs;
-}
-
 /// Prints lenient parse diagnostics to stderr (stdout stays reserved for
 /// the deterministic report).
 void print_parse_diagnostics(const std::vector<robust::Diagnostic>& diagnostics,
@@ -261,12 +254,12 @@ void print_parse_diagnostics(const std::vector<robust::Diagnostic>& diagnostics,
                diagnostics.size(), nets_rejected);
 }
 
-/// Parses the command's SPEF input honoring --lenient and --parse-jobs
+/// Parses the command's SPEF input honoring --lenient, on --jobs threads
 /// (mmap + indexed section fan-out).
 SpefFile parse_spef_input(const SpefFlags& flags) {
   const obs::Span span("cli.spef.parse", "cli", flags.positional[0]);
   engine::ParseOptions opt;
-  opt.jobs = effective_parse_jobs(flags);
+  opt.jobs = flags.batch.jobs;
   opt.spef.lenient = flags.lenient;
   engine::ParsedSpef parsed = engine::parse_spef_parallel_file(flags.positional[0], opt);
   print_parse_diagnostics(parsed.file.diagnostics, parsed.file.nets_rejected);
@@ -377,12 +370,12 @@ class MetricsFlusher {
 };
 
 /// `--progress`: a single-line stderr heartbeat driven by the registry's
-/// engine counters, refreshed at most every 100 ms on its own thread.
-/// stdout is never touched.
+/// engine and parse counters, refreshed at most every 100 ms on its own
+/// thread.  stdout is never touched.
 class ProgressMeter {
  public:
-  ProgressMeter(bool enabled, std::size_t total_nets)
-      : enabled_(enabled), total_(total_nets), start_(std::chrono::steady_clock::now()) {
+  explicit ProgressMeter(bool enabled)
+      : enabled_(enabled), start_(std::chrono::steady_clock::now()) {
     if (enabled_) thread_ = std::thread([this] { loop(); });
   }
 
@@ -413,15 +406,15 @@ class ProgressMeter {
     const std::uint64_t degraded = reg.counter_value("engine.nets.degraded");
     const std::uint64_t hits = reg.counter_value("engine.cache.hits");
     const std::uint64_t misses = reg.counter_value("engine.cache.misses");
-    // Fused parse+analyze runs construct the meter with total 0: the net
-    // count is not known until the index pass lands, and then grows as
-    // sections parse.  Use the live counter and show the parse phase.
+    // The net count is not known until the index pass lands, and then
+    // grows as sections parse: use the live counter and show the parse
+    // phase.
     const std::uint64_t sections_total = reg.counter_value("parse.sections.total");
     const std::uint64_t sections_done = reg.counter_value("parse.sections.completed");
-    const std::uint64_t total =
-        total_ != 0 ? total_ : std::max(reg.counter_value("engine.nets.total"), done_nets);
-    char parse_phase[48] = "";
-    if (total_ == 0 && sections_total > 0 && sections_done < sections_total)
+    const std::uint64_t total = std::max(reg.counter_value("engine.nets.total"), done_nets);
+    // "parse " + two 20-digit counts + "/" + ", " + NUL.
+    char parse_phase[6 + 20 + 1 + 20 + 2 + 1] = "";
+    if (sections_total > 0 && sections_done < sections_total)
       std::snprintf(parse_phase, sizeof(parse_phase), "parse %llu/%llu, ",
                     static_cast<unsigned long long>(sections_done),
                     static_cast<unsigned long long>(sections_total));
@@ -454,7 +447,6 @@ class ProgressMeter {
   }
 
   const bool enabled_;
-  const std::size_t total_;
   const std::chrono::steady_clock::time_point start_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -533,28 +525,17 @@ int cmd_batch(const SpefFlags& flags) {
       if (!store->ok()) throw robust::Error(robust::Code::kFileOpen, store->error());
       batch.cache_backend = std::move(store);
     }
-    engine::ParseOptions parse_opts;
-    parse_opts.jobs = effective_parse_jobs(flags);
-    parse_opts.spef.lenient = flags.lenient;
-    engine::BatchResult result;
-    if (flags.parse_jobs != SIZE_MAX && flags.parse_jobs != flags.batch.jobs) {
-      // An explicitly distinct parser pool: parse first, then analyze.
-      engine::ParsedSpef parsed = engine::parse_spef_parallel_file(flags.positional[0],
-                                                                   parse_opts);
-      print_parse_diagnostics(parsed.file.diagnostics, parsed.file.nets_rejected);
-      const ProgressMeter progress(flags.progress, parsed.file.nets.size());
-      result = engine::analyze_batch(parsed.file, batch);
-    } else {
-      // Default: one pool, each *D_NET section parsed and analyzed as one
-      // task — parsing overlaps analysis with no barrier between them.
-      engine::FileBatchResult file_result;
-      {
-        const ProgressMeter progress(flags.progress, 0);
-        file_result = engine::analyze_spef_file(flags.positional[0], batch, parse_opts);
-      }
-      print_parse_diagnostics(file_result.diagnostics, file_result.nets_rejected);
-      result = std::move(file_result.batch);
+    SpefParseOptions parse_opts;
+    parse_opts.lenient = flags.lenient;
+    // One pool, each *D_NET section parsed and analyzed as one task —
+    // parsing overlaps analysis with no barrier between them.
+    engine::FileBatchResult file_result;
+    {
+      const ProgressMeter progress(flags.progress);
+      file_result = engine::analyze_spef_file(flags.positional[0], batch, parse_opts);
     }
+    print_parse_diagnostics(file_result.diagnostics, file_result.nets_rejected);
+    const engine::BatchResult& result = file_result.batch;
     // Timings and thread counts go to stderr so stdout stays byte-identical
     // for every --jobs value (and with observability on or off).
     std::fprintf(stderr, "%s\n", result.stats.summary().c_str());
@@ -589,7 +570,7 @@ int cmd_serve(const SpefFlags& flags) {
     if (!flags.listen.empty()) options.listen = flags.listen;
     options.store_dir = flags.store_dir;
     options.jobs = flags.batch.jobs;
-    options.parse_jobs = effective_parse_jobs(flags);
+    options.parse_jobs = flags.parse_jobs == SIZE_MAX ? flags.batch.jobs : flags.parse_jobs;
     options.cache_max_entries = flags.batch.cache_max_entries;
     options.request_timeout_ms =
         flags.request_timeout_ms != 0 ? flags.request_timeout_ms : flags.batch.net_timeout_ms;
@@ -861,13 +842,13 @@ int cmd_client(int argc, char** argv) {
   return all_ok ? 0 : 1;
 }
 
-/// `rct validate <file.spef> [--jobs N] [--parse-jobs N]`: lenient parse,
+/// `rct validate <file.spef> [--jobs N]`: lenient parse,
 /// one diagnostic per line on stdout, human summary plus parse throughput
 /// (bytes, nets/s, wall) on stderr.  Exit 0 = clean, 1 = any diagnostic.
 int cmd_validate(const SpefFlags& flags) {
   const std::string& path = flags.positional[0];
   engine::ParseOptions opt;
-  opt.jobs = effective_parse_jobs(flags);
+  opt.jobs = flags.batch.jobs;
   opt.spef.lenient = true;
   const engine::ParsedSpef parsed = engine::parse_spef_parallel_file(path, opt);
   const SpefFile& file = parsed.file;
