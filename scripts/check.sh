@@ -361,12 +361,15 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   # restart; the SpefFusedCache suite runs content twins through the fused
   # parse+analyze path, which frees each parsed net on its worker; the
   # Framing suite and the one-worker hand-off test drive the socket line
-  # buffers and the stack-held pool completion record.  Already
+  # buffers and the stack-held pool completion record; the listen-spec
+  # tests drive the shared socket layer's error paths (port range, long
+  # unix paths, a telemetry bind failure) and SpefOpen the one deck
+  # opener.  Already
   # part of the full ctest run above, but gated by name so a filter-level
   # regression (renamed/deleted suite) cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.StoreServesShortBoundsRowsAfterRestart:Framing.*:Server.ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers:Server.MaxConnectionsDefaultIsFinite:DiskStore.EntryPathIsStableAcrossBuilds' \
+      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.StoreServesShortBoundsRowsAfterRestart:Framing.*:Server.ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers:Server.MaxConnectionsDefaultIsFinite:DiskStore.EntryPathIsStableAcrossBuilds:Server.PortAboveRangeIsRejectedByListenerHttpAndClient:Server.OverlongUnixPathIsRejectedByListenerHttpAndClient:Server.TelemetryBindFailureLeavesNothingListening:SpefOpen.MissingPathIsFileOpenThroughEveryEntryPoint' \
         --gtest_fail_fast &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
       ./tests/test_spef_parallel --gtest_filter='SpefFusedCache.*' --gtest_fail_fast)

@@ -19,7 +19,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rctree/mapped_file.hpp"
 #include "rctree/units.hpp"
 #include "robust/deadline.hpp"
 #include "robust/fault.hpp"
@@ -413,11 +412,8 @@ BatchResult analyze_batch(const SpefFile& file, const BatchOptions& options) {
 
 FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& options,
                                   const SpefParseOptions& parse_options) {
-  MappedFile mapped;
-  if (!mapped.open(path))
-    throw SpefError(robust::Code::kFileOpen, "cannot open '" + path + "'", {path, 0}, "spef");
   SpefParseOptions spef_opts = parse_options;
-  if (spef_opts.path.empty()) spef_opts.path = path;
+  const MappedFile mapped = map_spef_file(path, spef_opts);
   const std::string_view text = mapped.view();
 
   BatchRun run(options);

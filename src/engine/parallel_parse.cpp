@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rctree/arena.hpp"
-#include "rctree/mapped_file.hpp"
 
 namespace rct::engine {
 namespace {
@@ -198,11 +197,8 @@ ParsedSpef parse_spef_parallel(std::string_view text, const ParseOptions& option
 }
 
 ParsedSpef parse_spef_parallel_file(const std::string& path, const ParseOptions& options) {
-  MappedFile file;
-  if (!file.open(path))
-    throw SpefError(robust::Code::kFileOpen, "cannot open '" + path + "'", {path, 0}, "spef");
   ParseOptions with_path = options;
-  if (with_path.spef.path.empty()) with_path.spef.path = path;
+  const MappedFile file = map_spef_file(path, with_path.spef);
   return parse_spef_parallel(file.view(), with_path);
 }
 

@@ -673,12 +673,17 @@ SpefFile parse_spef(std::string_view text, const SpefParseOptions& options) {
 
 SpefFile parse_spef(std::string_view text) { return parse_spef(text, SpefParseOptions{}); }
 
-SpefFile parse_spef_file(const std::string& path, const SpefParseOptions& options) {
+MappedFile map_spef_file(const std::string& path, SpefParseOptions& options) {
   MappedFile file;
   if (!file.open(path))
     throw SpefError(robust::Code::kFileOpen, "cannot open '" + path + "'", {path, 0}, "spef");
+  if (options.path.empty()) options.path = path;
+  return file;
+}
+
+SpefFile parse_spef_file(const std::string& path, const SpefParseOptions& options) {
   SpefParseOptions with_path = options;
-  if (with_path.path.empty()) with_path.path = path;
+  const MappedFile file = map_spef_file(path, with_path);
   return parse_spef(file.view(), with_path);
 }
 

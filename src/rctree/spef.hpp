@@ -36,6 +36,7 @@
 #include <string_view>
 #include <vector>
 
+#include "rctree/mapped_file.hpp"
 #include "rctree/rctree.hpp"
 #include "robust/error.hpp"
 
@@ -81,6 +82,12 @@ struct SpefParseOptions {
 /// line) on malformed input; lenient mode records diagnostics and recovers.
 [[nodiscard]] SpefFile parse_spef(std::string_view text, const SpefParseOptions& options);
 [[nodiscard]] SpefFile parse_spef(std::string_view text);
+
+/// Maps SPEF deck `path` for parsing, and names it in `options.path` when
+/// that is empty so errors and diagnostics carry the file.  Throws
+/// SpefError(kFileOpen) "cannot open '<path>'" when it cannot be read.
+/// Every entry point that parses a deck from disk opens it here.
+[[nodiscard]] MappedFile map_spef_file(const std::string& path, SpefParseOptions& options);
 
 /// Parses a SPEF file from disk; errors and diagnostics carry `path`.
 [[nodiscard]] SpefFile parse_spef_file(const std::string& path,

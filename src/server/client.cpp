@@ -1,31 +1,16 @@
 #include "server/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "server/protocol.hpp"
 
 namespace rct::server {
-namespace {
-
-bool is_all_digits(const std::string& s) {
-  if (s.empty()) return false;
-  return std::all_of(s.begin(), s.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; });
-}
-
-}  // namespace
 
 Client::~Client() { close(); }
 
@@ -37,47 +22,6 @@ void Client::close() {
   reader_.clear();
 }
 
-bool Client::connect(const std::string& target) {
-  close();
-  error_.clear();
-  target_ = target;
-  if (is_all_digits(target)) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) {
-      error_ = "socket: " + std::string(std::strerror(errno));
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(std::strtoul(target.c_str(), nullptr, 10)));
-    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      error_ = "connect 127.0.0.1:" + target + ": " + std::strerror(errno);
-      close();
-      return false;
-    }
-    return true;
-  }
-  sockaddr_un addr{};
-  if (target.size() >= sizeof(addr.sun_path)) {
-    error_ = "unix socket path too long: " + target;
-    return false;
-  }
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) {
-    error_ = "socket: " + std::string(std::strerror(errno));
-    return false;
-  }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, target.c_str(), target.size() + 1);
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    error_ = "connect " + target + ": " + std::strerror(errno);
-    close();
-    return false;
-  }
-  return true;
-}
-
 bool Client::roundtrip(const std::string& request_line, std::string& response_line) {
   if (fd_ < 0) {
     error_ = "not connected";
@@ -85,19 +29,9 @@ bool Client::roundtrip(const std::string& request_line, std::string& response_li
   }
   std::string out = request_line;
   out.push_back('\n');
-  std::size_t off = 0;
-  while (off < out.size()) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd_, out.data() + off, out.size() - off, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      error_ = "send: " + std::string(std::strerror(errno));
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
+  if (!send_all(fd_, out)) {
+    error_ = "send: " + std::string(std::strerror(errno));
+    return false;
   }
   for (;;) {
     std::string_view line;

@@ -3,8 +3,9 @@
 // rctbench) use to talk to a running `rct serve`.
 //
 // One blocking socket, one LineReader (large reads straight into its
-// buffer, one scan per byte, one copy per response).  The target spec mirrors
-// the server's listen spec: a unix socket path, or an all-digits TCP port
+// buffer, one scan per byte, one copy per response).  Connect and send go
+// through the server's own socket layer (socket.hpp), so the target spec is
+// the listen spec: a unix socket path, or an all-digits TCP port (0-65535)
 // on 127.0.0.1.
 //
 // Two tiers of API:
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "server/line_reader.hpp"
+#include "server/socket.hpp"
 
 namespace rct::server {
 
@@ -47,10 +49,17 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Connects to `target` (unix path, or all-digits port on 127.0.0.1).
+  /// Connects to `target` (unix path, or all-digits port on 127.0.0.1; a
+  /// port above 65535 or an over-long path fails with the spec named).
   /// False (with error()) on failure; never throws.  Remembers the target
   /// so request() can reconnect after the server restarts.
-  [[nodiscard]] bool connect(const std::string& target);
+  [[nodiscard]] bool connect(const std::string& target) {
+    close();
+    error_.clear();
+    target_ = target;
+    fd_ = connect_socket(target, error_);
+    return fd_ >= 0;
+  }
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
   [[nodiscard]] const std::string& error() const { return error_; }

@@ -1,17 +1,9 @@
 #include "server/http.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -28,12 +20,6 @@ obs::Counter& http_error_counter() {
   return c;
 }
 
-bool is_all_digits(const std::string& s) {
-  if (s.empty()) return false;
-  return std::all_of(s.begin(), s.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; });
-}
-
 const char* status_text(int status) {
   switch (status) {
     case 200: return "OK";
@@ -42,23 +28,6 @@ const char* status_text(int status) {
     case 405: return "Method Not Allowed";
     default: return "Error";
   }
-}
-
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 std::string render_response(const HttpResponse& response) {
@@ -74,122 +43,33 @@ std::string render_response(const HttpResponse& response) {
 }  // namespace
 
 HttpServer::HttpServer(std::string listen_spec, Handler handler)
-    : listen_(std::move(listen_spec)), handler_(std::move(handler)) {}
+    : listen_(std::move(listen_spec)),
+      handler_(std::move(handler)),
+      acceptor_(
+          [](int fd, std::size_t) {
+            // Both directions bounded: a scraper that stalls mid-request or
+            // stops reading the body cannot wedge stop().
+            set_socket_timeouts(fd, std::chrono::seconds(5), std::chrono::seconds(5));
+            return true;
+          },
+          [this](int fd) { serve_connection(fd); }, Acceptor::Shutdown::kReadWrite) {}
 
 HttpServer::~HttpServer() { stop(); }
 
 bool HttpServer::start() {
-  if (is_all_digits(listen_)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      error_ = "socket: " + std::string(std::strerror(errno));
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(std::strtoul(listen_.c_str(), nullptr, 10)));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      error_ = "bind 127.0.0.1:" + listen_ + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-    address_ = "http://127.0.0.1:" + std::to_string(port_);
-  } else {
-    sockaddr_un addr{};
-    if (listen_.size() >= sizeof(addr.sun_path)) {
-      error_ = "unix socket path too long: " + listen_;
-      return false;
-    }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      error_ = "socket: " + std::string(std::strerror(errno));
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, listen_.c_str(), listen_.size() + 1);
-    ::unlink(listen_.c_str());  // stale socket from a dead server
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      error_ = "bind " + listen_ + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    address_ = "unix:" + listen_;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    error_ = "listen: " + std::string(std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  obs::log::info("server.http.start", {{"address", std::string_view(address_)}});
+  if (!acceptor_.open(listen_, "http://", error_)) return false;
+  obs::log::info("server.http.start", {{"address", std::string_view(address())}});
   started_ = true;
-  accept_thread_ = std::thread(&HttpServer::accept_loop, this);
+  acceptor_.start();
   return true;
 }
 
 void HttpServer::stop() {
-  if (!started_ || stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  reap_connections(true);
-  if (!address_.empty() && address_.compare(0, 5, "unix:") == 0) ::unlink(listen_.c_str());
+  if (!started_) return;
+  started_ = false;
+  acceptor_.close();
   obs::log::info("server.http.stop",
                  {{"requests", http_request_counter().value()}});
-}
-
-void HttpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, 200);
-    reap_connections(false);
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    // Both directions bounded: a scraper that stalls mid-request or stops
-    // reading the body cannot wedge stop().
-    timeval tv{};
-    tv.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.push_back(std::make_unique<Connection>());
-    Connection* conn = conns_.back().get();
-    conn->fd = fd;
-    conn->thread = std::thread([this, conn, fd] {
-      serve_connection(fd);
-      conn->done.store(true, std::memory_order_release);
-    });
-  }
-}
-
-void HttpServer::reap_connections(bool all) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  if (all) {
-    for (const auto& conn : conns_)
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  std::erase_if(conns_, [all](const std::unique_ptr<Connection>& conn) {
-    if (!all && !conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    if (conn->fd >= 0) ::close(conn->fd);
-    return true;
-  });
 }
 
 void HttpServer::serve_connection(int fd) {

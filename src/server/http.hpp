@@ -8,24 +8,19 @@
 // routes (/metrics, /healthz, /varz, /flight); anything else is 404 and
 // any method but GET is 405.
 //
-// Threading mirrors server::Server: one accept thread polling with a short
-// timeout (stop() is prompt), one short-lived thread per connection
-// (requests are a handful of bytes and responses are rendered snapshots,
-// so connections live for one scrape).  Send/recv both carry socket
-// timeouts so a stuck scraper can never wedge stop().
-//
-// The listen spec mirrors the protocol socket: a unix path, or an
-// all-digits TCP port on 127.0.0.1 (0 = ephemeral, reported by port()).
+// Transport is the shared server::Acceptor (socket.hpp): the listen spec
+// is the protocol socket's (a unix path, or an all-digits TCP port on
+// 127.0.0.1; 0 = ephemeral, reported by port()), and each connection gets a
+// short-lived thread with 5 s send/recv timeouts, so a stuck scraper can
+// never wedge stop().  Requests are a handful of bytes and responses are
+// rendered snapshots, so a connection lives for one scrape.  This class
+// adds only the HTTP/1.0 parse and render.
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
+
+#include "server/socket.hpp"
 
 namespace rct::server {
 
@@ -57,33 +52,18 @@ class HttpServer {
 
   /// Human-readable bound address: "http://127.0.0.1:<port>" or
   /// "unix:<path>".
-  [[nodiscard]] const std::string& address() const { return address_; }
+  [[nodiscard]] const std::string& address() const { return acceptor_.address(); }
   /// Bound TCP port (after start(); 0 for unix sockets).
-  [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] int port() const { return acceptor_.port(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
   void serve_connection(int fd);
-  void reap_connections(bool all);
 
   const std::string listen_;
   const Handler handler_;
-  std::string address_;
-  int port_ = 0;
   std::string error_;
-
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Connection>> conns_;
-  std::atomic<bool> stopping_{false};
+  Acceptor acceptor_;
   bool started_ = false;
 };
 

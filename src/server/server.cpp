@@ -1,21 +1,13 @@
 #include "server/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <exception>
 #include <optional>
-#include <sstream>
+#include <thread>
 #include <utility>
 
 #include "analysis/tree_context.hpp"
@@ -25,7 +17,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rctree/mapped_file.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
 #include "server/line_reader.hpp"
@@ -134,12 +125,6 @@ obs::Histogram* command_histogram(const std::string& cmd) {
   return nullptr;
 }
 
-bool is_all_digits(const std::string& s) {
-  if (s.empty()) return false;
-  return std::all_of(s.begin(), s.end(),
-                     [](unsigned char c) { return std::isdigit(c) != 0; });
-}
-
 /// 12-hex content handle of a design (FNV-1a of the raw file bytes,
 /// truncated — short enough to type, long enough that two designs loaded
 /// into one server never collide in practice).
@@ -157,24 +142,6 @@ const char* source_name(engine::CacheSource source) {
     case engine::CacheSource::kMiss: return "computed";
   }
   return "computed";
-}
-
-/// Sends all of `data`; false on any socket error.
-bool send_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, 0);
-#endif
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 /// One row's JSON after its name: `,"depth":…}`.  The full row object is
@@ -261,7 +228,12 @@ std::string_view server_state_name(ServerState state) {
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
       pool_(options_.jobs),
-      cache_(16, options_.cache_max_entries) {
+      cache_(16, options_.cache_max_entries),
+      acceptor_([this](int fd, std::size_t live) { return admit(fd, live); },
+                [this](int fd) { serve_connection(fd); },
+                // Read side only: blocked recv()s return 0, but an in-flight
+                // response (e.g. the shutdown ack) still drains first.
+                Acceptor::Shutdown::kRead) {
   if (!options_.store_dir.empty()) {
     store_ = std::make_shared<DiskStore>(options_.store_dir, options_.store_max_bytes);
     if (store_->ok()) {
@@ -276,72 +248,20 @@ Server::Server(ServeOptions options)
 Server::~Server() { stop(); }
 
 bool Server::start() {
-  const std::string& spec = options_.listen;
-  if (is_all_digits(spec)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      error_ = "socket: " + std::string(std::strerror(errno));
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(std::strtoul(spec.c_str(), nullptr, 10)));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      error_ = "bind 127.0.0.1:" + spec + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = static_cast<int>(ntohs(bound.sin_port));
-    address_ = "tcp:127.0.0.1:" + std::to_string(port_);
-  } else {
-    sockaddr_un addr{};
-    if (spec.size() >= sizeof(addr.sun_path)) {
-      error_ = "unix socket path too long: " + spec;
-      return false;
-    }
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      error_ = "socket: " + std::string(std::strerror(errno));
-      return false;
-    }
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, spec.c_str(), spec.size() + 1);
-    ::unlink(spec.c_str());  // stale socket from a dead server
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-      error_ = "bind " + spec + ": " + std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    address_ = "unix:" + spec;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    error_ = "listen: " + std::string(std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
+  if (!acceptor_.open(options_.listen, "tcp:", error_)) return false;
   if (!options_.http.empty()) {
     http_ = std::make_unique<HttpServer>(
         options_.http, [this](std::string_view path) { return route_http(path); });
     if (!http_->start()) {
       error_ = "http: " + http_->error();
       http_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+      acceptor_.close();
       return false;
     }
   }
-  obs::log::info("server.start", {{"address", std::string_view(address_)},
+  obs::log::info("server.start", {{"address", std::string_view(address())},
                                   {"threads", static_cast<std::uint64_t>(pool_.thread_count())}});
-  accept_thread_ = std::thread(&Server::accept_loop, this);
+  acceptor_.start();
   state_.store(static_cast<int>(ServerState::kServing), std::memory_order_release);
   update_gauges();
   return true;
@@ -389,22 +309,13 @@ void Server::stop() {
   // Stop taking on new work first; connections notice stopping_ within
   // ~200ms (recv timeout) and close themselves once their current request
   // is answered.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  acceptor_.stop_accepting();
   // Drain window: give in-flight requests drain_timeout_ms to finish.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.drain_timeout_ms);
   bool drained = false;
   for (;;) {
-    reap_connections(false);
-    {
-      std::lock_guard<std::mutex> lock(conns_mutex_);
-      drained = conns_.empty();
-    }
+    drained = acceptor_.reap() == 0;
     if (drained || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -417,13 +328,11 @@ void Server::stop() {
                    {{"drain_timeout_ms", options_.drain_timeout_ms}});
     cancel_inflight();
   }
-  reap_connections(true);
+  acceptor_.close();
   pool_.wait_idle();
   // The telemetry endpoint outlives the drain so /healthz reports
   // "draining" while it happens.
   if (http_ != nullptr) http_->stop();
-  if (!address_.empty() && address_.compare(0, 5, "unix:") == 0)
-    ::unlink(options_.listen.c_str());
   state_.store(static_cast<int>(ServerState::kStopped), std::memory_order_release);
   state_gauge().set(static_cast<double>(static_cast<int>(ServerState::kStopped)));
   obs::log::info("server.stop", {{"requests", requests_.load(std::memory_order_relaxed)},
@@ -451,77 +360,30 @@ void Server::cancel_inflight() {
   for (const robust::Deadline* deadline : inflight_) deadline->cancel();
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, 200);
-    reap_connections(false);
-    if (stopping_.load(std::memory_order_relaxed)) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    // Bound sends so a client that stops reading cannot hang stop().
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    // Short recv timeout: connection threads wake every 200ms to notice
-    // stop()/drain and enforce the idle timeout.
-    timeval rtv{};
-    rtv.tv_usec = 200000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &rtv, sizeof(rtv));
-    if (options_.max_connections != 0) {
-      std::size_t live = 0;
-      {
-        std::lock_guard<std::mutex> lock(conns_mutex_);
-        live = conns_.size();
-      }
-      if (live >= options_.max_connections) {
-        // Typed rejection, not a silent RST: retry clients back off and
-        // come back instead of treating this as a dead server.
-        conn_rejected_counter().add();
-        note_shed();
-        std::string line = overloaded_response(
-            0, retry_after_hint_ms(),
-            "connection limit reached (" + std::to_string(options_.max_connections) + ")");
-        line.push_back('\n');
-        (void)send_all(fd, line);
-        ::close(fd);
-        obs::log::warn("server.conn.rejected",
-                       {{"live", static_cast<std::uint64_t>(live)},
-                        {"max", static_cast<std::uint64_t>(options_.max_connections)}});
-        continue;
-      }
-    }
-    connection_counter().add();
-    active_connections_gauge().add(1.0);
-    obs::log::info("server.connect", {{"fd", static_cast<std::uint64_t>(fd)}});
-    std::lock_guard<std::mutex> lock(conns_mutex_);
-    conns_.push_back(std::make_unique<Connection>());
-    Connection* conn = conns_.back().get();
-    conn->fd = fd;
-    conn->thread = std::thread([this, conn, fd] {
-      serve_connection(fd);
-      conn->done.store(true, std::memory_order_release);
-    });
+bool Server::admit(int fd, std::size_t live) {
+  // Bound sends so a client that stops reading cannot hang stop().  Short
+  // recv timeout: connection threads wake every 200ms to notice
+  // stop()/drain and enforce the idle timeout.
+  set_socket_timeouts(fd, std::chrono::seconds(10), std::chrono::milliseconds(200));
+  if (options_.max_connections != 0 && live >= options_.max_connections) {
+    // Typed rejection, not a silent RST: retry clients back off and come
+    // back instead of treating this as a dead server.
+    conn_rejected_counter().add();
+    note_shed();
+    std::string line = overloaded_response(
+        0, retry_after_hint_ms(),
+        "connection limit reached (" + std::to_string(options_.max_connections) + ")");
+    line.push_back('\n');
+    (void)send_all(fd, line);
+    obs::log::warn("server.conn.rejected",
+                   {{"live", static_cast<std::uint64_t>(live)},
+                    {"max", static_cast<std::uint64_t>(options_.max_connections)}});
+    return false;
   }
-}
-
-void Server::reap_connections(bool all) {
-  std::lock_guard<std::mutex> lock(conns_mutex_);
-  if (all) {
-    // Read-side shutdown only: blocked recv()s return 0, but an in-flight
-    // response (e.g. the shutdown ack) still drains before the close.
-    for (const auto& conn : conns_)
-      if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
-  }
-  std::erase_if(conns_, [all](const std::unique_ptr<Connection>& conn) {
-    if (!all && !conn->done.load(std::memory_order_acquire)) return false;
-    if (conn->thread.joinable()) conn->thread.join();
-    if (conn->fd >= 0) ::close(conn->fd);
-    return true;
-  });
+  connection_counter().add();
+  active_connections_gauge().add(1.0);
+  obs::log::info("server.connect", {{"fd", static_cast<std::uint64_t>(fd)}});
+  return true;
 }
 
 void Server::serve_connection(int fd) {
@@ -800,9 +662,10 @@ std::string Server::cmd_trace(const Request& request) {
 std::string Server::load_design(const std::string& path, bool lenient) {
   // Zero-copy ingestion: hash and parse straight out of the mapping; only
   // the parsed SpefFile (and the handle) survive the load.
-  MappedFile mapped;
-  if (!mapped.open(path))
-    throw robust::Error(robust::Code::kFileOpen, "cannot open '" + path + "'", {path}, "spef");
+  engine::ParseOptions parse_options;
+  parse_options.jobs = options_.parse_jobs;
+  parse_options.spef.lenient = lenient;
+  const MappedFile mapped = map_spef_file(path, parse_options.spef);
   const std::string_view bytes = mapped.view();
   const std::string handle = design_handle(bytes);
   {
@@ -813,10 +676,6 @@ std::string Server::load_design(const std::string& path, bool lenient) {
       return handle;
     }
   }
-  engine::ParseOptions parse_options;
-  parse_options.jobs = options_.parse_jobs;
-  parse_options.spef.lenient = lenient;
-  parse_options.spef.path = path;
   auto design = std::make_shared<Design>();
   design->handle = handle;
   design->path = path;
@@ -1102,7 +961,7 @@ HttpResponse Server::route_http(std::string_view path) {
     body += ",\"requests\":" + std::to_string(requests_.load(std::memory_order_relaxed));
     body += ",\"shed\":" + std::to_string(sheds_.load(std::memory_order_relaxed));
     body += ",\"address\":";
-    json::append_string(body, address_);
+    json::append_string(body, address());
     body += "}\n";
     // Draining/stopped answer 503 so load balancers and scripts see the
     // instance leaving rotation before its socket disappears.

@@ -8,10 +8,11 @@
 // per invocation.
 //
 // Threading model:
-//   - one accept thread (poll with a short timeout so stop() is prompt),
-//   - one thread per connection reading lines and writing responses
-//     (finished connections are reaped by the accept loop, all joined at
-//     stop()),
+//   - one server::Acceptor (socket.hpp, shared with the telemetry
+//     endpoint): an accept thread polling with a short timeout so stop() is
+//     prompt, and one thread per connection reading lines and writing
+//     responses (finished connections are reaped by the accept loop, all
+//     joined at stop()),
 //   - report/load work is dispatched onto the shared work-stealing
 //     engine::ThreadPool, so N chatty clients contend for `jobs` workers
 //     instead of spawning unbounded computation threads.
@@ -47,8 +48,9 @@
 // Perfetto timeline (see request_trace.hpp).
 //
 // Listening: `listen` is a unix-domain socket path, or — when it is all
-// digits — a TCP port on 127.0.0.1 (0 picks an ephemeral port, reported
-// by address()/port() for tests).
+// digits — a TCP port on 127.0.0.1 (0-65535; 0 picks an ephemeral port,
+// reported by address()/port() for tests).  Spec parsing, bind, connect
+// and send all live in socket.hpp, shared with http.hpp and client.hpp.
 //
 // Overload resilience (see DESIGN.md "Operations"):
 //   - Admission control: pool-bound commands (report/bounds/load) pass a
@@ -77,7 +79,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -89,13 +90,14 @@
 #include "server/http.hpp"
 #include "server/protocol.hpp"
 #include "server/request_trace.hpp"
+#include "server/socket.hpp"
 #include "server/store.hpp"
 
 namespace rct::server {
 
 /// Configuration for one Server instance (CLI: `rct serve`).
 struct ServeOptions {
-  /// Unix socket path, or an all-digits TCP port on 127.0.0.1.
+  /// Unix socket path, or an all-digits TCP port (0-65535) on 127.0.0.1.
   std::string listen = "rct.sock";
   /// On-disk store directory; empty = memory-only cache.
   std::string store_dir;
@@ -116,8 +118,8 @@ struct ServeOptions {
   /// Flight-recorder dump target on request failure ("" = no dump,
   /// "-" = stderr).
   std::string flight_out;
-  /// Telemetry HTTP listener spec: unix socket path, or an all-digits TCP
-  /// port on 127.0.0.1 (0 = ephemeral); "" = no HTTP endpoint.
+  /// Telemetry HTTP listener spec, parsed like `listen` (0 = ephemeral);
+  /// "" = no HTTP endpoint.
   std::string http;
   /// Admission control: concurrent client connections (0 = unbounded; the
   /// default 256 bounds the one-thread-per-connection model) and pool-bound
@@ -152,9 +154,9 @@ class Server {
   [[nodiscard]] bool start();
 
   /// Human-readable bound address: "unix:<path>" or "tcp:127.0.0.1:<port>".
-  [[nodiscard]] const std::string& address() const { return address_; }
+  [[nodiscard]] const std::string& address() const { return acceptor_.address(); }
   /// Bound TCP port (after start(); 0 for unix sockets).
-  [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] int port() const { return acceptor_.port(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
   /// The telemetry endpoint's bound address ("" when `http` is unset) and
@@ -229,12 +231,6 @@ class Server {
     std::unordered_map<std::string, std::size_t> net_index;  ///< name → nets[i]
   };
 
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   /// handle_line after the parse: the root span, dispatch and the typed
   /// error responses.
   [[nodiscard]] std::string handle_request(const ParsedRequest& parsed);
@@ -278,15 +274,12 @@ class Server {
   void unregister_inflight(const robust::Deadline* deadline);
   void cancel_inflight();
 
-  void accept_loop();
+  /// The acceptor's per-connection hook: socket timeouts, then the
+  /// max_connections cap (a typed `overloaded` line, then false).
+  [[nodiscard]] bool admit(int fd, std::size_t live);
   void serve_connection(int fd);
-  /// Joins finished connection threads; `all` also joins live ones
-  /// (call with conns_mutex_ held only for the reap-finished case).
-  void reap_connections(bool all);
 
   ServeOptions options_;
-  std::string address_;
-  int port_ = 0;
   std::string error_;
   const std::chrono::steady_clock::time_point started_at_ =
       std::chrono::steady_clock::now();
@@ -301,10 +294,6 @@ class Server {
   std::unordered_map<std::string, std::shared_ptr<const Design>> designs_;
   std::string last_design_;  ///< handle of the most recent load
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::mutex conns_mutex_;
-  std::vector<std::unique_ptr<Connection>> conns_;
 
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
@@ -323,6 +312,10 @@ class Server {
 
   std::mutex inflight_mutex_;
   std::vector<const robust::Deadline*> inflight_;
+
+  /// The protocol listener and its connection threads; declared last, after
+  /// everything those threads use.
+  Acceptor acceptor_;
 };
 
 }  // namespace rct::server

@@ -1,7 +1,6 @@
 #include "server/store.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -18,6 +17,7 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "rctree/mapped_file.hpp"
 #include "robust/fault.hpp"
 
 namespace rct::server {
@@ -117,33 +117,6 @@ std::string hash_hex(std::uint64_t hash) {
   return buf;
 }
 
-/// mmap'd read-only view of one entry file; unmaps on destruction.
-struct MappedFile {
-  const unsigned char* data = nullptr;
-  std::size_t size = 0;
-  int fd = -1;
-
-  explicit MappedFile(const std::string& path) {
-    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) return;
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) return;
-    void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ, MAP_PRIVATE, fd, 0);
-    if (p == MAP_FAILED) return;
-    data = static_cast<const unsigned char*>(p);
-    size = static_cast<std::size_t>(st.st_size);
-  }
-  ~MappedFile() {
-    if (data != nullptr) ::munmap(const_cast<unsigned char*>(data), size);
-    if (fd >= 0) ::close(fd);
-  }
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  [[nodiscard]] bool open() const { return fd >= 0; }
-  [[nodiscard]] bool mapped() const { return data != nullptr; }
-};
-
 }  // namespace
 
 DiskStore::DiskStore(std::string dir, std::uint64_t max_bytes)
@@ -223,8 +196,8 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   if (!ok_) return std::nullopt;
   const std::uint64_t address = entry_address(key);
   const std::string path = path_for(address);
-  MappedFile file(path);
-  if (!file.open()) {
+  MappedFile file;
+  if (!file.open(path)) {
     load_miss_counter().add();
     return std::nullopt;
   }
@@ -234,13 +207,13 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
     return std::nullopt;
   };
   // Fixed header: magic(4) version(4) address(8) n_words(8).
-  if (!file.mapped() || file.size < 24) return corrupt("truncated header");
-  const unsigned char* p = file.data;
+  if (file.size() < 24) return corrupt("truncated header");
+  const auto* p = reinterpret_cast<const unsigned char*>(file.view().data());
   if (std::memcmp(p, kMagic, 4) != 0) return corrupt("bad magic");
   if (get_u32(p + 4) != kVersion) return corrupt("unsupported version");
   // Checksum covers everything before the trailing 8 bytes.
-  if (file.size < 24 + 8) return corrupt("truncated checksum");
-  const std::size_t body = file.size - 8;
+  if (file.size() < 24 + 8) return corrupt("truncated checksum");
+  const std::size_t body = file.size() - 8;
   if (get_u64(p + body) != fnv1a({reinterpret_cast<const char*>(p), body}))
     return corrupt("checksum mismatch");
   const std::uint64_t stored_address = get_u64(p + 8);

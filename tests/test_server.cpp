@@ -26,7 +26,9 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "engine/batch.hpp"
 #include "engine/net_cache.hpp"
+#include "engine/parallel_parse.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -1314,6 +1316,116 @@ TEST(Server, HttpOnUnixSocketPath) {
   EXPECT_TRUE(std::filesystem::exists(options.http));
   server.stop();
   EXPECT_FALSE(std::filesystem::exists(options.http));
+}
+
+// ------------------------------------------------- listen-spec errors
+
+TEST(Server, PortAboveRangeIsRejectedByListenerHttpAndClient) {
+  // A digits-only spec is a TCP port; past 65535 it used to wrap silently
+  // (70000 bound and dialed port 4464).
+  const ScratchDir dir("port_range");
+  {
+    server::ServeOptions options;
+    options.listen = "70000";
+    server::Server server(options);
+    EXPECT_FALSE(server.start());
+    EXPECT_EQ(server.error(), "port out of range (0-65535): 70000");
+  }
+  {
+    server::ServeOptions options;
+    options.listen = dir.path + "/rct.sock";
+    options.http = "65536";
+    server::Server server(options);
+    EXPECT_FALSE(server.start());
+    EXPECT_EQ(server.error(), "http: port out of range (0-65535): 65536");
+    EXPECT_FALSE(std::filesystem::exists(options.listen));
+  }
+  server::Client client;
+  EXPECT_FALSE(client.connect("70000"));
+  EXPECT_EQ(client.error(), "port out of range (0-65535): 70000");
+  EXPECT_FALSE(client.connected());
+}
+
+TEST(Server, OverlongUnixPathIsRejectedByListenerHttpAndClient) {
+  const ScratchDir dir("long_path");
+  const std::string too_long = dir.path + "/" + std::string(200, 's') + ".sock";
+  {
+    server::ServeOptions options;
+    options.listen = too_long;
+    server::Server server(options);
+    EXPECT_FALSE(server.start());
+    EXPECT_EQ(server.error(), "unix socket path too long: " + too_long);
+  }
+  {
+    server::ServeOptions options;
+    options.listen = dir.path + "/rct.sock";
+    options.http = too_long;
+    server::Server server(options);
+    EXPECT_FALSE(server.start());
+    EXPECT_EQ(server.error(), "http: unix socket path too long: " + too_long);
+  }
+  server::Client client;
+  EXPECT_FALSE(client.connect(too_long));
+  EXPECT_EQ(client.error(), "unix socket path too long: " + too_long);
+}
+
+TEST(Server, TelemetryBindFailureLeavesNothingListening) {
+  const ScratchDir dir("http_bind");
+  for (const bool tcp : {false, true}) {
+    server::ServeOptions options;
+    options.listen = tcp ? "0" : dir.path + "/rct.sock";
+    options.http = dir.path + "/missing_dir/http.sock";  // bind: ENOENT
+    server::Server server(options);
+    ASSERT_FALSE(server.start());
+    EXPECT_EQ(server.error().rfind("http: bind " + options.http + ": ", 0), 0u)
+        << server.error();
+    EXPECT_EQ(server.http_address(), "");
+    server::Client client;
+    if (tcp) {
+      ASSERT_GT(server.port(), 0);
+      EXPECT_FALSE(client.connect(std::to_string(server.port())));
+    } else {
+      EXPECT_FALSE(std::filesystem::exists(options.listen));
+      EXPECT_FALSE(client.connect(options.listen));
+    }
+  }
+}
+
+TEST(SpefOpen, MissingPathIsFileOpenThroughEveryEntryPoint) {
+  // parse_spef_file, parse_spef_parallel_file, analyze_spef_file and the
+  // server's load_design open a deck through one helper: one code, one text.
+  const std::string path = "/nonexistent/rct_missing.spef";
+  const std::string expected = [&] {
+    try {
+      (void)parse_spef_file(path);
+    } catch (const SpefError& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  }();
+  EXPECT_NE(expected.find("cannot open '" + path + "'"), std::string::npos) << expected;
+  EXPECT_NE(expected.find("file-open"), std::string::npos) << expected;
+  const auto expect_file_open = [&](const char* entry, const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << entry << " did not throw";
+    } catch (const SpefError& e) {
+      EXPECT_EQ(e.code(), robust::Code::kFileOpen) << entry;
+      EXPECT_EQ(std::string(e.what()), expected) << entry;
+    }
+  };
+  expect_file_open("parse_spef_file", [&] { (void)parse_spef_file(path); });
+  expect_file_open("parse_spef_parallel_file",
+                   [&] { (void)engine::parse_spef_parallel_file(path, {}); });
+  expect_file_open("analyze_spef_file", [&] { (void)engine::analyze_spef_file(path); });
+  server::Server server(server::ServeOptions{});
+  expect_file_open("load_design", [&] { (void)server.load_design(path, false); });
+  server::Request load;
+  load.id = 1;
+  load.cmd = "load";
+  load.path = path;
+  EXPECT_EQ(server::response_error_code(server.handle_line(server::encode_request(load))),
+            "file-open");
 }
 
 TEST(Server, ConcurrentScrapeWhileServing) {

@@ -625,7 +625,10 @@ bool build_client_request(const std::vector<std::string>& tokens, server::Reques
     return false;
   }
   request.cmd = tokens[0];
-  std::vector<std::string> positional;
+  // Every command takes at most one positional argument: keep the first,
+  // count them all.
+  const std::string* positional = nullptr;
+  std::size_t positionals = 0;
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string& arg = tokens[i];
     auto value = [&](const char* flag) -> const std::string* {
@@ -664,28 +667,28 @@ bool build_client_request(const std::vector<std::string>& tokens, server::Reques
       error = "unknown client flag '" + arg + "'";
       return false;
     } else {
-      positional.push_back(arg);
+      if (positionals++ == 0) positional = &arg;
     }
   }
   if (request.cmd == "load") {
-    if (positional.size() != 1) {
+    if (positionals != 1) {
       error = "load expects exactly one file";
       return false;
     }
-    request.path = positional[0];
+    request.path = *positional;
   } else if (request.cmd == "report" || request.cmd == "bounds") {
-    if (positional.size() != 1) {
+    if (positionals != 1) {
       error = request.cmd + " expects exactly one net name";
       return false;
     }
-    request.net = positional[0];
+    request.net = *positional;
   } else if (request.cmd == "trace") {
-    if (positional.size() != 1) {
+    if (positionals != 1) {
       error = "trace expects exactly one trace id";
       return false;
     }
-    request.trace = positional[0];
-  } else if (!positional.empty()) {
+    request.trace = *positional;
+  } else if (positionals != 0) {
     error = request.cmd + " takes no positional arguments";
     return false;
   }
