@@ -9,7 +9,7 @@
 #   0c. JSON lint: src/ and tools/ hold no JSON escaper or append_json_*
 #      helper outside src/obs/json.cpp (rct::json is the one writer).
 #   1. ThreadSanitizer build; runs the engine tests (thread pool, net cache,
-#      batch analyzer), the shared-TreeContext tests, the obs registry/tracer
+#      batch analyzer), the TreeContext tests, the obs registry/tracer
 #      tests, the robustness tests (deadline/retry/fault injection), the
 #      timing-server tests (concurrent clients, disk store) and the CLI
 #      batch/serve end-to-end tests under TSan.

@@ -1,48 +1,33 @@
 #pragma once
-// analysis::TreeContext — the shared derived-array layer every analysis
-// consumes.
+// analysis::TreeContext — the per-tree derived arrays one report reads.
 //
-// Motivation: each analysis layer used to re-derive the same per-tree
-// quantities with its own sweeps (subtree capacitances, path resistances,
-// Elmore delays, PRH terms, transfer moments), and the per-call RCTree
-// accessors (RCTree::depth / RCTree::path_resistance /
-// RCTree::subtree_capacitance) walk the tree per call — O(depth) or
-// O(subtree) — which made per-node report loops quadratic on line
-// topologies.  A TreeContext is built once per tree in a fixed set of O(N)
-// passes over contiguous arrays and then shared, including across threads,
-// by every consumer.
+// Motivation: a report row needs the node depth, the Elmore delay T_D, the
+// impulse-response stats (sigma for Corollary 1's lower bound) and the
+// Penfield-Rubinstein terms.  The per-call RCTree accessors
+// (RCTree::depth / RCTree::path_resistance / RCTree::subtree_capacitance)
+// walk the tree per call — O(depth) or O(subtree) — which made per-node
+// report loops quadratic on line topologies.  A TreeContext computes the
+// arrays in a fixed set of O(N) passes over contiguous storage instead.
 //
 // Contents:
 //  * eager (built in the constructor): per-node depth, path resistance,
-//    subtree capacitance and Elmore delay; total capacitance; DFS pre-order
-//    with contiguous subtree intervals (subtree(i) occupies pre-order
-//    positions [subtree_begin(i), subtree_end(i))).
-//  * lazy (memoized, thread-safe): transfer moments m_0..m_k up to any
-//    requested order, impulse-response central-moment stats, and the
-//    Penfield-Rubinstein terms.
+//    subtree capacitance and Elmore delay.
+//  * lazy (computed on first use, then kept): impulse-response stats from
+//    the transfer moments m_1..m_3, and the Penfield-Rubinstein terms.
+//    They stay lazy because not every reader wants them (`rct dot` reads
+//    only the Elmore delays) and construction alone is on every cold net's
+//    path.
 //
 // All derived values are bit-identical to the corresponding src/moments
-// free functions — the context delegates to the exact same recurrences —
-// so swapping a call site from `f(tree)` to `f(context)` never perturbs a
-// ULP (the engine's determinism tests rely on this).
+// free functions — the context calls the exact same recurrences — so a
+// report built from a context matches one built from the tree to the ULP.
 //
-// Thread safety: after construction the context is logically immutable.
-// Lazy members are guarded by an internal mutex and their storage is
-// reference-stable: a span or reference returned by any accessor stays
-// valid for the lifetime of the context, even while other threads trigger
-// further lazy extension.  Sharing one context across a thread pool is the
-// intended use (see src/engine).
-//
-// Lifetime: the context borrows the RCTree unless constructed from a
-// shared_ptr; in the borrowed case the tree must outlive the context.
-// Derived arrays depend only on topology and R/C values — never on node
-// names — so a context built from one tree is numerically valid for any
-// content-identical tree (the engine's net cache shares contexts between
-// stamped-out nets on that basis and re-binds names afterwards).
+// Lifetime: a context is built per net, used by one build_report call (or
+// one CLI command) and dropped; nothing retains it.  It borrows the RCTree,
+// which must outlive it.  The lazy members are guarded by a mutex, so
+// concurrent first uses of a const context are still safe.
 
 #include <cstddef>
-#include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -60,16 +45,12 @@ class TreeContext {
   /// context).  O(N) total.
   explicit TreeContext(const RCTree& tree);
 
-  /// Shared-ownership variant: the context keeps the tree alive.
-  explicit TreeContext(std::shared_ptr<const RCTree> tree);
-
   TreeContext(const TreeContext&) = delete;
   TreeContext& operator=(const TreeContext&) = delete;
 
   [[nodiscard]] const RCTree& tree() const { return *tree_; }
-  [[nodiscard]] std::size_t size() const { return depth_.size(); }
 
-  // --- eager per-node arrays (all O(1) access) --------------------------
+  // --- eager per-node arrays --------------------------------------------
 
   /// Edges from the source to each node (RCTree::depth, precomputed).
   [[nodiscard]] std::span<const std::size_t> depths() const { return depth_; }
@@ -79,72 +60,27 @@ class TreeContext {
   [[nodiscard]] std::span<const double> subtree_capacitances() const { return ctot_; }
   /// Elmore delay T_D at every node.
   [[nodiscard]] std::span<const double> elmore_delays() const { return td_; }
-  /// Sum of all capacitances in the tree.
-  [[nodiscard]] double total_capacitance() const { return total_cap_; }
 
-  [[nodiscard]] std::size_t depth(NodeId i) const { return depth_[i]; }
-  [[nodiscard]] double path_resistance(NodeId i) const { return rpath_[i]; }
-  [[nodiscard]] double subtree_capacitance(NodeId i) const { return ctot_[i]; }
-  [[nodiscard]] double elmore_delay(NodeId i) const { return td_[i]; }
-
-  // --- DFS pre-order / subtree intervals --------------------------------
-
-  /// Nodes in DFS pre-order (parents before children, roots first).
-  [[nodiscard]] std::span<const NodeId> preorder() const { return pre_; }
-  /// Position of each node within preorder().
-  [[nodiscard]] std::span<const std::size_t> preorder_index() const { return pre_index_; }
-  /// Subtree(i) occupies preorder() positions [subtree_begin, subtree_end).
-  [[nodiscard]] std::size_t subtree_begin(NodeId i) const { return pre_index_[i]; }
-  [[nodiscard]] std::size_t subtree_end(NodeId i) const { return sub_end_[i]; }
-  /// Nodes in the subtree rooted at i (including i).
-  [[nodiscard]] std::size_t subtree_size(NodeId i) const { return sub_end_[i] - pre_index_[i]; }
-  /// O(1) ancestor-or-self test via the pre-order intervals.
-  [[nodiscard]] bool in_subtree(NodeId root, NodeId node) const {
-    return pre_index_[node] >= pre_index_[root] && pre_index_[node] < sub_end_[root];
-  }
-
-  // --- lazy, memoized, thread-safe derived quantities -------------------
-
-  /// Transfer moments m_0..m_order exist after this call.  Extending is
-  /// incremental: already-memoized orders are never recomputed.
-  void ensure_moments(std::size_t order) const;
-
-  /// Number of transfer-moment vectors memoized so far (0 = none; k+1 means
-  /// m_0..m_k are available without further computation).
-  [[nodiscard]] std::size_t moments_computed() const;
-
-  /// The m_k vector (one entry per node); computes m_0..m_k on first use.
-  /// The returned reference stays valid for the context's lifetime.
-  [[nodiscard]] const std::vector<double>& transfer_moment(std::size_t k) const;
+  // --- lazy, computed once on first use ---------------------------------
 
   /// Per-node impulse-response statistics (mean/sigma/skewness...), from
-  /// moments m_1..m_3.  Memoized on first use.
+  /// moments m_1..m_3; equals moments::impulse_stats(tree()).
   [[nodiscard]] std::span<const moments::ImpulseStats> impulse_stats() const;
 
-  /// The three Penfield-Rubinstein terms T_P / T_D / T_R.  Memoized on
-  /// first use; the reference stays valid for the context's lifetime.
+  /// The three Penfield-Rubinstein terms T_P / T_D / T_R.  The reference
+  /// stays valid for the context's lifetime.
   [[nodiscard]] const moments::PrhTerms& prh_terms() const;
 
  private:
-  void build_arrays();
-  void ensure_moments_locked(std::size_t order) const;
-
-  std::shared_ptr<const RCTree> owned_;  // engaged only for the owning ctor
   const RCTree* tree_;
 
   std::vector<std::size_t> depth_;
   std::vector<double> rpath_;
   std::vector<double> ctot_;
   std::vector<double> td_;
-  double total_cap_ = 0.0;
-  std::vector<NodeId> pre_;
-  std::vector<std::size_t> pre_index_;
-  std::vector<std::size_t> sub_end_;
 
-  // Lazy state.  The deque gives reference stability under push_back;
-  // optionals are emplaced once and never reset.
+  // Lazy state: each optional is emplaced once and never reset.
   mutable std::mutex mutex_;
-  mutable std::deque<std::vector<double>> moments_;
   mutable std::optional<std::vector<moments::ImpulseStats>> stats_;
   mutable std::optional<moments::PrhTerms> prh_;
 };

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 
 namespace rct::core {
-namespace {
 
-std::vector<DelayBounds> bounds_from_stats(std::span<const moments::ImpulseStats> stats) {
+std::vector<DelayBounds> delay_bounds(const RCTree& tree) {
+  const std::vector<moments::ImpulseStats> stats = moments::impulse_stats(tree);
   std::vector<DelayBounds> out(stats.size());
   for (std::size_t i = 0; i < stats.size(); ++i) {
     out[i].elmore = stats[i].mean;
@@ -19,11 +18,16 @@ std::vector<DelayBounds> bounds_from_stats(std::span<const moments::ImpulseStats
   return out;
 }
 
-GeneralizedBounds generalized_from_stats(const moments::ImpulseStats& stats,
-                                         const sim::Source& input) {
+DelayBounds delay_bounds_at(const RCTree& tree, NodeId node) {
+  return delay_bounds(tree)[node];
+}
+
+GeneralizedBounds generalized_bounds(const RCTree& tree, NodeId node,
+                                     const sim::Source& input) {
   if (!input.derivative_unimodal())
     throw std::invalid_argument(
         "generalized_bounds: Corollary 2 requires a unimodal input derivative");
+  const moments::ImpulseStats stats = moments::impulse_stats(tree)[node];
   const sim::DerivativeStats in = input.derivative_stats();
 
   GeneralizedBounds g{};
@@ -40,40 +44,8 @@ GeneralizedBounds generalized_from_stats(const moments::ImpulseStats& stats,
   return g;
 }
 
-}  // namespace
-
-std::vector<DelayBounds> delay_bounds(const RCTree& tree) {
-  return bounds_from_stats(moments::impulse_stats(tree));
-}
-
-std::vector<DelayBounds> delay_bounds(const analysis::TreeContext& context) {
-  return bounds_from_stats(context.impulse_stats());
-}
-
-DelayBounds delay_bounds_at(const RCTree& tree, NodeId node) {
-  return delay_bounds(tree)[node];
-}
-
-DelayBounds delay_bounds_at(const analysis::TreeContext& context, NodeId node) {
-  return delay_bounds(context)[node];
-}
-
-GeneralizedBounds generalized_bounds(const RCTree& tree, NodeId node,
-                                     const sim::Source& input) {
-  return generalized_from_stats(moments::impulse_stats(tree)[node], input);
-}
-
-GeneralizedBounds generalized_bounds(const analysis::TreeContext& context, NodeId node,
-                                     const sim::Source& input) {
-  return generalized_from_stats(context.impulse_stats()[node], input);
-}
-
 double rise_time_estimate(const RCTree& tree, NodeId node) {
   return moments::impulse_stats(tree)[node].sigma;
-}
-
-double rise_time_estimate(const analysis::TreeContext& context, NodeId node) {
-  return context.impulse_stats()[node].sigma;
 }
 
 }  // namespace rct::core

@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "moments/central.hpp"
 #include "rctree/rctree.hpp"
 #include "sim/sources.hpp"
@@ -34,14 +33,8 @@ struct DelayBounds {
 /// Bounds at every node, O(N).
 [[nodiscard]] std::vector<DelayBounds> delay_bounds(const RCTree& tree);
 
-/// Same from a shared context (reuses its memoized impulse stats).
-[[nodiscard]] std::vector<DelayBounds> delay_bounds(const analysis::TreeContext& context);
-
 /// Bounds at one node.
 [[nodiscard]] DelayBounds delay_bounds_at(const RCTree& tree, NodeId node);
-
-/// Bounds at one node from a shared context.
-[[nodiscard]] DelayBounds delay_bounds_at(const analysis::TreeContext& context, NodeId node);
 
 /// Output threshold-crossing and 50-50 delay bounds for a generalized input.
 struct GeneralizedBounds {
@@ -61,16 +54,9 @@ struct GeneralizedBounds {
 [[nodiscard]] GeneralizedBounds generalized_bounds(const RCTree& tree, NodeId node,
                                                    const sim::Source& input);
 
-/// Same from a shared context (reuses its memoized impulse stats).
-[[nodiscard]] GeneralizedBounds generalized_bounds(const analysis::TreeContext& context,
-                                                   NodeId node, const sim::Source& input);
-
 /// sigma-based output transition-time estimate (paper Sec. III-B, eq. 38,
 /// Elmore's "radius of gyration").  Returns sigma of the step response
 /// derivative, i.e. of h(t), at the node.
 [[nodiscard]] double rise_time_estimate(const RCTree& tree, NodeId node);
-
-/// Same from a shared context.
-[[nodiscard]] double rise_time_estimate(const analysis::TreeContext& context, NodeId node);
 
 }  // namespace rct::core

@@ -7,11 +7,9 @@
 
 namespace rct::core {
 
-namespace {
-
-std::vector<DelayCurvePoint> delay_curve_from(double elmore, const sim::ExactAnalysis& exact,
-                                              NodeId node,
-                                              const std::vector<double>& rise_times) {
+std::vector<DelayCurvePoint> delay_curve(const RCTree& tree, const sim::ExactAnalysis& exact,
+                                         NodeId node, const std::vector<double>& rise_times) {
+  const double elmore = moments::elmore_delays(tree)[node];
   std::vector<DelayCurvePoint> out;
   out.reserve(rise_times.size());
   for (double tr : rise_times) {
@@ -20,19 +18,6 @@ std::vector<DelayCurvePoint> delay_curve_from(double elmore, const sim::ExactAna
     out.push_back({tr, d, elmore, (elmore - d) / d});
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<DelayCurvePoint> delay_curve(const RCTree& tree, const sim::ExactAnalysis& exact,
-                                         NodeId node, const std::vector<double>& rise_times) {
-  return delay_curve_from(moments::elmore_delays(tree)[node], exact, node, rise_times);
-}
-
-std::vector<DelayCurvePoint> delay_curve(const analysis::TreeContext& context,
-                                         const sim::ExactAnalysis& exact, NodeId node,
-                                         const std::vector<double>& rise_times) {
-  return delay_curve_from(context.elmore_delay(node), exact, node, rise_times);
 }
 
 std::vector<double> log_sweep(double lo, double hi, std::size_t points) {
@@ -49,13 +34,6 @@ double relative_elmore_error(const RCTree& tree, const sim::ExactAnalysis& exact
   const double elmore = moments::elmore_delays(tree)[node];
   const double d = exact.delay_50_50(node, input);
   return (elmore - d) / d;
-}
-
-double relative_elmore_error(const analysis::TreeContext& context,
-                             const sim::ExactAnalysis& exact, NodeId node,
-                             const sim::Source& input) {
-  const double d = exact.delay_50_50(node, input);
-  return (context.elmore_delay(node) - d) / d;
 }
 
 double input_output_area(const sim::ExactAnalysis& exact, NodeId node, const sim::Source& input,

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "rctree/rctree.hpp"
 #include "sim/exact.hpp"
 #include "sim/sources.hpp"
@@ -30,23 +29,12 @@ struct DelayCurvePoint {
                                                        NodeId node,
                                                        const std::vector<double>& rise_times);
 
-/// Same from a shared context (reuses its Elmore-delay array).
-[[nodiscard]] std::vector<DelayCurvePoint> delay_curve(const analysis::TreeContext& context,
-                                                       const sim::ExactAnalysis& exact,
-                                                       NodeId node,
-                                                       const std::vector<double>& rise_times);
-
 /// Log-spaced rise-time sweep [lo, hi] with `points` samples.
 [[nodiscard]] std::vector<double> log_sweep(double lo, double hi, std::size_t points);
 
 /// Relative Elmore error (elmore - delay)/delay at one node for one source.
 [[nodiscard]] double relative_elmore_error(const RCTree& tree, const sim::ExactAnalysis& exact,
                                            NodeId node, const sim::Source& input);
-
-/// Same from a shared context.
-[[nodiscard]] double relative_elmore_error(const analysis::TreeContext& context,
-                                           const sim::ExactAnalysis& exact, NodeId node,
-                                           const sim::Source& input);
 
 /// Eq. (48): area between input and output waveforms equals T_D.  Returns
 /// the numerically integrated area for verification experiments.

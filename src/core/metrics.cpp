@@ -41,13 +41,4 @@ std::vector<DelayMetrics> delay_metrics(const RCTree& tree) {
   return out;
 }
 
-std::vector<DelayMetrics> delay_metrics(const analysis::TreeContext& context) {
-  context.ensure_moments(2);
-  const auto& m1 = context.transfer_moment(1);
-  const auto& m2 = context.transfer_moment(2);
-  std::vector<DelayMetrics> out(context.size());
-  for (NodeId i = 0; i < context.size(); ++i) out[i] = metrics_from_moments(m1[i], m2[i]);
-  return out;
-}
-
 }  // namespace rct::core

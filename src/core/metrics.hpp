@@ -31,7 +31,6 @@
 
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "rctree/rctree.hpp"
 
 namespace rct::core {
@@ -52,8 +51,5 @@ struct DelayMetrics {
 
 /// Metric zoo at every node, O(N).
 [[nodiscard]] std::vector<DelayMetrics> delay_metrics(const RCTree& tree);
-
-/// Same from a shared context (reuses its memoized transfer moments).
-[[nodiscard]] std::vector<DelayMetrics> delay_metrics(const analysis::TreeContext& context);
 
 }  // namespace rct::core

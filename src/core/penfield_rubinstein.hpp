@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "moments/path_tracing.hpp"
 #include "rctree/rctree.hpp"
 
@@ -29,8 +28,6 @@ namespace rct::core {
 class PrhBounds {
  public:
   explicit PrhBounds(const RCTree& tree) : terms_(moments::prh_terms(tree)) {}
-  /// Reuses the context's memoized terms instead of re-sweeping the tree.
-  explicit PrhBounds(const analysis::TreeContext& context) : terms_(context.prh_terms()) {}
   /// Adopts already-computed terms.
   explicit PrhBounds(moments::PrhTerms terms) : terms_(std::move(terms)) {}
 

@@ -54,16 +54,16 @@ struct ReportOptions {
 };
 
 /// Builds the report for every node (or every leaf).  Constructs a
-/// one-shot analysis::TreeContext internally; callers that analyze the same
-/// tree more than once should build the context themselves and use the
-/// overload below.
+/// one-shot analysis::TreeContext internally and forwards to the overload
+/// below.
 [[nodiscard]] std::vector<NodeReport> build_report(const RCTree& tree,
                                                    const ReportOptions& options = {});
 
-/// Same report from a shared TreeContext: all derived arrays (depths,
-/// moments, PRH terms) come from the context, so the per-node loop is a
-/// fixed set of O(N) array reads — no per-call tree walks.  Output is
-/// bit-identical to the tree overload.
+/// Same report from a caller-built TreeContext, for callers that already
+/// hold one or read its arrays too.  All derived arrays (depths, Elmore
+/// delays, impulse stats, PRH terms) come from the context, so the per-node
+/// loop is a fixed set of O(N) array reads — no per-call tree walks.
+/// Output is bit-identical to the tree overload.
 [[nodiscard]] std::vector<NodeReport> build_report(const analysis::TreeContext& context,
                                                    const ReportOptions& options = {});
 

@@ -1,16 +1,14 @@
 #include "core/sensitivity.hpp"
 
-#include <span>
 #include <stdexcept>
 
 #include "moments/path_tracing.hpp"
 
 namespace rct::core {
-namespace {
 
-std::vector<double> cap_sensitivities_from(const RCTree& tree, std::span<const double> rpath,
-                                           NodeId node) {
+std::vector<double> elmore_cap_sensitivities(const RCTree& tree, NodeId node) {
   if (node >= tree.size()) throw std::invalid_argument("cap_sensitivities: node out of range");
+  const std::vector<double> rpath = moments::path_resistances(tree);
 
   // R_k,node = rpath[LCA(k, node)].  Partition the tree by the deepest
   // source->node path vertex each k shares: nodes in subtree(v) but not in
@@ -36,30 +34,12 @@ std::vector<double> cap_sensitivities_from(const RCTree& tree, std::span<const d
   return sens;
 }
 
-std::vector<double> res_sensitivities_from(const RCTree& tree, std::span<const double> ctot,
-                                           NodeId node) {
+std::vector<double> elmore_res_sensitivities(const RCTree& tree, NodeId node) {
   if (node >= tree.size()) throw std::invalid_argument("res_sensitivities: node out of range");
+  const std::vector<double> ctot = moments::subtree_capacitances(tree);
   std::vector<double> sens(tree.size(), 0.0);
   for (NodeId v = node; v != kSource; v = tree.parent(v)) sens[v] = ctot[v];
   return sens;
-}
-
-}  // namespace
-
-std::vector<double> elmore_cap_sensitivities(const RCTree& tree, NodeId node) {
-  return cap_sensitivities_from(tree, moments::path_resistances(tree), node);
-}
-
-std::vector<double> elmore_cap_sensitivities(const analysis::TreeContext& context, NodeId node) {
-  return cap_sensitivities_from(context.tree(), context.path_resistances(), node);
-}
-
-std::vector<double> elmore_res_sensitivities(const RCTree& tree, NodeId node) {
-  return res_sensitivities_from(tree, moments::subtree_capacitances(tree), node);
-}
-
-std::vector<double> elmore_res_sensitivities(const analysis::TreeContext& context, NodeId node) {
-  return res_sensitivities_from(context.tree(), context.subtree_capacitances(), node);
 }
 
 }  // namespace rct::core

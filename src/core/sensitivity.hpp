@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "rctree/rctree.hpp"
 
 namespace rct::core {
@@ -21,17 +20,9 @@ namespace rct::core {
 /// resistances R_k,node).  O(N).
 [[nodiscard]] std::vector<double> elmore_cap_sensitivities(const RCTree& tree, NodeId node);
 
-/// Same from a shared context (reuses its path-resistance array).
-[[nodiscard]] std::vector<double> elmore_cap_sensitivities(const analysis::TreeContext& context,
-                                                           NodeId node);
-
 /// d T_D(node) / d r_e for every edge e (indexed by the edge's lower node).
 /// Nonzero exactly on the source->node path, where it equals the subtree
 /// capacitance below the edge.  O(N).
 [[nodiscard]] std::vector<double> elmore_res_sensitivities(const RCTree& tree, NodeId node);
-
-/// Same from a shared context (reuses its subtree-capacitance array).
-[[nodiscard]] std::vector<double> elmore_res_sensitivities(const analysis::TreeContext& context,
-                                                           NodeId node);
 
 }  // namespace rct::core

@@ -241,10 +241,7 @@ class BatchRun {
         // EngineStats is a per-run delta over the global registry: runs are
         // assumed not to interleave (the registry totals stay correct).
         base_tasks_(EngineCounters::get().tasks_run.value()),
-        base_hits_(EngineCounters::get().cache_hits.value()),
-        // Failure budget (0 = unlimited): once spent, nets not yet started
-        // record kCancelled instead of running; running nets finish.
-        budget_(options.fail_fast ? std::size_t{1} : options.max_failures) {
+        base_hits_(EngineCounters::get().cache_hits.value()) {
     if (options.cache_backend != nullptr) cache_.set_backend(options.cache_backend);
   }
   BatchRun(const BatchRun&) = delete;  // pool tasks hold its address
@@ -264,12 +261,15 @@ class BatchRun {
   void analyze_net(const SpefNet& net, NetResult& slot, std::uint64_t enqueue_ns) {
     EngineCounters& ec = EngineCounters::get();
     obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns, &queue_wait_histogram());
-    if (budget_ != 0 && failed_so_far_.load(std::memory_order_relaxed) >= budget_) {
+    // Failure budget (0 = unlimited): once spent, nets not yet started
+    // record kCancelled instead of running; running nets finish.
+    const std::size_t budget = options_.max_failures;
+    if (budget != 0 && failed_so_far_.load(std::memory_order_relaxed) >= budget) {
       slot.name = net.name;
       slot.driver = net.driver;
       slot.loads = net.loads;
       slot.nodes = net.tree.size();
-      slot.error = "cancelled: failure budget (" + std::to_string(budget_) + ") exhausted";
+      slot.error = "cancelled: failure budget (" + std::to_string(budget) + ") exhausted";
       slot.code = robust::Code::kCancelled;
       slot.phase = "cancelled";
       ec.nets_cancelled.add();
@@ -338,7 +338,6 @@ class BatchRun {
   NetCache* const cache_ptr_;
   const std::uint64_t base_tasks_;
   const std::uint64_t base_hits_;
-  const std::size_t budget_;
   std::atomic<std::size_t> failed_so_far_{0};
 };
 

@@ -14,7 +14,7 @@
 // other net still completes.  Nets whose exact path fails get one automatic
 // retry on the cheap moments path; rows produced that way are flagged
 // `degraded`.  A cooperative per-net deadline (net_timeout_ms) and a
-// failure budget (max_failures / fail_fast) bound runaway batches.
+// failure budget (max_failures) bound runaway batches.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,9 +54,6 @@ struct BatchOptions {
   /// scheduling-dependent, so — unlike the default path — stdout is not
   /// byte-identical across --jobs values once the budget trips.
   std::size_t max_failures = 0;
-  /// Shorthand for max_failures = 1: cancel everything after the first
-  /// failure.
-  bool fail_fast = false;
   /// One automatic retry of a failed exact-path net on the moments path
   /// (with_exact = false, fresh deadline).  Parse/topology failures are
   /// not retried — they would fail identically.
@@ -166,8 +163,8 @@ struct FileBatchResult {
 
 /// Plain-text renderer used by `rct batch`.  Deterministic: no timings,
 /// thread counts or cache provenance, so output is byte-identical for any
-/// --jobs value (except under max_failures/fail_fast, where the set of
-/// cancelled nets is scheduling-dependent).
+/// --jobs value (except under max_failures, where the set of cancelled
+/// nets is scheduling-dependent).
 [[nodiscard]] std::string format_batch(const BatchResult& result);
 
 /// JSON renderer (schema documented in README.md), same determinism

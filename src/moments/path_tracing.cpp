@@ -42,6 +42,10 @@ std::vector<double> elmore_delays(const RCTree& tree) {
   return elmore_delays_from(tree, subtree_capacitances(tree));
 }
 
+namespace {
+
+/// One step of the RICE recurrence: m_k at every node from the m_{k-1}
+/// vector.
 std::vector<double> next_transfer_moment(const RCTree& tree, const std::vector<double>& prev) {
   const std::size_t n = tree.size();
   // Upward pass: accumulate c_j * m_{k-1}(j) over subtrees.
@@ -59,6 +63,8 @@ std::vector<double> next_transfer_moment(const RCTree& tree, const std::vector<d
   }
   return cur;
 }
+
+}  // namespace
 
 std::vector<std::vector<double>> transfer_moments(const RCTree& tree, std::size_t order) {
   std::vector<std::vector<double>> m;

@@ -41,12 +41,6 @@ namespace rct::moments {
 [[nodiscard]] std::vector<std::vector<double>> transfer_moments(const RCTree& tree,
                                                                 std::size_t order);
 
-/// One step of the RICE recurrence: m_k at every node from the m_{k-1}
-/// vector.  Exposed so memoizing callers (analysis::TreeContext) extend
-/// their moment sets with arithmetic bit-identical to transfer_moments().
-[[nodiscard]] std::vector<double> next_transfer_moment(const RCTree& tree,
-                                                       const std::vector<double>& prev);
-
 /// Distribution moments M_q(i) = int t^q h_i(t) dt = (-1)^q q! m_q(i);
 /// result[q][i], q = 0..order.
 [[nodiscard]] std::vector<std::vector<double>> distribution_moments(const RCTree& tree,

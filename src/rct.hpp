@@ -8,7 +8,7 @@
 //   linalg   -> numeric kernels
 //   rctree   -> circuit model, parsers, generators, transforms
 //   moments  -> O(N) moment engine
-//   analysis -> shared per-tree derived arrays (TreeContext)
+//   analysis -> per-tree derived arrays for one report (TreeContext)
 //   sim      -> exact / transient / distributed simulation
 //   core     -> the paper's bounds and metrics
 //   sta      -> gate-level timing built on the bounds

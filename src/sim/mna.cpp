@@ -21,8 +21,6 @@ Mna assemble_mna(const RCTree& tree) {
   return m;
 }
 
-Mna assemble_mna(const analysis::TreeContext& context) { return assemble_mna(context.tree()); }
-
 std::vector<std::vector<double>> mna_moments(const RCTree& tree, std::size_t order) {
   const Mna m = assemble_mna(tree);
   const linalg::LuFactor lu(m.conductance);
@@ -35,11 +33,6 @@ std::vector<std::vector<double>> mna_moments(const RCTree& tree, std::size_t ord
     out.push_back(lu.solve(rhs));
   }
   return out;
-}
-
-std::vector<std::vector<double>> mna_moments(const analysis::TreeContext& context,
-                                             std::size_t order) {
-  return mna_moments(context.tree(), order);
 }
 
 }  // namespace rct::sim

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "linalg/dense_matrix.hpp"
 #include "rctree/rctree.hpp"
 
@@ -29,17 +28,9 @@ struct Mna {
 /// Assembles G, diag(C) and b for the tree.
 [[nodiscard]] Mna assemble_mna(const RCTree& tree);
 
-/// Same for a context's tree (assembly reads raw R/C values only, so this
-/// is a convenience forwarder for context-based pipelines).
-[[nodiscard]] Mna assemble_mna(const analysis::TreeContext& context);
-
 /// Transfer-function moment vectors m_0..m_order at every node from the MNA
 /// view: m_0 = G^{-1} b (all ones), m_k = -G^{-1} C m_{k-1}.
 /// Result[k][i] is the k-th moment at node i (H_i(s) = sum_k m_k[i] s^k).
 [[nodiscard]] std::vector<std::vector<double>> mna_moments(const RCTree& tree, std::size_t order);
-
-/// Same for a context's tree.
-[[nodiscard]] std::vector<std::vector<double>> mna_moments(const analysis::TreeContext& context,
-                                                           std::size_t order);
 
 }  // namespace rct::sim

@@ -466,6 +466,16 @@ TEST(Cli, ClientWithoutCommandPrintsUsage) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+TEST(Cli, ServeListenFailureIsPlainError) {
+  // A bad listener is reported as the server's own message, the same
+  // "error: <why>" form `rct client` uses — not as a parse error.
+  const auto r = run("serve --listen 70000");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("error:"), std::string::npos);
+  EXPECT_NE(r.output.find("70000"), std::string::npos);
+  EXPECT_EQ(r.output.find("[parse/"), std::string::npos);
+}
+
 TEST(Cli, ClientConnectFailureIsCleanError) {
   const auto r = run("client /nonexistent/rct.sock ping");
   EXPECT_EQ(r.exit_code, 1);
@@ -860,6 +870,40 @@ TEST(Cli, FaultEnvEigensolveThrowRetriesOnMomentsPath) {
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_NE(r.output.find("\"retried\":true"), std::string::npos);
   EXPECT_EQ(r.output.find("\"exact_delay_s\":1"), std::string::npos);
+}
+
+/// The failure records of a batch's text output, net names stripped and
+/// sorted: which net a spent budget cancels is scheduling-dependent even
+/// at --jobs 1, how many it cancels is not.
+std::multiset<std::string> failure_records(const std::string& output) {
+  std::multiset<std::string> records;
+  std::istringstream in(output);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("record:") != std::string::npos)
+      records.insert(line.substr(0, line.find(" net=")));
+  }
+  return records;
+}
+
+TEST(Cli, FaultEnvFailFastIsMaxFailuresOne) {
+  // --fail-fast is --max-failures 1, and it wins over --max-failures N on
+  // either side of it.
+  const std::string env = "RCT_FAULT='engine.net.analyze=throw'";
+  const std::string base = "batch " + data("two_nets.spef") + " --jobs 1";
+  const auto budget_one = run_with_env(env, base + " --max-failures 1");
+  EXPECT_EQ(budget_one.exit_code, 1);
+  const auto want = failure_records(budget_one.output);
+  EXPECT_EQ(want.count("  record: code=cancelled category=cancelled phase=cancelled"), 1u);
+  EXPECT_EQ(want.size(), 2u);
+  for (const char* flags :
+       {" --fail-fast", " --fail-fast --max-failures 5", " --max-failures 5 --fail-fast"}) {
+    const auto r = run_with_env(env, base + flags);
+    EXPECT_EQ(r.exit_code, budget_one.exit_code) << flags;
+    EXPECT_EQ(r.output.size(), budget_one.output.size()) << flags;
+    EXPECT_EQ(failure_records(r.output), want) << flags;
+  }
+  // A larger budget lets the second net run (and fail) instead.
+  EXPECT_NE(failure_records(run_with_env(env, base + " --max-failures 5").output), want);
 }
 
 /// Env-prefixed run that keeps stderr (for flight-recorder dump checks).

@@ -461,7 +461,7 @@ TEST_F(FaultTest, FailFastIsABudgetOfOne) {
   engine::BatchOptions opt;
   opt.jobs = 1;
   opt.retry_on_failure = false;
-  opt.fail_fast = true;
+  opt.max_failures = 1;
   const engine::BatchResult r = engine::analyze_nets(clean_nets(), opt);
   EXPECT_EQ(r.stats.failures, 2u);
   EXPECT_EQ(r.stats.cancelled, 1u);

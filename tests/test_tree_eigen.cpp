@@ -15,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/tree_context.hpp"
 #include "linalg/root_find.hpp"
 #include "linalg/symmetric_eigen.hpp"
+#include "moments/path_tracing.hpp"
 #include "rctree/circuits.hpp"
 #include "rctree/generators.hpp"
 #include "sim/exact.hpp"
@@ -43,10 +43,10 @@ RCTree floored(const RCTree& tree) {
 
 void expect_moments_consistent(const RCTree& tree, const ExactAnalysis& exact) {
   const RCTree solved = floored(tree);
-  const analysis::TreeContext ctx(solved);
+  const auto m = moments::transfer_moments(solved, 2);
   const auto& poles = exact.poles();
   for (std::size_t k = 0; k <= 2; ++k) {
-    const std::vector<double>& want = ctx.transfer_moment(k);
+    const std::vector<double>& want = m[k];
     double worst = 0.0;
     for (NodeId i = 0; i < tree.size(); ++i) {
       const auto a = exact.coefficient_row(i);

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,6 +142,7 @@ struct SpefFlags {
 
 SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = false) {
   SpefFlags f;
+  bool fail_fast = false;  // --fail-fast: a budget of one, whatever --max-failures says
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -169,7 +171,7 @@ SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = f
       if (const char* v = value("--max-failures"))
         f.batch.max_failures = std::strtoul(v, nullptr, 10);
     } else if (arg == "--fail-fast") {
-      f.batch.fail_fast = true;
+      fail_fast = true;
     } else if (arg == "--progress") {
       f.progress = true;
     } else if (arg == "--trace-out") {
@@ -241,6 +243,7 @@ SpefFlags parse_spef_flags(int argc, char** argv, int first, bool serve_mode = f
     }
     if (!f.ok) break;
   }
+  if (fail_fast) f.batch.max_failures = 1;
   return f;
 }
 
@@ -588,7 +591,9 @@ int cmd_serve(const SpefFlags& flags) {
       const std::string handle = server.load_design(path, flags.lenient);
       std::fprintf(stderr, "preloaded %s as %s\n", path.c_str(), handle.c_str());
     }
-    if (!server.start()) throw robust::Error(robust::Code::kFileOpen, server.error());
+    // A listener failure is a plain message ("error: <why>", exit 1), like
+    // `rct client`'s connect failure: it is not a parse error.
+    if (!server.start()) throw std::runtime_error(server.error());
     // From here on SIGTERM/SIGINT mean "drain gracefully, exit 0" — the
     // daemon contract — instead of the batch commands' dump-and-die.
     g_drain_server.store(&server, std::memory_order_relaxed);
