@@ -1,0 +1,125 @@
+// probe — a shared module that times the report pipeline on named
+// workloads, so scripts/ab_gate.py can load two builds of the library into
+// one process and call them in alternation: RCT_OBS=ON against a real
+// RCT_OBS=OFF build (obs mode), or HEAD's src/ against the working tree's
+// (perf mode).  Two processes cannot resolve a few percent on a shared box;
+// two modules side by side see the same machine state.  Each carries a
+// private copy of the library (hidden visibility, -Bsymbolic,
+// --exclude-libs, loaded RTLD_LOCAL), so the copies never alias.
+//
+// Workloads (kWorkloads), kind/topology/nodes:
+//   fresh/{line,random}/N   build_report(tree), bounds only
+//   shared/{line,random}/N  build_report(context) on a prebuilt context
+//   context/line/N          TreeContext construction alone
+//   exact/random/{16,96,250,1000}, exact/line/250
+//                           build_report(context) with the exact solve on
+// Lines are gen::line(N, 100, 0.1p, 50, 0.05p), random trees
+// gen::random_tree(N, seed 12345).
+//
+// C ABI:
+//   int         rct_probe_timing_enabled()  1 in an RCT_OBS=ON build
+//   const char* rct_probe_workloads()       space-separated names
+//   int         rct_probe_setup(name)       builds that workload and runs it
+//                                           once (warming lazy members); 0 = ok
+//   double      rct_probe_time(int calls)   seconds for `calls` runs, < 0 on error
+
+#include <chrono>
+#include <cstdio>
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+#include "analysis/tree_context.hpp"
+#include "core/report.hpp"
+#include "obs/trace.hpp"
+#include "rctree/generators.hpp"
+
+#define RCT_PROBE_EXPORT extern "C" __attribute__((visibility("default")))
+
+namespace {
+
+using namespace rct;
+
+constexpr const char* kWorkloads =
+    "fresh/line/1024 fresh/line/4096 fresh/line/16384 fresh/line/65536 "
+    "fresh/random/1024 fresh/random/4096 fresh/random/16384 fresh/random/65536 "
+    "shared/line/1024 shared/line/4096 shared/line/16384 shared/line/65536 "
+    "shared/random/1024 shared/random/4096 shared/random/16384 shared/random/65536 "
+    "context/line/1024 context/line/4096 context/line/16384 context/line/65536 "
+    "exact/random/16 exact/random/96 exact/random/250 exact/random/1000 exact/line/250";
+
+enum class Kind { kFresh, kShared, kContext, kExact };
+
+struct Workload {
+  Workload(Kind k, bool line, std::size_t nodes)
+      : kind(k),
+        tree(line ? gen::line(nodes, 100.0, 0.1e-12, 50.0, 0.05e-12)
+                  : gen::random_tree(nodes, /*seed=*/12345)),
+        options{.with_exact = k == Kind::kExact} {
+    if (kind == Kind::kShared || kind == Kind::kExact) context.emplace(tree);
+  }
+
+  /// One run; returns the rows (or context entries) it produced.
+  std::size_t run() const {
+    switch (kind) {
+      case Kind::kFresh: return core::build_report(tree, options).size();
+      case Kind::kContext: return analysis::TreeContext(tree).elmore_delays().size();
+      case Kind::kShared:
+      case Kind::kExact: return core::build_report(*context, options).size();
+    }
+    return 0;
+  }
+
+  Kind kind;
+  RCTree tree;
+  std::optional<analysis::TreeContext> context;  ///< kShared and kExact
+  core::ReportOptions options;
+};
+
+std::unique_ptr<Workload> g_workload;
+
+}  // namespace
+
+RCT_PROBE_EXPORT int rct_probe_timing_enabled() { return rct::obs::kTimingEnabled ? 1 : 0; }
+
+RCT_PROBE_EXPORT const char* rct_probe_workloads() { return kWorkloads; }
+
+RCT_PROBE_EXPORT int rct_probe_setup(const char* name) {
+  g_workload.reset();
+  std::istringstream list(kWorkloads);
+  std::string listed;
+  while (list >> listed && listed != name) {
+  }
+  char kind[8], topology[8];
+  std::size_t nodes = 0;
+  if (listed != name || std::sscanf(name, "%7[a-z]/%7[a-z]/%zu", kind, topology, &nodes) != 3)
+    return 1;
+  const std::string_view k = kind;
+  try {
+    auto w = std::make_unique<Workload>(k == "fresh"     ? Kind::kFresh
+                                        : k == "shared"  ? Kind::kShared
+                                        : k == "context" ? Kind::kContext
+                                                         : Kind::kExact,
+                                        std::string_view(topology) == "line", nodes);
+    if (w->run() != w->tree.size()) return 1;
+    g_workload = std::move(w);
+    return 0;
+  } catch (...) {
+    return 1;
+  }
+}
+
+RCT_PROBE_EXPORT double rct_probe_time(int calls) {
+  if (!g_workload) return -1.0;
+  try {
+    std::size_t rows = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < calls; ++i) rows += g_workload->run();
+    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    return rows == static_cast<std::size_t>(calls) * g_workload->tree.size() ? s : -1.0;
+  } catch (...) {
+    return -1.0;
+  }
+}

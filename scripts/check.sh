@@ -32,20 +32,22 @@
 #      finally re-runs the store-GC crash-recovery, socket-chaos,
 #      cached-render, short-row store round-trip and fused-cache suites by
 #      name so a renamed/deleted suite cannot pass silently.
-#   4. Perf gate: builds perf_report and bench/obs_probe in two Release
-#      trees, build-perf (RCT_OBS=ON) and build-perf-off (RCT_OBS=OFF).
-#      The obs overhead gate (scripts/obs_gate.py) loads both probes into
-#      one process and fails if the ON build's build_report reads >2%
-#      slower than the OFF build's in each of 3 rounds.  Then perf_report
-#      runs with 10 repetitions and scripts/perf_compare.py diffs its
-#      medians against the committed BENCH_report.json; a >PERF_THRESHOLD
-#      (default 10%) median real_time growth, a host fingerprint that
-#      differs from the baseline's, or no benchmark in common with it
-#      fails the gate.
+#   4. Perf gate: in-process A/B of two builds of bench/probe (a shared
+#      module with a private copy of the library) through
+#      scripts/ab_gate.py, whose decision rule scripts/test_ab_gate.py
+#      checks first on synthetic timings.  Three PIC Release trees:
+#      build-perf (working tree, RCT_OBS=ON), build-perf-off (working tree,
+#      RCT_OBS=OFF) and build-perf-base (`git archive HEAD` with the working
+#      tree's bench/ copied over it, so both modules run one harness and
+#      only src/ differs).  obs mode fails if the ON build reads >2% slower
+#      than the OFF build on shared/line/16384 in each of 3 rounds; perf
+#      mode fails if the working tree reads >5% slower than HEAD on any
+#      probe workload in each of 3 rounds.  A module that fails to load or
+#      set up, or a HEAD that cannot build the probe, exits 2.
 #
 # Usage: scripts/check.sh [--tsan-only|--asan-only|--perf-only]
-# Build trees land in build-tsan/, build-asan/, build-perf/ and
-# build-perf-off/ (gitignored).
+# Build trees land in build-tsan/, build-asan/, build-perf/, build-perf-off/
+# and build-perf-base/ (gitignored).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -376,38 +378,35 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then
-  PERF_THRESHOLD="${PERF_THRESHOLD:-0.10}"
-  # Position-independent code lets bench/obs_probe link the static libraries
+  echo "== perf gate: ab_gate.py decision rule on synthetic timings =="
+  python3 scripts/test_ab_gate.py
+
+  # HEAD's sources with the working tree's bench/ over them.  tar and cp -p
+  # keep the files' times, so an unchanged HEAD does not rebuild.
+  BASE=build-perf-base
+  rm -rf "$BASE/src" && mkdir -p "$BASE/src"
+  git archive HEAD | tar -x -C "$BASE/src"
+  rm -rf "$BASE/src/bench" && cp -rp bench "$BASE/src/bench"
+
+  # Position-independent code lets bench/probe link the static libraries
   # into a shared module; without it the probe target does not exist.
-  for tree in build-perf:ON build-perf-off:OFF; do
-    cmake -B "${tree%%:*}" -S . -DCMAKE_BUILD_TYPE=Release -DRCT_SANITIZE="" \
-      -DRCT_BUILD_BENCH=ON -DCMAKE_POSITION_INDEPENDENT_CODE=ON -DRCT_OBS="${tree##*:}" \
-      > /dev/null
-    cmake --build "${tree%%:*}" -j"$JOBS" --target perf_report --target obs_probe
-  done
+  build_probe() {  # build dir, source dir, RCT_OBS
+    cmake -B "$1" -S "$2" -DCMAKE_BUILD_TYPE=Release -DRCT_SANITIZE="" \
+      -DRCT_BUILD_BENCH=ON -DCMAKE_POSITION_INDEPENDENT_CODE=ON -DRCT_OBS="$3" > /dev/null &&
+      cmake --build "$1" -j"$JOBS" --target probe
+  }
+  build_probe build-perf . ON
+  build_probe build-perf-off . OFF
+  if ! build_probe "$BASE/build" "$BASE/src" ON; then
+    echo "perf gate: HEAD's sources cannot build the working tree's bench/probe"
+    exit 2
+  fi
 
   echo "== obs overhead gate: RCT_OBS=ON vs a real RCT_OBS=OFF build (tolerance 2%) =="
-  python3 scripts/obs_gate.py build-perf/bench/obs_probe.so \
-    build-perf-off/bench/obs_probe.so
+  python3 scripts/ab_gate.py obs build-perf/bench/probe.so build-perf-off/bench/probe.so
 
-  echo "== perf gate: BENCH_report.json medians (threshold ${PERF_THRESHOLD}) =="
-  # The host fingerprint goes into the file's context (gbench records
-  # num_cpus itself); perf_compare.py refuses to diff across fingerprints.
-  # Commas separate --benchmark_context pairs, so they are stripped from
-  # the values.  Random interleaving spreads each benchmark's repetitions
-  # over the whole run, so a slow stretch of a shared host lands on every
-  # benchmark a little instead of on one benchmark's median.  To rebaseline
-  # on a new host, copy the fresh build-perf/BENCH_report.json over the
-  # committed one.
-  CXX_PATH=$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' build-perf/CMakeCache.txt)
-  CPU_MODEL=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1 | tr -d ',')
-  COMPILER=$("$CXX_PATH" --version | head -1 | tr -d ',')
-  ./build-perf/bench/perf_report --benchmark_repetitions=10 \
-    --benchmark_report_aggregates_only=true --benchmark_enable_random_interleaving=true \
-    --benchmark_context="cpu_model=$CPU_MODEL,build_type=Release,rct_obs=ON,compiler=$COMPILER" \
-    --benchmark_out=build-perf/BENCH_report.json --benchmark_out_format=json > /dev/null
-  python3 scripts/perf_compare.py BENCH_report.json build-perf/BENCH_report.json \
-    --threshold "$PERF_THRESHOLD"
+  echo "== perf gate: the working tree vs HEAD, every probe workload (tolerance 5%) =="
+  python3 scripts/ab_gate.py perf "$BASE/build/bench/probe.so" build-perf/bench/probe.so
 fi
 
 echo "check.sh: all sanitizer passes green"

@@ -51,8 +51,10 @@ struct BatchOptions {
   std::uint64_t net_timeout_ms = 0;
   /// Stop scheduling new nets once this many have failed; 0 = unlimited.
   /// Skipped nets get a kCancelled record.  WHICH nets get cancelled is
-  /// scheduling-dependent, so — unlike the default path — stdout is not
-  /// byte-identical across --jobs values once the budget trips.
+  /// scheduling-dependent: workers pop their own deque newest-first while
+  /// the caller is still submitting, so even at jobs = 1 the order (and
+  /// the cancelled set) varies between identical runs.  Once the budget
+  /// trips, stdout is not byte-identical across runs or --jobs values.
   std::size_t max_failures = 0;
   /// One automatic retry of a failed exact-path net on the moments path
   /// (with_exact = false, fresh deadline).  Parse/topology failures are
@@ -163,8 +165,8 @@ struct FileBatchResult {
 
 /// Plain-text renderer used by `rct batch`.  Deterministic: no timings,
 /// thread counts or cache provenance, so output is byte-identical for any
-/// --jobs value (except under max_failures, where the set of cancelled
-/// nets is scheduling-dependent).
+/// --jobs value (except under a tripped max_failures budget, where the set
+/// of cancelled nets varies between runs).
 [[nodiscard]] std::string format_batch(const BatchResult& result);
 
 /// JSON renderer (schema documented in README.md), same determinism

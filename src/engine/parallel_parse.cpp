@@ -75,10 +75,10 @@ spef::ParsePlan prepare_on(ThreadPool* pool, std::string_view text,
 /// sample and the flight recorder "parse" event.
 spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePlan& plan,
                                      std::size_t index, const SpefParseOptions& options) {
-  // The flight ring keeps its own clock, read only while it is armed.
+  // The flight event's clock is read only while the ring is armed.
   obs::flight::Recorder& fr = obs::flight::recorder();
   const bool flight = fr.enabled();
-  const std::uint64_t flight_start_ns = flight ? obs::steady_now_ns() : 0;
+  const std::uint64_t flight_start_ns = flight ? obs::tracer().now_ns() : 0;
   spef::ShardResult result;
   {
     const obs::Span span("engine.parse.section", "engine", {}, &section_histogram());
@@ -102,7 +102,7 @@ spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePla
     const bool failed = result.error != nullptr || result.nets_rejected != 0;
     fr.record(label, "parse",
               failed ? obs::flight::Outcome::kFailed : obs::flight::Outcome::kOk,
-              error_code_of(result.error), obs::steady_now_ns() - flight_start_ns);
+              error_code_of(result.error), obs::tracer().now_ns() - flight_start_ns);
   }
   return result;
 }

@@ -50,8 +50,7 @@ std::string_view outcome_name(Outcome outcome) {
 
 Recorder::Recorder(std::size_t capacity_per_thread)
     : recorder_id_(next_recorder_id.fetch_add(1)),
-      capacity_(capacity_per_thread == 0 ? 1 : capacity_per_thread),
-      epoch_ns_(steady_now_ns()) {}
+      capacity_(capacity_per_thread == 0 ? 1 : capacity_per_thread) {}
 
 Recorder::Buffer& Recorder::local_buffer() {
   // Same per-thread registration scheme as TraceCollector::local_buffer():
@@ -83,7 +82,7 @@ Recorder::Handle Recorder::begin(std::string_view net, const char* phase) {
   copy_net_name(e.net, net);
   e.phase = phase;
   e.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  e.start_ns = steady_now_ns() - epoch_ns_;
+  e.start_ns = tracer().now_ns();
   e.dur_ns = 0;
   e.outcome = Outcome::kRunning;
   e.code = robust::Code::kNone;
@@ -112,7 +111,7 @@ Recorder::Handle Recorder::begin(std::string_view net, const char* phase) {
 void Recorder::end(Handle& handle, Outcome outcome, robust::Code code) {
   if (!handle.buffer) return;
   Buffer& buf = *static_cast<Buffer*>(handle.buffer);
-  const std::uint64_t dur = steady_now_ns() - epoch_ns_ - handle.start_ns;
+  const std::uint64_t dur = tracer().now_ns() - handle.start_ns;
   {
     const std::lock_guard<std::mutex> lock(buf.mutex);
     Event& e = buf.ring[handle.slot];
@@ -133,6 +132,7 @@ void Recorder::record(std::string_view net, const char* phase, Outcome outcome,
   const std::lock_guard<std::mutex> lock(buf.mutex);
   Event& e = buf.ring[h.slot];
   if (e.seq == h.seq) {
+    e.start_ns -= std::min(e.start_ns, dur_ns);
     e.outcome = outcome;
     e.code = code;
     e.dur_ns = dur_ns;

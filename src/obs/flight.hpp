@@ -54,7 +54,7 @@ struct Event {
   char net[kNetCapacity];  ///< truncated net name, NUL-terminated
   const char* phase;       ///< static string: "analyze", "retry", "cancelled"
   std::uint64_t seq;       ///< global begin order (dense-ish, from 1)
-  std::uint64_t start_ns;  ///< steady-clock ns at begin, recorder-epoch-relative
+  std::uint64_t start_ns;  ///< tracer().now_ns() at begin: --trace-out's timeline
   std::uint64_t dur_ns;    ///< 0 while kRunning
   Outcome outcome;
   robust::Code code;       ///< kNone unless the attempt failed
@@ -93,7 +93,8 @@ class Recorder {
   [[nodiscard]] Handle begin(std::string_view net, const char* phase);
   void end(Handle& handle, Outcome outcome, robust::Code code = robust::Code::kNone);
 
-  /// One-shot event with a known duration (e.g. a cancellation record).
+  /// One-shot event that ends now after `dur_ns` (e.g. a section parse, or
+  /// a cancellation record with 0).
   void record(std::string_view net, const char* phase, Outcome outcome, robust::Code code,
               std::uint64_t dur_ns);
 
@@ -132,7 +133,6 @@ class Recorder {
 
   const std::uint64_t recorder_id_;  ///< distinguishes recorders in TL caches
   const std::size_t capacity_;
-  const std::uint64_t epoch_ns_;
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint32_t> next_tid_{1};

@@ -26,11 +26,6 @@ std::vector<TraceSpan>* RequestTraceStore::slot(std::string_view trace_id) {
   return &it->second;
 }
 
-void RequestTraceStore::record(std::string_view trace_id, TraceSpan span) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (std::vector<TraceSpan>* spans = slot(trace_id)) spans->push_back(std::move(span));
-}
-
 void RequestTraceStore::record(std::string_view trace_id, const obs::Tape& tape) {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<TraceSpan>* spans = slot(trace_id);

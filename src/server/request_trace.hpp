@@ -55,11 +55,9 @@ class RequestTraceStore {
   RequestTraceStore(const RequestTraceStore&) = delete;
   RequestTraceStore& operator=(const RequestTraceStore&) = delete;
 
-  /// Appends one span under `trace_id`; a new id may evict the oldest
-  /// trace (FIFO) once `capacity` traces are resident.
-  void record(std::string_view trace_id, TraceSpan span);
   /// Appends every span of one request's tape under `trace_id`, under one
-  /// lock; eviction as above.
+  /// lock; a new id may evict the oldest trace (FIFO) once `capacity`
+  /// traces are resident.
   void record(std::string_view trace_id, const obs::Tape& tape);
 
   /// All spans recorded under `trace_id`, sorted by start time; empty when

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -608,6 +609,30 @@ TEST(ObsFlight, BeginEndCompletesEventInPlace) {
   EXPECT_STREQ(events[0].phase, "analyze");
   EXPECT_EQ(events[0].outcome, obs::flight::Outcome::kTimeout);
   EXPECT_EQ(events[0].code, robust::Code::kTimeout);
+}
+
+TEST(ObsFlight, EventsAreStampedOnTheTracerClock) {
+  // Flight-dump start times share --trace-out's timeline (the tracer epoch),
+  // in every build: the recorder keeps no epoch of its own.
+  (void)obs::tracer().now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  obs::flight::Recorder rec(8);
+  rec.set_enabled(true);
+  const std::uint64_t before = obs::tracer().now_ns();
+  auto h = rec.begin("net_a", "analyze");
+  const std::uint64_t begun = obs::tracer().now_ns();
+  rec.end(h, obs::flight::Outcome::kOk);
+  const std::uint64_t ended = obs::tracer().now_ns();
+  rec.record("net_b", "parse", obs::flight::Outcome::kOk, robust::Code::kNone, 1000);
+  const std::uint64_t recorded = obs::tracer().now_ns();
+  const auto events = rec.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_GE(events[0].start_ns, before);
+  EXPECT_LE(events[0].start_ns, begun);
+  EXPECT_LE(events[0].start_ns + events[0].dur_ns, ended);
+  // A one-shot record ends when it is recorded, so it starts dur_ns earlier.
+  EXPECT_GE(events[1].start_ns + 1000, ended);
+  EXPECT_LE(events[1].start_ns + 1000, recorded);
 }
 
 TEST(ObsFlight, RingEvictsOldestAndCounts) {

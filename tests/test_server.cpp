@@ -273,11 +273,17 @@ TEST(Protocol, TraceContextRoundTrip) {
 
 // ------------------------------------------------------------ request trace
 
+/// A request tape holding one span, as a server request closes it.
+obs::Tape one_span_tape(const char* name, std::string detail, std::uint64_t ts_ns,
+                        std::uint64_t dur_ns) {
+  return {obs::TraceEvent{name, "server", std::move(detail), ts_ns, dur_ns, 0}};
+}
+
 TEST(RequestTrace, StoreRecordsFetchesAndEvictsFifo) {
   server::RequestTraceStore store(2);
-  store.record("aaaa", {"server.request", "report clk", 100, 50});
-  store.record("aaaa", {"server.render", "", 120, 10});
-  store.record("bbbb", {"server.request", "", 200, 5});
+  store.record("aaaa", one_span_tape("server.request", "report clk", 100, 50));
+  store.record("aaaa", one_span_tape("server.render", "", 120, 10));
+  store.record("bbbb", one_span_tape("server.request", "", 200, 5));
   EXPECT_EQ(store.size(), 2u);
 
   const std::vector<server::TraceSpan> spans = store.fetch("aaaa");
@@ -287,14 +293,14 @@ TEST(RequestTrace, StoreRecordsFetchesAndEvictsFifo) {
   EXPECT_EQ(spans[1].ts_ns, 120u);
 
   // A third trace evicts the oldest ("aaaa"); known ids stay resident.
-  store.record("cccc", {"server.request", "", 300, 5});
+  store.record("cccc", one_span_tape("server.request", "", 300, 5));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_TRUE(store.fetch("aaaa").empty());
   EXPECT_FALSE(store.fetch("bbbb").empty());
   EXPECT_TRUE(store.fetch("unknown").empty());
 
   // Empty ids are dropped, not recorded under "".
-  store.record("", {"x", "", 1, 1});
+  store.record("", one_span_tape("x", "", 1, 1));
   EXPECT_TRUE(store.fetch("").empty());
 }
 
