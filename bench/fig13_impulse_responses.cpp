@@ -4,8 +4,8 @@
 
 #include <cstdio>
 
+#include "analysis/tree_context.hpp"
 #include "bench_common.hpp"
-#include "moments/central.hpp"
 #include "rctree/circuits.hpp"
 #include "sim/exact.hpp"
 
@@ -18,7 +18,8 @@ int main() {
   const RCTree tree = circuits::tree25();
   const sim::ExactAnalysis exact(tree);
   const auto observed = circuits::tree25_observed(tree);
-  const auto stats = moments::impulse_stats(tree);
+  const analysis::TreeContext ctx(tree);
+  const auto stats = ctx.impulse_stats();
 
   std::printf("%12s %14s %14s %14s   (h in 1/ns)\n", "t(ns)", "A", "B", "C");
   bench::rule();
@@ -31,7 +32,7 @@ int main() {
   std::printf("# skew statistics behind the figure (gamma must fall A -> B -> C):\n");
   for (NodeId n : observed)
     std::printf("# node %-2s depth %2zu  sigma %.3fns  skewness %8.3f\n", tree.name(n).c_str(),
-                tree.depth(n), bench::ns(stats[n].sigma), stats[n].skewness);
+                ctx.depths()[n], bench::ns(stats[n].sigma), stats[n].skewness);
 
   const bool ok = stats[observed[0]].skewness > stats[observed[1]].skewness &&
                   stats[observed[1]].skewness > stats[observed[2]].skewness;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "analysis/tree_context.hpp"
 #include "bench_common.hpp"
 #include "core/elmore.hpp"
 #include "core/generalized_input.hpp"
@@ -21,6 +22,7 @@ int main() {
 
   const RCTree tree = circuits::tree25();
   const sim::ExactAnalysis exact(tree);
+  const analysis::TreeContext ctx(tree);
   // Walk the main path: A, m1..m7, B, m9..m15, C.
   std::vector<NodeId> path;
   NodeId cursor = tree.at("C");
@@ -39,7 +41,7 @@ int main() {
   std::vector<std::vector<double>> errs(path.size());
   for (std::size_t k = 0; k < path.size(); ++k) {
     const NodeId n = path[k];
-    std::printf("%6zu %-5s", tree.depth(n), tree.name(n).c_str());
+    std::printf("%6zu %-5s", ctx.depths()[n], tree.name(n).c_str());
     for (double tr : rise_times) {
       const sim::SaturatedRampSource ramp(tr);
       const double err = core::relative_elmore_error(tree, exact, n, ramp);

@@ -1,6 +1,6 @@
 // SPEF flow: the "drop-in timer backend" use case.  Read extracted
-// parasitics (SPEF-lite), report guaranteed delay bounds and effective
-// capacitance per net, and write the parasitics back out.
+// parasitics (SPEF-lite), report guaranteed delay bounds per net, and
+// write the parasitics back out.
 //
 //   $ ./spef_flow              # uses a built-in two-net SPEF
 //   $ ./spef_flow chip.spef
@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/bounds.hpp"
-#include "core/effective_capacitance.hpp"
 #include "rctree/spef.hpp"
 #include "rctree/units.hpp"
 #include "sim/exact.hpp"
@@ -70,15 +69,9 @@ int main(int argc, char** argv) {
     const RCTree& t = net.tree;
     const sim::ExactAnalysis exact(t);
     const auto bounds = core::delay_bounds(t);
-    // Effective capacitance the driver of this net actually sees, for a
-    // plausible driver strength.
-    const double rd = 600.0;
-    const auto ceff = core::effective_capacitance(t, rd);
 
-    std::printf("net %-12s  %zu nodes, Ctot %s, Ceff(%.0f ohm drv) %s (%.0f%% shielded)\n",
-                net.name.c_str(), t.size(),
-                format_engineering(ceff.total, "F").c_str(), rd,
-                format_engineering(ceff.ceff, "F").c_str(), 100.0 * ceff.shielding);
+    std::printf("net %-12s  %zu nodes, Ctot %s\n", net.name.c_str(), t.size(),
+                format_engineering(t.total_capacitance(), "F").c_str());
     for (NodeId load : net.loads) {
       const double exact_d = exact.step_delay(load);
       std::printf("  sink %-10s exact %-9s in guaranteed [%s, %s]\n",

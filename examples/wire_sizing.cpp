@@ -38,7 +38,7 @@ RCTree build(const std::vector<double>& widths) {
   for (int i = 0; i < kSegments; ++i) {
     const double w = widths[i];
     const double cap = kC0 * w + kFringe + (i == kSegments - 1 ? kSinkCap : 0.0);
-    prev = b.add_node("n" + std::to_string(i + 1), prev, kR0 / w, cap);
+    prev = b.add_node(std::string("n").append(std::to_string(i + 1)), prev, kR0 / w, cap);
   }
   return std::move(b).build();
 }

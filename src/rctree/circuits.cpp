@@ -32,16 +32,18 @@ RCTree tree25() {
   const double c_seg = 109.6e-15;
   std::vector<NodeId> main_line;
   for (int i = 1; i <= 15; ++i) {
-    std::string name = (i == 8) ? "B" : ("m" + std::to_string(i));
+    std::string name = (i == 8) ? "B" : std::string("m").append(std::to_string(i));
     prev = b.add_node(std::move(name), prev, r_seg, c_seg);
     main_line.push_back(prev);
   }
   b.add_node("C", prev, r_seg, c_seg);
   // Side branches at m3 and m11 (4 nodes each) make it a genuine tree.
   NodeId s = main_line[2];
-  for (int i = 1; i <= 4; ++i) s = b.add_node("p" + std::to_string(i), s, r_seg, 10.0e-15);
+  for (int i = 1; i <= 4; ++i)
+    s = b.add_node(std::string("p").append(std::to_string(i)), s, r_seg, 10.0e-15);
   s = main_line[10];
-  for (int i = 1; i <= 4; ++i) s = b.add_node("q" + std::to_string(i), s, r_seg, 10.0e-15);
+  for (int i = 1; i <= 4; ++i)
+    s = b.add_node(std::string("q").append(std::to_string(i)), s, r_seg, 10.0e-15);
   return std::move(b).build();
 }
 

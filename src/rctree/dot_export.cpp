@@ -20,8 +20,12 @@ std::string to_dot(const RCTree& tree, const DotOptions& options) {
   }
   for (NodeId i = 0; i < tree.size(); ++i) {
     const NodeId p = tree.parent(i);
-    os << "  " << (p == kSource ? std::string("src") : "n" + std::to_string(p)) << " -> n"
-       << i;
+    os << "  ";
+    if (p == kSource)
+      os << "src";
+    else
+      os << 'n' << p;
+    os << " -> n" << i;
     if (options.show_values)
       os << " [label=\"" << format_engineering(tree.resistance(i), "") << "\"]";
     os << ";\n";

@@ -8,7 +8,7 @@
 namespace rct::gen {
 namespace {
 
-std::string node_name(std::size_t i) { return "n" + std::to_string(i + 1); }
+std::string node_name(std::size_t i) { return std::string("n").append(std::to_string(i + 1)); }
 
 }  // namespace
 

@@ -55,6 +55,11 @@ class RCTree {
   /// All leaf node ids, ascending.
   [[nodiscard]] std::vector<NodeId> leaves() const;
 
+  // depth / path_resistance / subtree_capacitance: no library, bench, tool
+  // or example code calls these per-call walks; they stay as the
+  // independent reference that test_analysis checks the TreeContext
+  // arrays against.
+
   /// Number of resistive edges between the source and node i (>= 1).
   /// Cost: O(depth) parent walk per call — per-node loops over a whole tree
   /// should read analysis::TreeContext::depths() instead.

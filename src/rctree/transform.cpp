@@ -86,7 +86,7 @@ RCTree segmented_wire(double length, const WireParams& params, std::size_t secti
   // Driver section carries half of the first segment's cap (pi split).
   NodeId prev = b.add_node("w1", kSource, driver_resistance + 0.5 * r_seg, c_seg);
   for (std::size_t i = 2; i <= sections; ++i)
-    prev = b.add_node("w" + std::to_string(i), prev, r_seg, c_seg);
+    prev = b.add_node(std::string("w").append(std::to_string(i)), prev, r_seg, c_seg);
   b.add_node("load", prev, 0.5 * r_seg, load_cap);
   return std::move(b).build();
 }

@@ -85,7 +85,8 @@ TEST(Report, ZeroCapacitanceRowsPassTheMomentOracle) {
   RCTreeBuilder b;
   const NodeId n1 = b.add_node("n1", kSource, 100.0, 1e-12);
   NodeId prev = n1;
-  for (int k = 0; k < 40; ++k) prev = b.add_node("z" + std::to_string(k), prev, 1e4, 0.0);
+  for (int k = 0; k < 40; ++k)
+    prev = b.add_node(std::string("z").append(std::to_string(k)), prev, 1e4, 0.0);
   b.add_node("load", prev, 100.0, 1e-15);
   const RCTree t = std::move(b).build();
   for (const auto& r : build_report(t)) {

@@ -185,7 +185,8 @@ TEST(BatchEquivalence, ContextCountersObserveSharing) {
   };
   std::vector<SpefNet> nets;
   for (int i = 0; i < 5; ++i)
-    nets.push_back(make_net("stamp" + std::to_string(i), renamed(base, "s" + std::to_string(i) + "_")));
+    nets.push_back(make_net(std::string("stamp").append(std::to_string(i)),
+                            renamed(base, std::string("s").append(std::to_string(i)) + "_")));
   nets.push_back(make_net("unique", renamed(gen::random_tree(30, 8), "u_")));
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {

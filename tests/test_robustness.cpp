@@ -88,9 +88,10 @@ TEST(Robustness, DeeplyNestedTreesParseWithoutStackIssues) {
   std::string deck = ".input in\n";
   std::string prev = "in";
   for (int i = 0; i < 50000; ++i) {
-    const std::string cur = "n" + std::to_string(i);
-    deck += "R" + std::to_string(i) + " " + prev + " " + cur + " 1\n";
-    deck += "C" + std::to_string(i) + " " + cur + " 0 1f\n";
+    const std::string idx = std::to_string(i);
+    const std::string cur = std::string("n").append(idx);
+    deck.append("R").append(idx).append(" ").append(prev).append(" ").append(cur).append(" 1\n");
+    deck.append("C").append(idx).append(" ").append(cur).append(" 0 1f\n");
     prev = cur;
   }
   const ParsedNetlist p = parse_netlist(deck);

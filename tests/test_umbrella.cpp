@@ -31,9 +31,18 @@ TEST(Umbrella, OneSymbolFromEveryLayer) {
   const auto metrics = rct::core::delay_metrics(tree);
   EXPECT_LT(metrics[1].single_pole, metrics[1].elmore);
 
-  // sta
-  const auto lib = rct::sta::builtin_library();
-  EXPECT_FALSE(lib.empty());
+  // analysis
+  const rct::analysis::TreeContext ctx(tree);
+  EXPECT_EQ(ctx.depths()[1], 2u);
+  EXPECT_DOUBLE_EQ(ctx.elmore_delays()[1], td[1]);
+
+  // engine
+  rct::engine::ThreadPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+
+  // obs
+  rct::obs::registry().counter("umbrella.test").add();
+  EXPECT_GE(rct::obs::registry().counter("umbrella.test").value(), 1u);
 
   // dot export renders
   EXPECT_FALSE(rct::to_dot(tree).empty());

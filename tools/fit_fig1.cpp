@@ -148,14 +148,17 @@ RCTree build_tree25(const std::vector<double>& logp) {
   NodeId prev = b.add_node("A", kSource, r_drv, c_a);
   std::vector<NodeId> main_line;
   for (int i = 1; i <= 15; ++i) {
-    prev = b.add_node(i == 8 ? "B" : "m" + std::to_string(i), prev, r_seg, c_seg);
+    std::string name = (i == 8) ? "B" : std::string("m").append(std::to_string(i));
+    prev = b.add_node(std::move(name), prev, r_seg, c_seg);
     main_line.push_back(prev);
   }
   b.add_node("C", prev, r_seg, c_seg);
   NodeId s = main_line[2];
-  for (int i = 1; i <= 4; ++i) s = b.add_node("p" + std::to_string(i), s, r_seg, c_br);
+  for (int i = 1; i <= 4; ++i)
+    s = b.add_node(std::string("p").append(std::to_string(i)), s, r_seg, c_br);
   s = main_line[10];
-  for (int i = 1; i <= 4; ++i) s = b.add_node("q" + std::to_string(i), s, r_seg, c_br);
+  for (int i = 1; i <= 4; ++i)
+    s = b.add_node(std::string("q").append(std::to_string(i)), s, r_seg, c_br);
   return std::move(b).build();
 }
 
