@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   // One call computes every Table-I-style metric, including the exact 50%
   // delay from the eigendecomposition-based simulator.
   const auto rows = rct::core::build_report(parsed.tree);
-  std::printf("%s\n", rct::core::format_report(rows).c_str());
+  std::printf("%s\n", rct::core::format_report(parsed.tree, rows).c_str());
 
   std::printf("reading the table: the paper proves  exact <= elmore  (Theorem) and\n");
   std::printf("exact >= lower = max(elmore - sigma, 0) (Corollary 1); PRH brackets it.\n");

@@ -146,7 +146,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
     if (options.deadline && i % kDeadlineStride == 0) options.deadline->check("core.report.rows");
     if (options.leaves_only && !tree.is_leaf(i)) continue;
     NodeReport r;
-    r.name = tree.name(i);
+    r.node = i;
     r.depth = depths[i];
     r.elmore = stats[i].mean;
     r.sigma = stats[i].sigma;
@@ -188,7 +188,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
       }
     }
     if (r.degraded) degraded_rows_counter().add();
-    rows.push_back(std::move(r));
+    rows.push_back(r);
   }
   if (gap_rows > 0) bound_gap_histogram().observe(gap_sum / static_cast<double>(gap_rows));
   return rows;
@@ -237,16 +237,6 @@ struct BlobReader {
     }
     return static_cast<std::uint8_t>(*p++);
   }
-
-  std::string take_string(std::uint64_t n) {
-    if (!ok || static_cast<std::uint64_t>(end - p) < n) {
-      ok = false;
-      return {};
-    }
-    std::string s(p, p + n);
-    p += n;
-    return s;
-  }
 };
 
 constexpr std::uint8_t kHasExactDelay = 1u << 0;
@@ -260,8 +250,7 @@ std::string serialize_report(const std::vector<NodeReport>& rows) {
   out.reserve(16 + rows.size() * 96);
   put_u64(out, rows.size());
   for (const NodeReport& r : rows) {
-    put_u64(out, r.name.size());
-    out += r.name;
+    put_u64(out, r.node);
     put_u64(out, r.depth);
     put_f64(out, r.elmore);
     put_f64(out, r.sigma);
@@ -285,18 +274,15 @@ std::optional<std::vector<NodeReport>> deserialize_report(std::string_view bytes
   BlobReader in(bytes);
   const std::uint64_t n_rows = in.take_u64();
   if (!in.ok) return std::nullopt;
-  // A row costs at least 73 bytes (name length, depth, seven doubles and
-  // the flag byte, with an empty name and no exact values); reject counts
-  // the blob cannot hold so a corrupted length field never triggers a huge
-  // allocation.
+  // A row costs at least 73 bytes (node, depth, seven doubles and the flag
+  // byte, with no exact values); reject counts the blob cannot hold so a
+  // corrupted length field never triggers a huge allocation.
   if (n_rows > static_cast<std::uint64_t>(in.end - in.p) / 73) return std::nullopt;
   std::vector<NodeReport> rows;
   rows.reserve(n_rows);
   for (std::uint64_t i = 0; i < n_rows; ++i) {
     NodeReport r;
-    const std::uint64_t name_len = in.take_u64();
-    if (!in.ok || name_len > static_cast<std::uint64_t>(in.end - in.p)) return std::nullopt;
-    r.name = in.take_string(name_len);
+    r.node = in.take_u64();
     r.depth = in.take_u64();
     r.elmore = in.take_f64();
     r.sigma = in.take_f64();
@@ -310,13 +296,13 @@ std::optional<std::vector<NodeReport>> deserialize_report(std::string_view bytes
     if (flags & kHasExactRise) r.exact_rise = in.take_f64();
     r.degraded = (flags & kDegraded) != 0;
     if (!in.ok) return std::nullopt;
-    rows.push_back(std::move(r));
+    rows.push_back(r);
   }
   if (in.p != in.end) return std::nullopt;  // trailing garbage = damage
   return rows;
 }
 
-std::string format_report(const std::vector<NodeReport>& rows) {
+std::string format_report(const RCTree& tree, const std::vector<NodeReport>& rows) {
   std::ostringstream os;
   char buf[256];
   std::snprintf(buf, sizeof(buf), "%-8s %5s %9s %9s %9s %9s %9s %9s %9s %9s\n", "node", "depth",
@@ -329,10 +315,10 @@ std::string format_report(const std::vector<NodeReport>& rows) {
       std::snprintf(exact_col, sizeof(exact_col), "%9.4f", ns(*r.exact_delay));
     else
       std::snprintf(exact_col, sizeof(exact_col), "%9s", "-");
-    std::snprintf(buf, sizeof(buf),
-                  "%-8s %5zu %s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.3f\n", r.name.c_str(),
-                  r.depth, exact_col, ns(r.elmore), ns(r.lower_bound), ns(r.single_pole),
-                  ns(r.prh_tmin), ns(r.prh_tmax), ns(r.sigma), r.skewness);
+    std::snprintf(buf, sizeof(buf), "%-8s %5zu %s %9.4f %9.4f %9.4f %9.4f %9.4f %9.4f %9.3f\n",
+                  tree.name(r.node).c_str(), r.depth, exact_col, ns(r.elmore),
+                  ns(r.lower_bound), ns(r.single_pole), ns(r.prh_tmin), ns(r.prh_tmax),
+                  ns(r.sigma), r.skewness);
     os << buf;
   }
   os << "(times in ns)\n";

@@ -15,9 +15,11 @@
 
 namespace rct::core {
 
-/// All Table-I-style metrics at one node (seconds).
+/// All Table-I-style metrics at one node (seconds).  Rows are pure
+/// content: they name their node by id, and renderers look the name up in
+/// the tree, so content-identical trees share rows whatever their names.
 struct NodeReport {
-  std::string name;
+  NodeId node;                        ///< the node this row describes
   std::size_t depth;                  ///< edges from the source
   double elmore;                      ///< T_D (upper bound)
   double sigma;                       ///< sqrt(mu2) of h(t)
@@ -76,16 +78,19 @@ struct ReportOptions {
                                         std::span<const double> poles, double elmore,
                                         double elmore_slack = 0.0);
 
-/// Renders reports as an aligned text table (times in ns).
-[[nodiscard]] std::string format_report(const std::vector<NodeReport>& rows);
+/// Renders reports as an aligned text table (times in ns), naming each row
+/// by `tree.name(row.node)`; `rows` must come from `tree` or a content twin.
+[[nodiscard]] std::string format_report(const RCTree& tree, const std::vector<NodeReport>& rows);
 
 /// Binary row serialization — the persistence format the content-addressed
 /// on-disk store (src/server) writes under each NetKey.  Little-endian,
-/// fixed layout: u64 row count, then per row a length-prefixed name, the
-/// u64 depth, the seven double metrics as raw bit patterns (bit-exact
-/// round trip, NaN/Inf safe) and one flag byte (exact_delay / exact_rise
-/// presence, degraded) followed by the optional exact values.  The blob
-/// itself is unversioned; the store's envelope carries version + checksum.
+/// fixed layout: u64 row count, then per row the u64 node id, the u64
+/// depth, the seven double metrics as raw bit patterns (bit-exact round
+/// trip, NaN/Inf safe) and one flag byte (exact_delay / exact_rise
+/// presence, degraded) followed by the optional exact values.  No names:
+/// the blob is content only.  The blob itself is unversioned and does not
+/// range-check node ids (it knows no tree); the store's envelope carries
+/// version + checksum, and the store checks ids against its key.
 [[nodiscard]] std::string serialize_report(const std::vector<NodeReport>& rows);
 
 /// Inverse of serialize_report().  Returns nullopt on any truncation or

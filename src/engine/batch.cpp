@@ -84,6 +84,19 @@ obs::Histogram& merge_phase_histogram() {
   return h;
 }
 
+/// A result that names `net` (name, driver, loads and their node names,
+/// size) and holds no outcome yet.
+NetResult result_for(const SpefNet& net) {
+  NetResult r;
+  r.name = net.name;
+  r.driver = net.driver;
+  r.loads = net.loads;
+  r.load_names.reserve(net.loads.size());
+  for (const NodeId load : net.loads) r.load_names.push_back(net.tree.name(load));
+  r.nodes = net.tree.size();
+  return r;
+}
+
 /// One analysis attempt; never throws (failures land in result.error with
 /// a typed code).  `report` is the per-attempt option set — the deadline
 /// pointer and the retry's with_exact flip live there, not in
@@ -92,11 +105,7 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
                            NetCache* cache) {
   const obs::Span span("engine.net.analyze", "engine", net.name, &net_analyze_histogram());
   EngineCounters& ec = EngineCounters::get();
-  NetResult r;
-  r.name = net.name;
-  r.driver = net.driver;
-  r.loads = net.loads;
-  r.nodes = net.tree.size();
+  NetResult r = result_for(net);
   try {
     robust::fault::maybe_sleep("engine.net.analyze");
     robust::fault::maybe_throw("engine.net.analyze", robust::Code::kTaskFailure);
@@ -107,7 +116,7 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
     std::optional<NetKey> key;
     if (cache != nullptr) {
       key = NetKey::of(net.tree, report);
-      if (auto hit = cache->lookup(*key, net.tree)) {
+      if (auto hit = cache->lookup(*key)) {
         r.rows = std::move(*hit);
         r.from_cache = true;
         return r;
@@ -265,10 +274,7 @@ class BatchRun {
     // record kCancelled instead of running; running nets finish.
     const std::size_t budget = options_.max_failures;
     if (budget != 0 && failed_so_far_.load(std::memory_order_relaxed) >= budget) {
-      slot.name = net.name;
-      slot.driver = net.driver;
-      slot.loads = net.loads;
-      slot.nodes = net.tree.size();
+      slot = result_for(net);
       slot.error = "cancelled: failure budget (" + std::to_string(budget) + ") exhausted";
       slot.code = robust::Code::kCancelled;
       slot.phase = "cancelled";
@@ -490,11 +496,11 @@ std::string format_batch(const BatchResult& result) {
     }
     if (net.retried)
       os << "  note: exact path failed; rows are moment bounds from the automatic retry\n";
-    for (const NodeId load : net.loads) {
-      const core::NodeReport& r = net.rows[load];
+    for (std::size_t k = 0; k < net.loads.size(); ++k) {
+      const core::NodeReport& r = net.rows[net.loads[k]];
       char buf[256];
       std::snprintf(buf, sizeof(buf), "  load %-12s elmore %-10s bounds [%s, %s]",
-                    r.name.c_str(), format_time(r.elmore).c_str(),
+                    net.load_names[k].c_str(), format_time(r.elmore).c_str(),
                     format_time(r.lower_bound).c_str(), format_time(r.elmore).c_str());
       os << buf;
       if (r.exact_delay) os << "  exact " << format_time(*r.exact_delay);
@@ -515,7 +521,7 @@ constexpr std::size_t kMinNetsPerPart = 256;
 std::size_t net_json_estimate(const NetResult& net) {
   std::size_t bytes = 176 + net.name.size() + net.driver.size();
   if (!net.ok()) return bytes + 128 + net.error.size() + net.phase.size();
-  for (const NodeId load : net.loads) bytes += 184 + net.rows[load].name.size();
+  for (const std::string& name : net.load_names) bytes += 184 + name.size();
   return bytes;
 }
 
@@ -552,13 +558,11 @@ void append_nets_json(std::string& out, const std::vector<NetResult>& nets, std:
       continue;
     }
     out += ",\"error\":null,\"loads\":[";
-    bool first_load = true;
-    for (const NodeId load : net.loads) {
-      const core::NodeReport& r = net.rows[load];
-      if (!first_load) out += ',';
-      first_load = false;
+    for (std::size_t k = 0; k < net.loads.size(); ++k) {
+      const core::NodeReport& r = net.rows[net.loads[k]];
+      if (k != 0) out += ',';
       out += "{\"name\":";
-      json::append_string(out, r.name);
+      json::append_string(out, net.load_names[k]);
       out += ",\"elmore_s\":";
       json::append_number(out, r.elmore);
       out += ",\"sigma_s\":";

@@ -67,6 +67,7 @@ struct NetResult {
   std::string name;
   std::string driver;
   std::vector<NodeId> loads;
+  std::vector<std::string> load_names;  ///< tree name of each of `loads`, in order
   std::size_t nodes = 0;
   double total_capacitance = 0.0;       ///< farads
   std::vector<core::NodeReport> rows;   ///< empty when error is set

@@ -54,23 +54,6 @@ std::uint64_t mix_words(const std::vector<std::uint64_t>& words) {
 
 }  // namespace
 
-std::vector<NodeId> report_row_nodes(const RCTree& tree, std::size_t rows) {
-  if (rows == tree.size()) {
-    std::vector<NodeId> nodes(rows);
-    for (NodeId i = 0; i < rows; ++i) nodes[i] = i;
-    return nodes;
-  }
-  std::vector<NodeId> leaves = tree.leaves();
-  if (rows != leaves.size()) return {};  // unexpected shape
-  return leaves;
-}
-
-void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree) {
-  const std::vector<NodeId> nodes = report_row_nodes(tree, rows.size());
-  if (nodes.size() != rows.size()) return;  // defensive: unexpected shape, keep stored names
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i].name = tree.name(nodes[i]);
-}
-
 NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
   NetKey key;
   key.words.reserve(3 + 3 * tree.size());
@@ -112,20 +95,17 @@ std::size_t NetCache::rendered_bytes_of(const Entry& entry) {
 }
 
 std::optional<std::vector<core::NodeReport>> NetCache::lookup(const NetKey& key,
-                                                              const RCTree& tree,
                                                               CacheSource* source) {
-  RenderedLookup hit = lookup_impl(key, tree, nullptr);
+  RenderedLookup hit = lookup_impl(key, nullptr);
   if (source != nullptr) *source = hit.source;
   return std::move(hit.rows);
 }
 
-NetCache::RenderedLookup NetCache::lookup_rendered(const NetKey& key, const RCTree& tree,
-                                                   RenderFlavor flavor) {
-  return lookup_impl(key, tree, &flavor);
+NetCache::RenderedLookup NetCache::lookup_rendered(const NetKey& key, RenderFlavor flavor) {
+  return lookup_impl(key, &flavor);
 }
 
-NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RCTree& tree,
-                                               const RenderFlavor* flavor) {
+NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFlavor* flavor) {
   RenderedLookup hit;
   Shard& shard = shard_for(key.hash);
   {
@@ -139,11 +119,8 @@ NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RCTree& 
       if (flavor != nullptr) hit.rendering = it->renderings[static_cast<std::size_t>(*flavor)];
       if (hit.rendering != nullptr) return hit;
       hit.rows = it->rows;  // copy under the shard lock
+      return hit;
     }
-  }
-  if (hit.rows.has_value()) {
-    rebind_report_names(*hit.rows, tree);
-    return hit;
   }
   // Memory miss: consult the second-level store outside the shard lock and
   // promote a hit into memory so repeats stay lock-cheap.
@@ -153,7 +130,6 @@ NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RCTree& 
       cache_store_hit_counter().add();
       hit.rows = *loaded;
       insert_memory(key, std::move(*loaded));
-      rebind_report_names(*hit.rows, tree);
       hit.source = CacheSource::kBackend;
       return hit;
     }

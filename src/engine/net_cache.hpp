@@ -5,10 +5,11 @@
 // values, and the ReportOptions that shaped the rows, packed into words and
 // hashed a word at a time for sharding and lookup.
 // Node names are deliberately excluded — repeated physical nets (clock
-// meshes, stamped macro pins) differ only in names — and are re-bound from
-// the live tree on a hit, so a hit returns rows indistinguishable from a
-// fresh build_report() call.  The full key material is stored and compared
-// on lookup, so a hit is exact, never probabilistic.
+// meshes, stamped macro pins) differ only in names.  Rows carry node ids,
+// not names, and twins share topology, so a hit returns rows identical to
+// a fresh build_report() on either twin; renderers look names up in their
+// own tree.  The full key material is stored and compared on lookup, so a
+// hit is exact, never probabilistic.
 //
 // Thread safety: the map is sharded by hash, one mutex per shard, so
 // concurrent lookups/inserts from a thread pool contend only when they land
@@ -61,16 +62,6 @@ struct NetKey {
   [[nodiscard]] bool operator==(const NetKey& other) const { return words == other.words; }
 };
 
-/// The node each of `rows` report rows belongs to in `tree`, in row order.
-/// Rows are either one-per-node or one-per-leaf; the row count
-/// disambiguates the mapping.  Empty when `rows` fits neither shape.
-[[nodiscard]] std::vector<NodeId> report_row_nodes(const RCTree& tree, std::size_t rows);
-
-/// Rewrites `rows`' names (and nothing else) for `tree`, mapping rows to
-/// nodes as report_row_nodes() does.  Used when rows stored for a
-/// content-identical twin are handed to another tree.
-void rebind_report_names(std::vector<core::NodeReport>& rows, const RCTree& tree);
-
 /// Which field set a Rendering carries; every row entry has one render
 /// slot per flavor.
 enum class RenderFlavor : std::uint8_t { kReport, kBounds };
@@ -79,14 +70,15 @@ inline constexpr std::size_t kRenderFlavors = 2;
 /// Bytes a consumer derived from an entry's rows, one fragment per row,
 /// stored back to back.  Opaque to the cache.  Fragments must not embed
 /// node names: content twins share the entry, so names are spliced in from
-/// the live tree at read time.
+/// the live tree at read time, by each row's node id.
 struct Rendering {
   std::string text;                   ///< the fragments, back to back
   std::vector<std::size_t> row_ends;  ///< end offset of each row's fragment in `text`
+  std::vector<NodeId> nodes;          ///< each row's node, parallel to row_ends
 
-  /// Bytes held (text plus offsets), as counted by rendered_bytes().
+  /// Bytes held (text, offsets and node ids), as counted by rendered_bytes().
   [[nodiscard]] std::size_t bytes() const {
-    return text.size() + row_ends.size() * sizeof(std::size_t);
+    return text.size() + row_ends.size() * sizeof(std::size_t) + nodes.size() * sizeof(NodeId);
   }
 };
 
@@ -121,25 +113,23 @@ class NetCache {
   /// across threads (the pointer itself is not synchronized).
   void set_backend(std::shared_ptr<CacheBackend> backend) { backend_ = std::move(backend); }
 
-  /// Returns a copy of the cached rows with names re-bound to `tree`, or
-  /// nullopt on a miss.  `tree` must be the tree the key was built from.
-  /// A hit refreshes the entry's LRU position; a memory miss consults the
-  /// backend and promotes a backend hit into memory.  `source` (optional)
-  /// reports which level served the hit.
+  /// Returns a copy of the cached rows, or nullopt on a miss.  A hit
+  /// refreshes the entry's LRU position; a memory miss consults the backend
+  /// and promotes a backend hit into memory.  `source` (optional) reports
+  /// which level served the hit.
   [[nodiscard]] std::optional<std::vector<core::NodeReport>> lookup(
-      const NetKey& key, const RCTree& tree, CacheSource* source = nullptr);
+      const NetKey& key, CacheSource* source = nullptr);
 
   /// lookup() for a consumer that renders.  A memory hit whose `flavor`
   /// slot is filled returns that rendering and copies no rows; any other
-  /// hit returns the rows (names re-bound) and no rendering.  Hits are
-  /// counted and refresh the LRU position either way.
+  /// hit returns the rows and no rendering.  Hits are counted and refresh
+  /// the LRU position either way.
   struct RenderedLookup {
     CacheSource source = CacheSource::kMiss;
     std::shared_ptr<const Rendering> rendering;
     std::optional<std::vector<core::NodeReport>> rows;
   };
-  [[nodiscard]] RenderedLookup lookup_rendered(const NetKey& key, const RCTree& tree,
-                                               RenderFlavor flavor);
+  [[nodiscard]] RenderedLookup lookup_rendered(const NetKey& key, RenderFlavor flavor);
 
   /// Stores rows under `key` (write-through to the backend); a concurrent
   /// duplicate insert keeps the first.
@@ -190,7 +180,7 @@ class NetCache {
   static std::list<Entry>::iterator find_locked(Shard& shard, const NetKey& key);
 
   /// Shared body of lookup() and lookup_rendered(); `flavor` null = rows only.
-  RenderedLookup lookup_impl(const NetKey& key, const RCTree& tree, const RenderFlavor* flavor);
+  RenderedLookup lookup_impl(const NetKey& key, const RenderFlavor* flavor);
 
   /// Bytes `entry`'s render slots hold.
   static std::size_t rendered_bytes_of(const Entry& entry);

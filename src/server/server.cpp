@@ -184,29 +184,24 @@ std::shared_ptr<const engine::Rendering> render_rows(const std::vector<core::Nod
   auto rendering = std::make_shared<engine::Rendering>();
   rendering->text.reserve(rows.size() * (bounds_only ? 128 : 320));
   rendering->row_ends.reserve(rows.size());
+  rendering->nodes.reserve(rows.size());
   for (const core::NodeReport& row : rows) {
     append_row_json(rendering->text, row, bounds_only);
     rendering->row_ends.push_back(rendering->text.size());
+    rendering->nodes.push_back(row.node);
   }
   rendering->text.shrink_to_fit();  // cached renderings are held, not grown
   return rendering;
 }
 
 /// Appends the rows of `rendering` as JSON objects, splicing each row's
-/// node name from the live `tree` ahead of its fragment.  Rows map to nodes
-/// as engine::rebind_report_names maps them.
+/// node name from the live `tree` ahead of its fragment.
 void splice_rows(std::string& out, const engine::Rendering& rendering, const RCTree& tree) {
-  const std::size_t n = rendering.row_ends.size();
-  const std::vector<NodeId> nodes = engine::report_row_nodes(tree, n);
-  if (nodes.size() != n)
-    throw robust::Error(robust::Code::kTaskFailure,
-                        std::to_string(n) + " rows do not map onto a " +
-                            std::to_string(tree.size()) + "-node tree");
   std::size_t begin = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < rendering.row_ends.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += "{\"name\":";
-    json::append_string(out, tree.name(nodes[i]));
+    json::append_string(out, tree.name(rendering.nodes[i]));
     out.append(rendering.text, begin, rendering.row_ends[i] - begin);
     begin = rendering.row_ends[i];
   }
@@ -798,7 +793,7 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
     engine::NetCache::RenderedLookup hit;
     {
       const obs::Span span("server.cache.lookup", "server", request.net);
-      hit = cache_.lookup_rendered(key, net.tree, flavor);
+      hit = cache_.lookup_rendered(key, flavor);
     }
     if (hit.rendering == nullptr && !hit.rows.has_value()) {
       // The context is transient: retaining one per net would cost more

@@ -210,7 +210,11 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   if (file.size() < 24) return corrupt("truncated header");
   const auto* p = reinterpret_cast<const unsigned char*>(file.view().data());
   if (std::memcmp(p, kMagic, 4) != 0) return corrupt("bad magic");
-  if (get_u32(p + 4) != kVersion) return corrupt("unsupported version");
+  if (get_u32(p + 4) != kVersion) {
+    // Another build's format, not damage: recompute and let save() replace it.
+    load_miss_counter().add();
+    return std::nullopt;
+  }
   // Checksum covers everything before the trailing 8 bytes.
   if (file.size() < 24 + 8) return corrupt("truncated checksum");
   const std::size_t body = file.size() - 8;
@@ -237,6 +241,11 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   auto rows = core::deserialize_report(
       std::string_view(reinterpret_cast<const char*>(p + off), payload_len));
   if (!rows) return corrupt("payload deserialization failed");
+  // The key's first word is its tree's node count (NetKey::of); a row
+  // naming a node past it would index out of the tree when rendered.
+  const std::uint64_t nodes = key.words.empty() ? 0 : key.words[0];
+  for (const core::NodeReport& row : *rows)
+    if (row.node >= nodes) return corrupt("row node out of range");
   load_hit_counter().add();
   // Bump the entry's atime so LRU GC sees the read even on relatime /
   // noatime mounts (mmap reads rarely touch atime at all).

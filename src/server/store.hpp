@@ -15,11 +15,13 @@
 // the full key material (address + packed words, so a hit is exact even
 // across address collisions — a colliding key reads as a miss), the
 // serialized report rows (core::serialize_report) and a trailing FNV-1a
-// checksum over everything before it.  Any mismatch — bad magic, wrong
-// version, truncation, bit flips, foreign key — makes load() return
-// nullopt; the caller recomputes and the damaged entry is simply
-// overwritten by the next save.  Corrupt (as opposed to missing) entries
-// are counted (`store.load.corrupt`) and logged (`store.corrupt`).
+// checksum over everything before it.  Any mismatch — bad magic, another
+// version, truncation, bit flips, foreign key, a row node id outside the
+// key's tree — makes load() return nullopt; the caller recomputes and the
+// entry is simply overwritten by the next save.  An entry of another
+// version (one written by an older build) is a plain miss, counted in
+// `store.load.misses`; damaged entries are counted (`store.load.corrupt`)
+// and logged (`store.corrupt`).
 //
 // Writes go to a per-process temp file followed by an atomic rename, so
 // concurrent servers sharing one store directory never observe a torn
@@ -87,7 +89,9 @@ class DiskStore final : public engine::CacheBackend {
   [[nodiscard]] std::uint64_t max_bytes() const { return max_bytes_; }
 
   /// On-disk envelope format version this build reads and writes.
-  static constexpr std::uint32_t kVersion = 1;
+  /// Version 2 rows carry node ids where version 1 carried names; an entry
+  /// of any other version reads as a miss and is rewritten by the next save.
+  static constexpr std::uint32_t kVersion = 2;
 
  private:
   /// Entry file for the on-disk address of a key (see the layout above).

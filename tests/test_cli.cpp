@@ -382,6 +382,30 @@ TEST(Cli, ConvertRoundTrip) {
   std::remove(out_path.c_str());
 }
 
+TEST(Cli, TrailingArgumentsAreRejected) {
+  // One deck for report/dot, two arguments for convert/delay-curve/bode:
+  // anything more is a usage error, as an unknown batch flag is, never
+  // silently ignored.
+  const std::string deck = data("bus_bit.sp");
+  const std::string unused = ::testing::TempDir() + "/rct_cli_never_written.spef";
+  for (const std::string& args :
+       {"report " + deck + " --json", "dot " + deck + " extra", "convert " + deck + " " + unused +
+        " extra", "delay-curve " + deck + " rx2 extra", "bode " + deck + " rx1 extra"}) {
+    const auto r = run_stdout(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_EQ(r.output, "") << args;
+    EXPECT_NE(run(args).output.find("usage:"), std::string::npos) << args;
+  }
+  EXPECT_FALSE(std::ifstream(unused).good());
+  // The exact forms still run.
+  const auto report = run_stdout("report " + deck);
+  EXPECT_EQ(report.exit_code, 0);
+  EXPECT_NE(report.output.find("rx2"), std::string::npos);
+  const auto dot = run_stdout("dot " + deck);
+  EXPECT_EQ(dot.exit_code, 0);
+  EXPECT_NE(dot.output.find("digraph"), std::string::npos);
+}
+
 TEST(Cli, MissingFileFailsCleanly) {
   const auto r = run("report /nonexistent/net.sp");
   EXPECT_NE(r.exit_code, 0);

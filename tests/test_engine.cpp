@@ -47,7 +47,7 @@ std::vector<SpefNet> random_nets(std::size_t count, std::size_t nodes) {
   nets.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     RCTree t = gen::random_tree(nodes, /*seed=*/1000 + i);
-    nets.push_back(make_net("net" + std::to_string(i), renamed(t, "n" + std::to_string(i) + "_")));
+    nets.push_back(make_net(std::string("net").append(std::to_string(i)), renamed(t, "n" + std::to_string(i) + "_")));
   }
   return nets;
 }
@@ -58,7 +58,7 @@ void expect_rows_identical(const std::vector<core::NodeReport>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (compare_names) {
-      EXPECT_EQ(a[i].name, b[i].name);
+      EXPECT_EQ(a[i].node, b[i].node);
     }
     EXPECT_EQ(a[i].depth, b[i].depth);
     // Bit-identical, not approximately equal: the merge is deterministic and
@@ -187,15 +187,15 @@ TEST(NetCache, HitReturnsRowsWithReboundNames) {
   const RCTree b = renamed(a, "copy_");
   const core::ReportOptions opt;
   NetCache cache;
-  EXPECT_FALSE(cache.lookup(NetKey::of(a, opt), a).has_value());
+  EXPECT_FALSE(cache.lookup(NetKey::of(a, opt)).has_value());
   const auto rows = core::build_report(a, opt);
   cache.insert(NetKey::of(a, opt), rows);
   EXPECT_EQ(cache.size(), 1u);
-  const auto hit = cache.lookup(NetKey::of(b, opt), b);
+  const auto hit = cache.lookup(NetKey::of(b, opt));
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->size(), b.size());
   for (NodeId i = 0; i < b.size(); ++i) {
-    EXPECT_EQ((*hit)[i].name, b.name(i));
+    EXPECT_EQ((*hit)[i].node, i);
     EXPECT_EQ((*hit)[i].elmore, rows[i].elmore);
   }
   EXPECT_EQ(cache.hits(), 1u);
@@ -225,9 +225,9 @@ TEST(NetCache, LruCapEvictsOldestAndCountsEvictions) {
   // Third insert displaced the oldest (tree 0); the two newest remain.
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.lookup(keys[0], trees[0]).has_value());
-  EXPECT_TRUE(cache.lookup(keys[1], trees[1]).has_value());
-  EXPECT_TRUE(cache.lookup(keys[2], trees[2]).has_value());
+  EXPECT_FALSE(cache.lookup(keys[0]).has_value());
+  EXPECT_TRUE(cache.lookup(keys[1]).has_value());
+  EXPECT_TRUE(cache.lookup(keys[2]).has_value());
 }
 
 TEST(NetCache, LruLookupRefreshesRecency) {
@@ -241,11 +241,11 @@ TEST(NetCache, LruLookupRefreshesRecency) {
     cache.insert(keys[i], core::build_report(trees[i], opt));
   }
   // Touch tree 0 so tree 1 becomes the LRU victim of the next insert.
-  EXPECT_TRUE(cache.lookup(keys[0], trees[0]).has_value());
+  EXPECT_TRUE(cache.lookup(keys[0]).has_value());
   const RCTree third = gen::random_tree(20, /*seed=*/700);
   cache.insert(NetKey::of(third, opt), core::build_report(third, opt));
-  EXPECT_TRUE(cache.lookup(keys[0], trees[0]).has_value());
-  EXPECT_FALSE(cache.lookup(keys[1], trees[1]).has_value());
+  EXPECT_TRUE(cache.lookup(keys[0]).has_value());
+  EXPECT_FALSE(cache.lookup(keys[1]).has_value());
   EXPECT_EQ(cache.evictions(), 1u);
 }
 
@@ -274,11 +274,11 @@ TEST(NetCacheRender, EmptySlotUntilAttachedAndFlavorsAreSeparate) {
   const core::ReportOptions opt;
   const NetKey key = NetKey::of(a, opt);
   NetCache cache;
-  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kReport).source, CacheSource::kMiss);
+  EXPECT_EQ(cache.lookup_rendered(key, RenderFlavor::kReport).source, CacheSource::kMiss);
   cache.insert(key, core::build_report(a, opt));
 
   // An entry with no rendering answers with rows, as lookup() would.
-  const NetCache::RenderedLookup plain = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+  const NetCache::RenderedLookup plain = cache.lookup_rendered(key, RenderFlavor::kReport);
   EXPECT_EQ(plain.source, CacheSource::kMemory);
   EXPECT_EQ(plain.rendering, nullptr);
   ASSERT_TRUE(plain.rows.has_value());
@@ -288,12 +288,12 @@ TEST(NetCacheRender, EmptySlotUntilAttachedAndFlavorsAreSeparate) {
   const auto bytes = fake_rendering("report-bytes", a.size());
   EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kReport, bytes), bytes);
   EXPECT_EQ(cache.rendered_bytes(), bytes->bytes());
-  const NetCache::RenderedLookup warm = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+  const NetCache::RenderedLookup warm = cache.lookup_rendered(key, RenderFlavor::kReport);
   EXPECT_EQ(warm.source, CacheSource::kMemory);
   EXPECT_EQ(warm.rendering, bytes);
   EXPECT_FALSE(warm.rows.has_value());  // no row copy on a rendered hit
   // The other flavor's slot is still empty.
-  const NetCache::RenderedLookup other = cache.lookup_rendered(key, a, RenderFlavor::kBounds);
+  const NetCache::RenderedLookup other = cache.lookup_rendered(key, RenderFlavor::kBounds);
   EXPECT_EQ(other.rendering, nullptr);
   EXPECT_TRUE(other.rows.has_value());
   // Every lookup above (rendered or not) counted as a hit.
@@ -315,7 +315,7 @@ TEST(NetCacheRender, FirstAttachWinsAndMissingEntryStoresNothing) {
   cache.insert(key, core::build_report(a, opt));
   EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kBounds, first), first);
   EXPECT_EQ(cache.attach_rendering(key, RenderFlavor::kBounds, second), first);
-  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kBounds).rendering, first);
+  EXPECT_EQ(cache.lookup_rendered(key, RenderFlavor::kBounds).rendering, first);
   EXPECT_EQ(cache.rendered_bytes(), first->bytes());
 }
 
@@ -333,7 +333,7 @@ TEST(NetCacheRender, ClearAndLruEvictionDropTheSlot) {
   EXPECT_EQ(cache.clear(), 1u);
   EXPECT_EQ(cache.rendered_bytes(), 0u);
   cache.insert(ka, core::build_report(a, opt));
-  EXPECT_EQ(cache.lookup_rendered(ka, a, RenderFlavor::kReport).rendering, nullptr);
+  EXPECT_EQ(cache.lookup_rendered(ka, RenderFlavor::kReport).rendering, nullptr);
 
   // One shard, cap 1: inserting b evicts a together with its rendering.
   NetCache capped(/*shards=*/1, /*max_entries=*/1);
@@ -344,8 +344,8 @@ TEST(NetCacheRender, ClearAndLruEvictionDropTheSlot) {
   EXPECT_EQ(capped.evictions(), 1u);
   EXPECT_EQ(capped.rendered_bytes(), 0u);
   capped.insert(ka, core::build_report(a, opt));  // evicts b; a comes back bare
-  EXPECT_EQ(capped.lookup_rendered(ka, a, RenderFlavor::kReport).rendering, nullptr);
-  EXPECT_EQ(capped.lookup_rendered(ka, a, RenderFlavor::kBounds).rendering, nullptr);
+  EXPECT_EQ(capped.lookup_rendered(ka, RenderFlavor::kReport).rendering, nullptr);
+  EXPECT_EQ(capped.lookup_rendered(ka, RenderFlavor::kBounds).rendering, nullptr);
 }
 
 TEST(NetCacheRender, ConcurrentFirstHitsAttachExactlyOnce) {
@@ -363,7 +363,7 @@ TEST(NetCacheRender, ConcurrentFirstHitsAttachExactlyOnce) {
     threads.emplace_back([&, t] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      NetCache::RenderedLookup hit = cache.lookup_rendered(key, a, RenderFlavor::kReport);
+      NetCache::RenderedLookup hit = cache.lookup_rendered(key, RenderFlavor::kReport);
       if (hit.rendering == nullptr)
         hit.rendering = cache.attach_rendering(
             key, RenderFlavor::kReport, fake_rendering("thread-" + std::to_string(t), a.size()));
@@ -372,25 +372,9 @@ TEST(NetCacheRender, ConcurrentFirstHitsAttachExactlyOnce) {
   }
   for (std::thread& th : threads) th.join();
   for (const auto& r : served) EXPECT_EQ(r, served[0]);  // everyone answers from the winner
-  EXPECT_EQ(cache.lookup_rendered(key, a, RenderFlavor::kReport).rendering, served[0]);
+  EXPECT_EQ(cache.lookup_rendered(key, RenderFlavor::kReport).rendering, served[0]);
   EXPECT_EQ(cache.rendered_bytes(), served[0]->bytes());
   EXPECT_EQ(cache.hits(), kThreads + 1);
-}
-
-TEST(NetCache, RebindReportNamesRewritesOnlyNames) {
-  const RCTree a = gen::random_tree(15, 21);
-  const RCTree b = renamed(a, "other_");
-  core::ReportOptions opt;
-  opt.with_exact = false;
-  auto rows = core::build_report(a, opt);
-  const auto original = rows;
-  rebind_report_names(rows, b);
-  ASSERT_EQ(rows.size(), original.size());
-  for (NodeId i = 0; i < b.size(); ++i) {
-    EXPECT_EQ(rows[i].name, b.name(i));
-    EXPECT_EQ(rows[i].elmore, original[i].elmore);
-    EXPECT_EQ(rows[i].prh_tmax, original[i].prh_tmax);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -450,20 +434,42 @@ TEST(Batch, CacheHitsOnDuplicatedNets) {
 }
 
 TEST(Batch, CachedRowsCarryPerNetNames) {
+  // Six stamps of one net: at one job the first computes and five are
+  // served from cache.  Whichever stamps hit, both renderers must print
+  // each net's own load names, never those of the net that populated the
+  // cache.
   const RCTree base = gen::random_tree(12, 9);
+  const std::vector<std::string> prefixes = {"s0_", "s1_", "s2_", "s3_", "s4_", "s5_"};
   std::vector<SpefNet> nets;
-  nets.push_back(make_net("a", renamed(base, "a_")));
-  nets.push_back(make_net("b", renamed(base, "b_")));
-  BatchOptions opt;
-  opt.jobs = 1;
-  const BatchResult r = analyze_nets(nets, opt);
-  // One of the two stamps was served from cache; its rows must still carry
-  // its own node names, not the names of the net that populated the cache.
-  ASSERT_NE(r.nets[0].from_cache, r.nets[1].from_cache);
-  const NetResult& cached = r.nets[0].from_cache ? r.nets[0] : r.nets[1];
-  const std::string prefix = r.nets[0].from_cache ? "a_" : "b_";
-  for (std::size_t i = 0; i < cached.rows.size(); ++i)
-    EXPECT_EQ(cached.rows[i].name, prefix + std::to_string(i));
+  for (std::size_t i = 0; i < prefixes.size(); ++i)
+    nets.push_back(make_net(std::string("net").append(std::to_string(i)), renamed(base, prefixes[i])));
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    BatchOptions opt;
+    opt.jobs = jobs;
+    const BatchResult r = analyze_nets(nets, opt);
+    std::size_t from_cache = 0;
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      if (r.nets[i].from_cache) ++from_cache;
+      BatchResult one;
+      one.nets.push_back(r.nets[i]);
+      const std::string text = format_batch(one);
+      const std::string json = format_batch_json(one);
+      ASSERT_FALSE(one.nets[0].loads.empty());
+      for (const NodeId load : one.nets[0].loads) {
+        const std::string name = prefixes[i] + std::to_string(load);
+        EXPECT_NE(text.find("  load " + name + " "), std::string::npos) << name << "\n" << text;
+        EXPECT_NE(json.find("{\"name\":\"" + name + "\","), std::string::npos) << name;
+      }
+      for (std::size_t k = 0; k < prefixes.size(); ++k) {
+        if (k == i) continue;
+        EXPECT_EQ(text.find(prefixes[k]), std::string::npos) << "jobs " << jobs << "\n" << text;
+        EXPECT_EQ(json.find(prefixes[k]), std::string::npos) << "jobs " << jobs << "\n" << json;
+      }
+    }
+    if (jobs == 1) {
+      EXPECT_EQ(from_cache, nets.size() - 1);
+    }
+  }
 }
 
 TEST(Batch, FailingNetIsIsolatedAndReported) {
@@ -555,7 +561,7 @@ BatchResult hand_built_batch(std::size_t count) {
     } else {
       for (std::size_t k = 0; k < 3; ++k) {
         core::NodeReport row{};
-        row.name = "n" + std::to_string(i) + "_" + std::to_string(k);
+        row.node = k;
         row.elmore = 1e-12 * static_cast<double>(k + 1) / static_cast<double>(i + 1);
         row.sigma = row.elmore / 3.0;
         row.lower_bound = row.elmore - row.sigma;
@@ -564,6 +570,8 @@ BatchResult hand_built_batch(std::size_t count) {
         net.rows.push_back(std::move(row));
       }
       net.loads = {2, 0};
+      for (const NodeId load : net.loads)
+        net.load_names.push_back("n" + std::to_string(i) + "_" + std::to_string(load));
       net.degraded = i % 11 == 0;
     }
     if (i == 13) {

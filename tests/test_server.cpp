@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
@@ -412,7 +413,7 @@ TEST(ReportSerialization, RoundTripsBitExact) {
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ((*back)[i].name, rows[i].name);
+    EXPECT_EQ((*back)[i].node, rows[i].node);
     EXPECT_EQ((*back)[i].depth, rows[i].depth);
     EXPECT_EQ((*back)[i].elmore, rows[i].elmore);  // bit-exact, not approx
     EXPECT_EQ((*back)[i].sigma, rows[i].sigma);
@@ -425,12 +426,12 @@ TEST(ReportSerialization, RoundTripsBitExact) {
 }
 
 TEST(ReportSerialization, ShortMomentsOnlyRowsRoundTrip) {
-  // The smallest rows: names under 8 bytes and no exact values, 73 bytes
-  // each plus the name.
+  // The smallest rows: no exact values, 73 bytes each.  Node ids span the
+  // u64 field, the largest included.
   std::vector<core::NodeReport> rows;
-  for (const char* name : {"", "a", "u2:A", "1234567"}) {
+  for (const NodeId node : {NodeId{0}, NodeId{1}, NodeId{7}, ~NodeId{0}}) {
     core::NodeReport r{};
-    r.name = name;
+    r.node = node;
     r.depth = rows.size();
     r.elmore = 1e-12 * static_cast<double>(rows.size() + 1);
     r.sigma = 0.25 * r.elmore;
@@ -442,12 +443,12 @@ TEST(ReportSerialization, ShortMomentsOnlyRowsRoundTrip) {
     rows.push_back(r);
   }
   const std::string blob = core::serialize_report(rows);
-  EXPECT_EQ(blob.size(), 8 + 4 * 73 + (0 + 1 + 4 + 7));
+  EXPECT_EQ(blob.size(), 8 + 4 * 73);
   const auto back = core::deserialize_report(blob);
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ((*back)[i].name, rows[i].name);
+    EXPECT_EQ((*back)[i].node, rows[i].node);
     EXPECT_EQ((*back)[i].depth, rows[i].depth);
     EXPECT_EQ((*back)[i].elmore, rows[i].elmore);
     EXPECT_EQ((*back)[i].sigma, rows[i].sigma);
@@ -981,6 +982,118 @@ TEST(Server, CorruptStoreEntryFallsBackToRecompute) {
   EXPECT_NE(response.find("\"source\":\"computed\""), std::string::npos) << response;
   EXPECT_EQ(response.substr(response.find("\"rows\"")), expected_rows);
   EXPECT_GT(obs::registry().counter_value("store.load.corrupt"), corrupt_before);
+}
+
+/// The one entry file under `store_dir`.
+std::string only_entry(const std::string& store_dir) {
+  std::string entry;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(store_dir))
+    if (e.is_regular_file()) entry = e.path().string();
+  return entry;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// An entry's envelope version: the little-endian u32 after the magic.
+std::uint32_t entry_version(const std::string& bytes) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i)
+    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[4 + i])) << (8 * i);
+  return v;
+}
+
+TEST(Server, OlderStoreVersionIsAMissAndIsRewritten) {
+  const ScratchDir dir("old_version");
+  const std::string deck = write_deck(dir.path, "old", 1, 12, 650);
+  server::Request load;
+  load.cmd = "load";
+  load.id = 1;
+  load.path = deck;
+  const std::string report = "{\"id\":2,\"cmd\":\"report\",\"net\":\"net_0\"}";
+  server::ServeOptions options;
+  options.store_dir = dir.path + "/store";
+  std::string cold;
+  {
+    server::Server first(options);
+    ASSERT_TRUE(server::response_ok(first.handle_line(server::encode_request(load))));
+    cold = first.handle_line(report);
+    ASSERT_TRUE(server::response_ok(cold)) << cold;
+    EXPECT_NE(cold.find("\"source\":\"computed\""), std::string::npos) << cold;
+  }
+  // Stamp the entry as an older build's (version 1) and fix its checksum,
+  // so only the version tells it apart.
+  const std::string entry = only_entry(options.store_dir);
+  ASSERT_FALSE(entry.empty());
+  std::string bytes = read_bytes(entry);
+  ASSERT_GE(bytes.size(), 32u);
+  ASSERT_EQ(entry_version(bytes), server::DiskStore::kVersion);
+  bytes.replace(4, 4, std::string("\x01\0\0\0", 4));
+  const std::uint64_t sum = server::fnv1a(std::string_view(bytes).substr(0, bytes.size() - 8));
+  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+  std::ofstream(entry, std::ios::binary | std::ios::trunc) << bytes;
+
+  const auto corrupt_before = obs::registry().counter_value("store.load.corrupt");
+  const auto misses_before = obs::registry().counter_value("store.load.misses");
+  {
+    server::Server second(options);
+    ASSERT_TRUE(server::response_ok(second.handle_line(server::encode_request(load))));
+    // A miss, not damage: recomputed, byte for byte the cold answer.
+    EXPECT_EQ(second.handle_line(report), cold);
+  }
+  EXPECT_EQ(obs::registry().counter_value("store.load.corrupt"), corrupt_before);
+  EXPECT_EQ(obs::registry().counter_value("store.load.misses"), misses_before + 1);
+  // The recompute's save replaced the entry with this build's version,
+  // and the next server answers from it.
+  EXPECT_EQ(entry_version(read_bytes(entry)), server::DiskStore::kVersion);
+  server::Server third(options);
+  ASSERT_TRUE(server::response_ok(third.handle_line(server::encode_request(load))));
+  const std::string warm = third.handle_line(report);
+  EXPECT_NE(warm.find("\"source\":\"store\""), std::string::npos) << warm;
+  EXPECT_EQ(rows_text(warm), rows_text(cold));
+}
+
+TEST(Server, StoreRowNodeOutOfRangeIsCorruptAndRecomputed) {
+  const ScratchDir dir("node_range");
+  const std::string deck = write_deck(dir.path, "range", 1, 12, 660);
+  server::Request load;
+  load.cmd = "load";
+  load.id = 1;
+  load.path = deck;
+  const std::string report = "{\"id\":2,\"cmd\":\"report\",\"net\":\"net_0\"}";
+  server::ServeOptions options;
+  options.store_dir = dir.path + "/store";
+  std::string cold;
+  {
+    server::Server first(options);
+    ASSERT_TRUE(server::response_ok(first.handle_line(server::encode_request(load))));
+    cold = first.handle_line(report);
+    ASSERT_TRUE(server::response_ok(cold)) << cold;
+  }
+  // Overwrite the entry with a well-formed, checksum-valid blob whose last
+  // row names the node one past the tree.
+  const engine::ParsedSpef parsed = engine::parse_spef_parallel_file(deck, {});
+  ASSERT_EQ(parsed.file.nets.size(), 1u);
+  const RCTree& tree = parsed.file.nets[0].tree;
+  const engine::NetKey key = engine::NetKey::of(tree, {});
+  std::vector<core::NodeReport> rows = core::build_report(tree);
+  rows.back().node = tree.size();
+  const auto corrupt_before = obs::registry().counter_value("store.load.corrupt");
+  {
+    server::DiskStore store(options.store_dir);
+    ASSERT_TRUE(store.ok()) << store.error();
+    store.save(key, rows);
+    EXPECT_EQ(store.entry_count(), 1u);  // the server's entry, replaced
+    EXPECT_FALSE(store.load(key).has_value());
+  }
+  EXPECT_EQ(obs::registry().counter_value("store.load.corrupt"), corrupt_before + 1);
+
+  server::Server second(options);
+  ASSERT_TRUE(server::response_ok(second.handle_line(server::encode_request(load))));
+  EXPECT_EQ(second.handle_line(report), cold);
+  EXPECT_EQ(obs::registry().counter_value("store.load.corrupt"), corrupt_before + 2);
 }
 
 TEST(Server, ConcurrentClientsMixedWorkload) {

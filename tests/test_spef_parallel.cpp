@@ -246,7 +246,7 @@ void expect_same_rows(const engine::NetResult& a, const engine::NetResult& b) {
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     const core::NodeReport& x = a.rows[i];
     const core::NodeReport& y = b.rows[i];
-    EXPECT_EQ(x.name, y.name) << a.name;
+    EXPECT_EQ(x.node, y.node) << a.name;
     EXPECT_EQ(x.depth, y.depth) << a.name;
     EXPECT_EQ(x.elmore, y.elmore) << a.name;
     EXPECT_EQ(x.sigma, y.sigma) << a.name;

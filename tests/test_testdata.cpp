@@ -54,7 +54,7 @@ TEST(Testdata, BusBitParsesAndObeysBounds) {
 
 TEST(Testdata, BusBitReportRenders) {
   const ParsedNetlist p = parse_netlist_file(data("bus_bit.sp"));
-  const std::string text = core::format_report(core::build_report(p.tree));
+  const std::string text = core::format_report(p.tree, core::build_report(p.tree));
   EXPECT_NE(text.find("rx1"), std::string::npos);
   EXPECT_NE(text.find("rx2"), std::string::npos);
 }

@@ -273,7 +273,7 @@ int cmd_report(const std::string& path) {
   const ParsedNetlist parsed = parse_netlist_file(path);
   for (const auto& w : parsed.warnings) std::fprintf(stderr, "warning: %s\n", w.c_str());
   const analysis::TreeContext ctx(parsed.tree);
-  std::printf("%s", core::format_report(core::build_report(ctx)).c_str());
+  std::printf("%s", core::format_report(parsed.tree, core::build_report(ctx)).c_str());
   return 0;
 }
 
@@ -475,7 +475,7 @@ int cmd_spef(const SpefFlags& flags) {
       const auto rows = core::build_report(net.tree, flags.batch.report);
       for (NodeId load : net.loads) {
         const auto& r = rows[load];
-        std::printf("  load %-12s elmore %-10s bounds [%s, %s]", r.name.c_str(),
+        std::printf("  load %-12s elmore %-10s bounds [%s, %s]", net.tree.name(load).c_str(),
                     format_time(r.elmore).c_str(), format_time(r.lower_bound).c_str(),
                     format_time(r.elmore).c_str());
         if (r.exact_delay) std::printf("  exact %s", format_time(*r.exact_delay).c_str());
@@ -930,8 +930,8 @@ int main(int argc, char** argv) {
   // needs at least one positional argument.
   if (argc < 3 && cmd != "serve" && cmd != "client") return usage();
   try {
-    if (cmd == "report") return cmd_report(argv[2]);
-    if (cmd == "dot") return cmd_dot(argv[2]);
+    if (cmd == "report" && argc == 3) return cmd_report(argv[2]);
+    if (cmd == "dot" && argc == 3) return cmd_dot(argv[2]);
     if (cmd == "spef" || cmd == "batch") {
       const SpefFlags flags = parse_spef_flags(argc, argv, 2);
       if (!flags.ok || flags.positional.size() != 1) return usage();
@@ -948,9 +948,9 @@ int main(int argc, char** argv) {
       if (!flags.ok || flags.positional.size() != 1) return usage();
       return cmd_validate(flags);
     }
-    if (cmd == "convert" && argc >= 4) return cmd_convert(argv[2], argv[3]);
-    if (cmd == "delay-curve" && argc >= 4) return cmd_delay_curve(argv[2], argv[3]);
-    if (cmd == "bode" && argc >= 4) return cmd_bode(argv[2], argv[3]);
+    if (cmd == "convert" && argc == 4) return cmd_convert(argv[2], argv[3]);
+    if (cmd == "delay-curve" && argc == 4) return cmd_delay_curve(argv[2], argv[3]);
+    if (cmd == "bode" && argc == 4) return cmd_bode(argv[2], argv[3]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
