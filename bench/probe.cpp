@@ -13,8 +13,13 @@
 //   context/line/N          TreeContext construction alone
 //   exact/random/{16,96,250,1000}, exact/line/250
 //                           build_report(context) with the exact solve on
+//   serve/warm              one warm `report` through Server::handle_line
 // Lines are gen::line(N, 100, 0.1p, 50, 0.05p), random trees
-// gen::random_tree(N, seed 12345).
+// gen::random_tree(N, seed 12345).  serve/warm's server has one pool worker
+// and is never started (no socket, no accept thread); its deck of 64
+// random 96-node nets (seeds 12345…) is written next to the module, loaded
+// and deleted, and every net is reported twice in setup (computed, then
+// its rendering attached), so each timed call splices a cached rendering.
 //
 // C ABI:
 //   int         rct_probe_timing_enabled()  1 in an RCT_OBS=ON build
@@ -25,16 +30,23 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/tree_context.hpp"
 #include "core/report.hpp"
 #include "obs/trace.hpp"
 #include "rctree/generators.hpp"
+#include "rctree/spef.hpp"
+#include "server/protocol.hpp"
+#include "server/server.hpp"
 
 #define RCT_PROBE_EXPORT extern "C" __attribute__((visibility("default")))
 
@@ -48,12 +60,24 @@ constexpr const char* kWorkloads =
     "shared/line/1024 shared/line/4096 shared/line/16384 shared/line/65536 "
     "shared/random/1024 shared/random/4096 shared/random/16384 shared/random/65536 "
     "context/line/1024 context/line/4096 context/line/16384 context/line/65536 "
-    "exact/random/16 exact/random/96 exact/random/250 exact/random/1000 exact/line/250";
+    "exact/random/16 exact/random/96 exact/random/250 exact/random/1000 exact/line/250 "
+    "serve/warm";
+
+/// One named workload; run() is one timed call, false when its answer is
+/// wrong.
+class Workload {
+ public:
+  Workload() = default;
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
+  virtual ~Workload() = default;
+  [[nodiscard]] virtual bool run() = 0;
+};
 
 enum class Kind { kFresh, kShared, kContext, kExact };
 
-struct Workload {
-  Workload(Kind k, bool line, std::size_t nodes)
+struct ReportWorkload final : Workload {
+  ReportWorkload(Kind k, bool line, std::size_t nodes)
       : kind(k),
         tree(line ? gen::line(nodes, 100.0, 0.1e-12, 50.0, 0.05e-12)
                   : gen::random_tree(nodes, /*seed=*/12345)),
@@ -61,21 +85,71 @@ struct Workload {
     if (kind == Kind::kShared || kind == Kind::kExact) context.emplace(tree);
   }
 
-  /// One run; returns the rows (or context entries) it produced.
-  std::size_t run() const {
+  /// One run: true when it produced one row (or context entry) per node.
+  bool run() override {
     switch (kind) {
-      case Kind::kFresh: return core::build_report(tree, options).size();
-      case Kind::kContext: return analysis::TreeContext(tree).elmore_delays().size();
+      case Kind::kFresh: return core::build_report(tree, options).size() == tree.size();
+      case Kind::kContext:
+        return analysis::TreeContext(tree).elmore_delays().size() == tree.size();
       case Kind::kShared:
-      case Kind::kExact: return core::build_report(*context, options).size();
+      case Kind::kExact: return core::build_report(*context, options).size() == tree.size();
     }
-    return 0;
+    return false;
   }
 
   Kind kind;
   RCTree tree;
   std::optional<analysis::TreeContext> context;  ///< kShared and kExact
   core::ReportOptions options;
+};
+
+class ServeWorkload final : public Workload {
+ public:
+  ServeWorkload() : server_(serve_options()) {
+    SpefFile deck;
+    deck.design = "probe_serve_warm";
+    for (std::size_t i = 0; i < 64; ++i) {
+      SpefNet net;
+      net.name = std::string("net_").append(std::to_string(i));
+      net.driver = "drv";
+      net.tree = gen::random_tree(96, /*seed=*/12345 + i);
+      net.loads = net.tree.leaves();
+      deck.nets.push_back(std::move(net));
+    }
+    server::Request load;
+    load.cmd = "load";
+    load.path = std::string(RCT_PROBE_DECK_DIR).append("/probe_serve_warm.spef");
+    { std::ofstream(load.path) << write_spef(deck); }
+    const bool loaded = server::response_ok(server_.handle_line(server::encode_request(load)));
+    std::remove(load.path.c_str());
+    if (!loaded) throw std::runtime_error("serve/warm: deck did not load");
+    for (const SpefNet& net : deck.nets) {
+      server::Request report;
+      report.cmd = "report";
+      report.net = net.name;
+      requests_.push_back(server::encode_request(report));
+      for (int pass = 0; pass < 2; ++pass)
+        if (!server::response_ok(server_.handle_line(requests_.back())))
+          throw std::runtime_error("serve/warm: report failed");
+    }
+  }
+
+  bool run() override {
+    const std::string response = server_.handle_line(requests_[next_]);
+    next_ = (next_ + 1) % requests_.size();
+    return response.find("\"source\":\"memory\"") != std::string::npos;
+  }
+
+ private:
+  static server::ServeOptions serve_options() {
+    server::ServeOptions options;
+    options.jobs = 1;
+    return options;
+  }
+
+  server::Server server_;
+  std::vector<std::string> requests_;
+  std::size_t next_ = 0;
 };
 
 std::unique_ptr<Workload> g_workload;
@@ -92,18 +166,32 @@ RCT_PROBE_EXPORT int rct_probe_setup(const char* name) {
   std::string listed;
   while (list >> listed && listed != name) {
   }
+  if (listed == name && listed == "serve/warm") {
+    try {
+      auto w = std::make_unique<ServeWorkload>();
+      if (!w->run()) return 1;
+      g_workload = std::move(w);
+    } catch (...) {
+      return 1;
+    }
+    // The server's pool thread is joined at exit before the library
+    // statics its teardown touches are destroyed: those were constructed
+    // above, and exit handlers run in reverse order of registration.
+    static const bool teardown_registered = std::atexit([] { g_workload.reset(); }) == 0;
+    return teardown_registered ? 0 : 1;
+  }
   char kind[8], topology[8];
   std::size_t nodes = 0;
   if (listed != name || std::sscanf(name, "%7[a-z]/%7[a-z]/%zu", kind, topology, &nodes) != 3)
     return 1;
   const std::string_view k = kind;
   try {
-    auto w = std::make_unique<Workload>(k == "fresh"     ? Kind::kFresh
-                                        : k == "shared"  ? Kind::kShared
-                                        : k == "context" ? Kind::kContext
-                                                         : Kind::kExact,
-                                        std::string_view(topology) == "line", nodes);
-    if (w->run() != w->tree.size()) return 1;
+    auto w = std::make_unique<ReportWorkload>(k == "fresh"     ? Kind::kFresh
+                                              : k == "shared"  ? Kind::kShared
+                                              : k == "context" ? Kind::kContext
+                                                               : Kind::kExact,
+                                              std::string_view(topology) == "line", nodes);
+    if (!w->run()) return 1;
     g_workload = std::move(w);
     return 0;
   } catch (...) {
@@ -114,11 +202,11 @@ RCT_PROBE_EXPORT int rct_probe_setup(const char* name) {
 RCT_PROBE_EXPORT double rct_probe_time(int calls) {
   if (!g_workload) return -1.0;
   try {
-    std::size_t rows = 0;
+    bool ok = true;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < calls; ++i) rows += g_workload->run();
+    for (int i = 0; i < calls; ++i) ok &= g_workload->run();
     const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return rows == static_cast<std::size_t>(calls) * g_workload->tree.size() ? s : -1.0;
+    return ok ? s : -1.0;
   } catch (...) {
     return -1.0;
   }

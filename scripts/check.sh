@@ -30,8 +30,8 @@
 #      the ASan CLI over every deck in testdata/malformed (strict + lenient):
 #      each must exit 1 with a diagnostic — never crash, never succeed;
 #      finally re-runs the store-GC crash-recovery, socket-chaos,
-#      cached-render, short-row store round-trip, store version/range and
-#      fused-cache suites by name so a renamed/deleted suite cannot pass
+#      cached-render, short-row store round-trip, store version/range,
+#      warm-read and fused-cache suites by name so a renamed/deleted suite cannot pass
 #      silently.
 #   4. Perf gate: in-process A/B of two builds of bench/probe (a shared
 #      module with a private copy of the library) through
@@ -368,14 +368,16 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   # content twins through the fused parse+analyze path, which frees each
   # parsed net on its worker; the Framing suite and the one-worker hand-off
   # test drive the socket line buffers and the stack-held pool completion
-  # record; the listen-spec tests drive the shared socket layer's error
+  # record; the warm-read tests answer memory hits on the calling thread
+  # (beside a pinned worker, under a deadline, traced) and count each
+  # report once on every cache path; the listen-spec tests drive the shared socket layer's error
   # paths (port range, long unix paths, a telemetry bind failure) and
   # SpefOpen the one deck opener.  Already part of the full ctest run
   # above, but gated by name so a filter-level regression (renamed/deleted
   # suite) cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.OlderStoreVersionIsAMissAndIsRewritten:Server.StoreRowNodeOutOfRangeIsCorruptAndRecomputed:Server.StoreServesShortBoundsRowsAfterRestart:Framing.*:Server.ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers:Server.MaxConnectionsDefaultIsFinite:DiskStore.EntryPathIsStableAcrossBuilds:Server.PortAboveRangeIsRejectedByListenerHttpAndClient:Server.OverlongUnixPathIsRejectedByListenerHttpAndClient:Server.TelemetryBindFailureLeavesNothingListening:SpefOpen.MissingPathIsFileOpenThroughEveryEntryPoint' \
+      ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.OlderStoreVersionIsAMissAndIsRewritten:Server.StoreRowNodeOutOfRangeIsCorruptAndRecomputed:Server.StoreServesShortBoundsRowsAfterRestart:Framing.*:Server.ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers:Server.WarmReadAnswersWhileTheWorkerIsBusyAndIsNeverShed:Server.CacheCountersCountEachReportOnceOnEveryPath:Server.WarmReadHonorsTheRequestDeadline:Server.TracedWarmReadTapesItsPhasesWithoutAQueueWait:Server.MaxConnectionsDefaultIsFinite:DiskStore.EntryPathIsStableAcrossBuilds:Server.PortAboveRangeIsRejectedByListenerHttpAndClient:Server.OverlongUnixPathIsRejectedByListenerHttpAndClient:Server.TelemetryBindFailureLeavesNothingListening:SpefOpen.MissingPathIsFileOpenThroughEveryEntryPoint' \
         --gtest_fail_fast &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
       ./tests/test_spef_parallel --gtest_filter='SpefFusedCache.*' --gtest_fail_fast)

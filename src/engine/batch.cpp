@@ -251,6 +251,11 @@ class BatchRun {
         // assumed not to interleave (the registry totals stay correct).
         base_tasks_(EngineCounters::get().tasks_run.value()),
         base_hits_(EngineCounters::get().cache_hits.value()) {
+    // The renderers print one row per load, indexed by node id; leaf-only
+    // rows hold no row for an internal load and do not line up with ids.
+    if (options.report.leaves_only)
+      throw robust::Error(robust::Code::kUnsupported,
+                          "batch analysis reports every node: leaves_only is not supported");
     if (options.cache_backend != nullptr) cache_.set_backend(options.cache_backend);
   }
   BatchRun(const BatchRun&) = delete;  // pool tasks hold its address

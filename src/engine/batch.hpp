@@ -35,7 +35,9 @@ class CacheBackend;  // net_cache.hpp
 /// Knobs for one batch run.
 struct BatchOptions {
   std::size_t jobs = 0;        ///< worker threads; 0 = hardware concurrency
-  core::ReportOptions report;  ///< shared per-net report options
+  /// Shared per-net report options.  leaves_only is rejected (kUnsupported):
+  /// the renderers index each load's row by node id.
+  core::ReportOptions report;
   bool use_cache = true;       ///< skip recomputation of content-identical nets
   /// LRU cap on the in-memory NetCache's row entries; 0 keeps the pre-cap
   /// unbounded behavior (stdout stays byte-identical).  Maps to the CLI's

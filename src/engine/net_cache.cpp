@@ -105,23 +105,28 @@ NetCache::RenderedLookup NetCache::lookup_rendered(const NetKey& key, RenderFlav
   return lookup_impl(key, &flavor);
 }
 
-NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFlavor* flavor) {
+NetCache::RenderedLookup NetCache::lookup_memory(const NetKey& key, RenderFlavor flavor) {
+  return find_memory(key, &flavor);
+}
+
+NetCache::RenderedLookup NetCache::find_memory(const NetKey& key, const RenderFlavor* flavor) {
   RenderedLookup hit;
   Shard& shard = shard_for(key.hash);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = find_locked(shard, key);
-    if (it != shard.entries.end()) {
-      hits_.fetch_add(1);
-      cache_hit_counter().add();
-      shard.entries.splice(shard.entries.begin(), shard.entries, it);  // refresh LRU
-      hit.source = CacheSource::kMemory;
-      if (flavor != nullptr) hit.rendering = it->renderings[static_cast<std::size_t>(*flavor)];
-      if (hit.rendering != nullptr) return hit;
-      hit.rows = it->rows;  // copy under the shard lock
-      return hit;
-    }
-  }
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = find_locked(shard, key);
+  if (it == shard.entries.end()) return hit;
+  hits_.fetch_add(1);
+  cache_hit_counter().add();
+  shard.entries.splice(shard.entries.begin(), shard.entries, it);  // refresh LRU
+  hit.source = CacheSource::kMemory;
+  if (flavor != nullptr) hit.rendering = it->renderings[static_cast<std::size_t>(*flavor)];
+  if (hit.rendering == nullptr) hit.rows = it->rows;  // copy under the shard lock
+  return hit;
+}
+
+NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFlavor* flavor) {
+  RenderedLookup hit = find_memory(key, flavor);
+  if (hit.source == CacheSource::kMemory) return hit;
   // Memory miss: consult the second-level store outside the shard lock and
   // promote a hit into memory so repeats stay lock-cheap.
   if (backend_ != nullptr) {

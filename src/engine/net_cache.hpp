@@ -33,6 +33,9 @@
 // (src/server's content-addressed DiskStore is the shipping
 // implementation).  Misses consult the backend before reporting a miss;
 // inserts write through.  Backend I/O happens outside the shard locks.
+// lookup_memory() probes the memory tier alone, for a caller that must not
+// block on the backend (the server answers such hits on the connection
+// thread and hands misses to its pool).
 
 #include <array>
 #include <atomic>
@@ -131,6 +134,12 @@ class NetCache {
   };
   [[nodiscard]] RenderedLookup lookup_rendered(const NetKey& key, RenderFlavor flavor);
 
+  /// lookup_rendered() against the in-memory tier alone: a hit is counted
+  /// and returned as there; a miss (source kMiss) counts nothing and
+  /// touches no backend, so the caller can hand the key to a thread that
+  /// may do I/O, whose lookup_rendered() then counts the request once.
+  [[nodiscard]] RenderedLookup lookup_memory(const NetKey& key, RenderFlavor flavor);
+
   /// Stores rows under `key` (write-through to the backend); a concurrent
   /// duplicate insert keeps the first.
   void insert(const NetKey& key, std::vector<core::NodeReport> rows);
@@ -181,6 +190,10 @@ class NetCache {
 
   /// Shared body of lookup() and lookup_rendered(); `flavor` null = rows only.
   RenderedLookup lookup_impl(const NetKey& key, const RenderFlavor* flavor);
+
+  /// The memory tier of every lookup: a hit is counted and refreshes the
+  /// LRU position; a miss (source kMiss) counts nothing.
+  RenderedLookup find_memory(const NetKey& key, const RenderFlavor* flavor);
 
   /// Bytes `entry`'s render slots hold.
   static std::size_t rendered_bytes_of(const Entry& entry);

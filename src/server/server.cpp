@@ -144,6 +144,10 @@ const char* source_name(engine::CacheSource source) {
   return "computed";
 }
 
+engine::RenderFlavor render_flavor(bool bounds_only) {
+  return bounds_only ? engine::RenderFlavor::kBounds : engine::RenderFlavor::kReport;
+}
+
 /// One row's JSON after its name: `,"depth":…}`.  The full row object is
 /// `{"name":` + the escaped node name + this fragment, so fragments are
 /// name-free and one cached rendering serves every content twin.
@@ -762,78 +766,96 @@ std::string Server::cmd_report(const Request& request, bool bounds_only) {
   const std::uint64_t timeout_ms =
       request.timeout_ms != 0 ? request.timeout_ms : options_.request_timeout_ms;
 
+  // Memory work is answered on this thread.  Only a miss, which may read
+  // the store or build the rows, takes the pool hop and its admission.
+  const engine::NetKey key = engine::NetKey::of(net.tree, report);
+  engine::NetCache::RenderedLookup hit;
+  {
+    const obs::Span span("server.cache.lookup", "server", request.net);
+    hit = cache_.lookup_memory(key, render_flavor(bounds_only));
+  }
+  if (hit.source == engine::CacheSource::kMemory)
+    return run_guarded(timeout_ms, [&](const robust::Deadline&) {
+      return answer_report(request, *design, net, key, bounds_only, std::move(hit));
+    });
+
   // The gap between submit and the task body running is pool queue wait —
   // under load, the interval that explains "the server was busy".
   const std::uint64_t submit_ns = obs::timestamp_ns();
-
-  return run_on_pool([this, design, &net, &request, report, timeout_ms, bounds_only,
-                      submit_ns]() -> std::string {
+  return run_on_pool([&]() -> std::string {
     obs::record_wait("server.queue_wait", "server", submit_ns);
-    const robust::Deadline deadline = robust::Deadline::after_ms(timeout_ms);
-    core::ReportOptions effective = report;
-    // Always pass the deadline, armed or not: an unarmed Deadline is still
-    // cancellable, which is how a drain past its budget cuts this request
-    // loose at the next checkpoint.
-    effective.deadline = &deadline;
-    struct InflightGuard {
-      Server* server;
-      const robust::Deadline* deadline;
-      InflightGuard(Server* s, const robust::Deadline* d) : server(s), deadline(d) {
-        server->register_inflight(deadline);
+    return run_guarded(timeout_ms, [&](const robust::Deadline& deadline) {
+      // Counts the request's one hit or miss: the probe above counted
+      // nothing, and a twin may have filled memory since.
+      engine::NetCache::RenderedLookup found =
+          cache_.lookup_rendered(key, render_flavor(bounds_only));
+      if (found.rendering == nullptr && !found.rows.has_value()) {
+        core::ReportOptions effective = report;
+        // Always pass the deadline, armed or not: an unarmed Deadline is
+        // still cancellable, which is how a drain past its budget cuts this
+        // request loose at the next checkpoint.
+        effective.deadline = &deadline;
+        // The context is transient: retaining one per net would cost more
+        // memory than the rows and renderings it helps produce, and a
+        // rebuild is O(N) next to the report itself.
+        std::optional<analysis::TreeContext> context;
+        {
+          const obs::Span span("server.context.build", "server", request.net);
+          context.emplace(net.tree);
+        }
+        const obs::Span span("server.report.build", "server", request.net);
+        found.rows = core::build_report(*context, effective);
+        cache_.insert(key, *found.rows);
       }
-      ~InflightGuard() { server->unregister_inflight(deadline); }
-    } inflight_guard(this, &deadline);
-    robust::fault::maybe_sleep("server.report");
-    robust::fault::maybe_throw("server.report");
-    deadline.check("server.report");
-
-    const engine::NetKey key = engine::NetKey::of(net.tree, effective);
-    const engine::RenderFlavor flavor =
-        bounds_only ? engine::RenderFlavor::kBounds : engine::RenderFlavor::kReport;
-    engine::NetCache::RenderedLookup hit;
-    {
-      const obs::Span span("server.cache.lookup", "server", request.net);
-      hit = cache_.lookup_rendered(key, flavor);
-    }
-    if (hit.rendering == nullptr && !hit.rows.has_value()) {
-      // The context is transient: retaining one per net would cost more
-      // memory than the rows and renderings it helps produce, and a rebuild
-      // is O(N) next to the report itself.
-      std::optional<analysis::TreeContext> context;
-      {
-        const obs::Span span("server.context.build", "server", request.net);
-        context.emplace(net.tree);
-      }
-      const obs::Span span("server.report.build", "server", request.net);
-      hit.rows = core::build_report(*context, effective);
-      cache_.insert(key, *hit.rows);
-    }
-
-    const obs::Span render_span("server.render", "server", request.net);
-    std::shared_ptr<const engine::Rendering> rendering = std::move(hit.rendering);
-    if (rendering != nullptr) {
-      render_cached_counter().add();
-    } else {
-      rendering = render_rows(*hit.rows, bounds_only);
-      // Only a memory hit keeps its rendering: a net read once (computed,
-      // or promoted from the store) does not pay for bytes nobody re-reads.
-      if (hit.source == engine::CacheSource::kMemory)
-        rendering = cache_.attach_rendering(key, flavor, std::move(rendering));
-      rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
-    }
-    std::string out;
-    out.reserve(160 + rendering->text.size() + 24 * rendering->row_ends.size());
-    out += "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
-    json::append_string(out, design->handle);
-    out += ",\"net\":";
-    json::append_string(out, request.net);
-    out += ",\"source\":\"";
-    out += source_name(hit.source);
-    out += "\",\"rows\":[";
-    splice_rows(out, *rendering, net.tree);
-    out += "]}";
-    return out;
+      return answer_report(request, *design, net, key, bounds_only, std::move(found));
+    });
   });
+}
+
+template <class Fn>
+std::string Server::run_guarded(std::uint64_t timeout_ms, Fn&& fn) {
+  const robust::Deadline deadline = robust::Deadline::after_ms(timeout_ms);
+  struct InflightGuard {
+    Server* server;
+    const robust::Deadline* deadline;
+    InflightGuard(Server* s, const robust::Deadline* d) : server(s), deadline(d) {
+      server->register_inflight(deadline);
+    }
+    ~InflightGuard() { server->unregister_inflight(deadline); }
+  } inflight_guard(this, &deadline);
+  robust::fault::maybe_sleep("server.report");
+  robust::fault::maybe_throw("server.report");
+  deadline.check("server.report");
+  return fn(deadline);
+}
+
+std::string Server::answer_report(const Request& request, const Design& design,
+                                  const SpefNet& net, const engine::NetKey& key,
+                                  bool bounds_only, engine::NetCache::RenderedLookup hit) {
+  const obs::Span render_span("server.render", "server", request.net);
+  std::shared_ptr<const engine::Rendering> rendering = std::move(hit.rendering);
+  if (rendering != nullptr) {
+    render_cached_counter().add();
+  } else {
+    rendering = render_rows(*hit.rows, bounds_only);
+    // Only a memory hit keeps its rendering: a net read once (computed,
+    // or promoted from the store) does not pay for bytes nobody re-reads.
+    if (hit.source == engine::CacheSource::kMemory)
+      rendering = cache_.attach_rendering(key, render_flavor(bounds_only), std::move(rendering));
+    rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
+  }
+  std::string out;
+  out.reserve(160 + rendering->text.size() + 24 * rendering->row_ends.size());
+  out += "{\"id\":" + std::to_string(request.id) + ",\"ok\":true,\"design\":";
+  json::append_string(out, design.handle);
+  out += ",\"net\":";
+  json::append_string(out, request.net);
+  out += ",\"source\":\"";
+  out += source_name(hit.source);
+  out += "\",\"rows\":[";
+  splice_rows(out, *rendering, net.tree);
+  out += "]}";
+  return out;
 }
 
 std::string Server::cmd_stats(const Request& request) {

@@ -13,9 +13,12 @@
 //     prompt, and one thread per connection reading lines and writing
 //     responses (finished connections are reaped by the accept loop, all
 //     joined at stop()),
-//   - report/load work is dispatched onto the shared work-stealing
-//     engine::ThreadPool, so N chatty clients contend for `jobs` workers
-//     instead of spawning unbounded computation threads.
+//   - a report whose rows are in memory is answered on the thread that
+//     called handle_line (the connection thread), with no hand-off;
+//     `load` and report misses (store reads, builds) are dispatched onto
+//     the shared work-stealing engine::ThreadPool, so N chatty clients
+//     contend for `jobs` workers instead of spawning unbounded
+//     computation threads.
 //
 // State and consistency:
 //   - designs_: content-handle → parsed SPEF.  The handle is a 12-hex FNV
@@ -53,10 +56,11 @@
 // and send all live in socket.hpp, shared with http.hpp and client.hpp.
 //
 // Overload resilience (see DESIGN.md "Operations"):
-//   - Admission control: pool-bound commands (report/bounds/load) pass a
-//     bounded dispatch queue; past the cap the request is shed immediately
-//     with a typed `overloaded` response carrying a `retry_after_ms` hint
-//     scaled to the current queue depth.  Connections past
+//   - Admission control: pool-bound work (`load`, report/bounds misses)
+//     passes a bounded dispatch queue; past the cap the request is shed
+//     immediately with a typed `overloaded` response carrying a
+//     `retry_after_ms` hint scaled to the current queue depth.  A memory
+//     hit never enters the queue, so it is never shed.  Connections past
 //     --max-connections are answered with the same typed line and closed.
 //     Control commands (ping/stats/evict/trace/shutdown) always answer.
 //   - Lifecycle: starting → serving → degraded → draining → stopped.
@@ -193,7 +197,9 @@ class Server {
   /// and recent sheds, the rest track start()/stop().
   [[nodiscard]] ServerState current_state() const;
 
-  /// Pool-bound requests queued or running right now / shed so far.
+  /// Pool-bound requests (`load`, report misses) queued or running right
+  /// now / shed so far.  Memory hits are answered on the caller's thread
+  /// and never counted here.
   [[nodiscard]] std::size_t queue_depth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
@@ -253,6 +259,16 @@ class Server {
   /// loaded).  nullptr when unknown.
   [[nodiscard]] std::shared_ptr<const Design> find_design(const std::string& ref);
 
+  /// What every report runs on the thread that answers it: a Deadline of
+  /// `timeout_ms` registered in flight, the `server.report` fault sites and
+  /// the first deadline checkpoint; then returns fn(deadline).
+  template <class Fn>
+  [[nodiscard]] std::string run_guarded(std::uint64_t timeout_ms, Fn&& fn);
+  /// The response to a report served from `hit`: splices its rendering, or
+  /// renders its rows (attached to the entry when `hit` is a memory hit).
+  [[nodiscard]] std::string answer_report(const Request& request, const Design& design,
+                                          const SpefNet& net, const engine::NetKey& key,
+                                          bool bounds_only, engine::NetCache::RenderedLookup hit);
   /// Runs `fn` (callable as std::string()) on the pool and waits; its
   /// exception is rethrown on the caller.  The hand-off allocates nothing:
   /// the pool task refers to `fn` and to a completion record in the
@@ -268,7 +284,7 @@ class Server {
   /// Records one shed (counter + the degraded-state freshness clock).
   void note_shed();
 
-  /// In-flight deadline registry: pooled request bodies register their
+  /// In-flight deadline registry: report bodies register their
   /// Deadline so a drain past its budget can cancel them cooperatively.
   void register_inflight(const robust::Deadline* deadline);
   void unregister_inflight(const robust::Deadline* deadline);

@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "obs/json.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
+#include "robust/error.hpp"
 
 namespace rct::engine {
 namespace {
@@ -301,6 +303,49 @@ TEST(NetCacheRender, EmptySlotUntilAttachedAndFlavorsAreSeparate) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(NetCacheRender, MemoryLookupNeverReachesTheBackendAndCountsOnlyHits) {
+  // A backend that holds every key and counts its loads.
+  struct CountingBackend final : CacheBackend {
+    std::vector<core::NodeReport> rows;
+    int loads = 0;
+    std::optional<std::vector<core::NodeReport>> load(const NetKey&) override {
+      ++loads;
+      return rows;
+    }
+    void save(const NetKey&, const std::vector<core::NodeReport>&) override {}
+  };
+  const RCTree a = gen::random_tree(20, 32);
+  const core::ReportOptions opt;
+  const NetKey key = NetKey::of(a, opt);
+  auto backend = std::make_shared<CountingBackend>();
+  backend->rows = core::build_report(a, opt);
+  NetCache cache;
+  cache.set_backend(backend);
+
+  // A memory miss counts nothing and touches no backend...
+  EXPECT_EQ(cache.lookup_memory(key, RenderFlavor::kReport).source, CacheSource::kMiss);
+  EXPECT_EQ(backend->loads, 0);
+  EXPECT_EQ(cache.hits() + cache.misses() + cache.backend_hits(), 0u);
+  // ...so the full lookup that follows counts the request once.
+  EXPECT_EQ(cache.lookup_rendered(key, RenderFlavor::kReport).source, CacheSource::kBackend);
+  EXPECT_EQ(backend->loads, 1);
+  EXPECT_EQ(cache.backend_hits(), 1u);
+  // The promoted entry is now a memory hit, with rows until a rendering is
+  // attached and the rendering after.
+  const NetCache::RenderedLookup rows = cache.lookup_memory(key, RenderFlavor::kReport);
+  EXPECT_EQ(rows.source, CacheSource::kMemory);
+  ASSERT_TRUE(rows.rows.has_value());
+  EXPECT_EQ(rows.rows->size(), a.size());
+  const auto bytes = fake_rendering("report-bytes", a.size());
+  (void)cache.attach_rendering(key, RenderFlavor::kReport, bytes);
+  const NetCache::RenderedLookup rendered = cache.lookup_memory(key, RenderFlavor::kReport);
+  EXPECT_EQ(rendered.rendering, bytes);
+  EXPECT_FALSE(rendered.rows.has_value());
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(backend->loads, 1);
+}
+
 TEST(NetCacheRender, FirstAttachWinsAndMissingEntryStoresNothing) {
   const RCTree a = gen::random_tree(20, 32);
   const core::ReportOptions opt;
@@ -470,6 +515,41 @@ TEST(Batch, CachedRowsCarryPerNetNames) {
       EXPECT_EQ(from_cache, nets.size() - 1);
     }
   }
+}
+
+TEST(Batch, LeavesOnlyRowsAreRejectedNotRenderedOutOfBounds) {
+  // Both renderers index each load's row by node id, so a leaves-only
+  // batch (fewer rows than nodes) is a typed rejection; the all-node batch
+  // of the same 30-node net renders every load from its own row.
+  const std::vector<SpefNet> nets = {make_net("net30", gen::random_tree(30, 31))};
+  BatchOptions all;
+  all.jobs = 1;
+  const BatchResult r = analyze_nets(nets, all);
+  ASSERT_TRUE(r.nets[0].ok());
+  ASSERT_EQ(r.nets[0].rows.size(), 30u);
+  const std::string text = format_batch(r);
+  const std::string json = format_batch_json(r);
+  for (const NodeId load : r.nets[0].loads) {
+    EXPECT_EQ(r.nets[0].rows[load].node, load);
+    const std::string name = nets[0].tree.name(load);
+    EXPECT_NE(text.find("  load " + name + " "), std::string::npos) << name;
+    EXPECT_NE(json.find("{\"name\":\"" + name + "\","), std::string::npos) << name;
+  }
+
+  BatchOptions leaves = all;
+  leaves.report.leaves_only = true;
+  const auto expect_unsupported = [](auto&& analyze) {
+    try {
+      (void)analyze();
+      ADD_FAILURE() << "leaves_only batch was not rejected";
+    } catch (const robust::Error& e) {
+      EXPECT_EQ(e.code(), robust::Code::kUnsupported);
+    }
+  };
+  expect_unsupported([&] { return analyze_nets(nets, leaves); });
+  SpefFile file;
+  file.nets = nets;
+  expect_unsupported([&] { return analyze_batch(file, leaves); });
 }
 
 TEST(Batch, FailingNetIsIsolatedAndReported) {

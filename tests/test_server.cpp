@@ -1854,6 +1854,133 @@ TEST(Server, ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers) {
   EXPECT_EQ(server.requests_shed(), 0u);
 }
 
+TEST(Server, WarmReadAnswersWhileTheWorkerIsBusyAndIsNeverShed) {
+  // One worker and a queue of one: a cold report pinned on the worker
+  // fills the whole queue, yet a memory hit on another net still answers,
+  // because it never leaves the calling thread.
+  const ScratchDir dir("busyworker");
+  const std::string deck = write_deck(dir.path, "busy", 2, 12, 1800);
+  server::ServeOptions options;
+  options.jobs = 1;
+  options.max_queue_depth = 1;
+  server::Server server(options);
+  ASSERT_TRUE(server::response_ok(
+      server.handle_line("{\"id\":1,\"cmd\":\"load\",\"path\":\"" + deck + "\"}")));
+  const std::string warm_line = "{\"id\":2,\"cmd\":\"report\",\"net\":\"net_1\"}";
+  const std::string cold = server.handle_line(warm_line);
+  ASSERT_NE(cold.find("\"source\":\"computed\""), std::string::npos) << cold;
+
+  const std::uint64_t fired_before = robust::fault::fired_count("server.report");
+  robust::fault::arm("server.report", robust::fault::Action::kSleep, 300, 1);
+  std::string slow_response;
+  std::thread busy([&server, &slow_response] {
+    slow_response = server.handle_line("{\"id\":3,\"cmd\":\"report\",\"net\":\"net_0\"}");
+  });
+  // The one-shot sleep has fired once the cold report is on the worker.
+  for (int i = 0; i < 200 && robust::fault::fired_count("server.report") == fired_before; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(robust::fault::fired_count("server.report"), fired_before + 1);
+  ASSERT_EQ(server.queue_depth(), 1u);
+
+  const std::string warm = server.handle_line(warm_line);
+  EXPECT_EQ(server.queue_depth(), 1u);
+  busy.join();
+  robust::fault::disarm_all();
+  EXPECT_TRUE(server::response_ok(warm)) << warm;
+  EXPECT_NE(warm.find("\"source\":\"memory\""), std::string::npos) << warm;
+  EXPECT_EQ(warm.substr(warm.find("\"rows\"")), cold.substr(cold.find("\"rows\"")));
+  EXPECT_EQ(server.requests_shed(), 0u);
+  EXPECT_NE(slow_response.find("\"source\":\"computed\""), std::string::npos) << slow_response;
+  EXPECT_EQ(server.queue_depth(), 0u);
+}
+
+TEST(Server, CacheCountersCountEachReportOnceOnEveryPath) {
+  // cold -> warm on one server, then a restart on its store and two reads:
+  // each report counts exactly one of hits / misses / store_hits.
+  const ScratchDir dir("counters");
+  const std::string deck = write_deck(dir.path, "counted", 1, 12, 1900);
+  const std::string load_line = "{\"id\":1,\"cmd\":\"load\",\"path\":\"" + deck + "\"}";
+  const std::string report_line = "{\"id\":2,\"cmd\":\"report\",\"net\":\"net_0\"}";
+  server::ServeOptions options;
+  options.store_dir = dir.path + "/store";
+  {
+    server::Server server(options);
+    ASSERT_TRUE(server::response_ok(server.handle_line(load_line)));
+    EXPECT_NE(server.handle_line(report_line).find("\"source\":\"computed\""),
+              std::string::npos);
+    EXPECT_NE(server.handle_line(report_line).find("\"source\":\"memory\""),
+              std::string::npos);
+    const std::string stats = server.handle_line("{\"id\":3,\"cmd\":\"stats\"}");
+    EXPECT_NE(stats.find("\"hits\":1,\"misses\":1,\"store_hits\":0"), std::string::npos)
+        << stats;
+  }
+  server::Server restarted(options);
+  ASSERT_TRUE(server::response_ok(restarted.handle_line(load_line)));
+  EXPECT_NE(restarted.handle_line(report_line).find("\"source\":\"store\""),
+            std::string::npos);
+  std::string stats = restarted.handle_line("{\"id\":4,\"cmd\":\"stats\"}");
+  EXPECT_NE(stats.find("\"hits\":0,\"misses\":0,\"store_hits\":1"), std::string::npos)
+      << stats;
+  EXPECT_NE(restarted.handle_line(report_line).find("\"source\":\"memory\""),
+            std::string::npos);
+  stats = restarted.handle_line("{\"id\":5,\"cmd\":\"stats\"}");
+  EXPECT_NE(stats.find("\"hits\":1,\"misses\":0,\"store_hits\":1"), std::string::npos)
+      << stats;
+}
+
+TEST(Server, WarmReadHonorsTheRequestDeadline) {
+  // A memory hit runs the same deadline and fault prologue as a miss.
+  const ScratchDir dir("warmdeadline");
+  const std::string deck = write_deck(dir.path, "slow", 1, 10, 2000);
+  server::Server server({});
+  ASSERT_TRUE(server::response_ok(
+      server.handle_line("{\"id\":1,\"cmd\":\"load\",\"path\":\"" + deck + "\"}")));
+  server::Request report;
+  report.id = 2;
+  report.cmd = "report";
+  report.net = "net_0";
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(report))));
+
+  robust::fault::arm("server.report", robust::fault::Action::kSleep, 30, 1);
+  report.timeout_ms = 5;
+  const std::string response = server.handle_line(server::encode_request(report));
+  robust::fault::disarm_all();
+  EXPECT_EQ(server::response_error_code(response), "timeout") << response;
+
+  const std::string ok = server.handle_line(server::encode_request(report));
+  EXPECT_NE(ok.find("\"source\":\"memory\""), std::string::npos) << ok;
+}
+
+TEST(Server, TracedWarmReadTapesItsPhasesWithoutAQueueWait) {
+  const ScratchDir dir("warmtrace");
+  const std::string deck = write_deck(dir.path, "traced", 1, 10, 2100);
+  server::Server server({});
+  ASSERT_TRUE(server::response_ok(
+      server.handle_line("{\"id\":1,\"cmd\":\"load\",\"path\":\"" + deck + "\"}")));
+  server::Request report;
+  report.id = 2;
+  report.cmd = "report";
+  report.net = "net_0";
+  ASSERT_TRUE(server::response_ok(server.handle_line(server::encode_request(report))));
+
+  report.trace = server::generate_trace_id();
+  const std::string warm = server.handle_line(server::encode_request(report));
+  ASSERT_NE(warm.find("\"source\":\"memory\""), std::string::npos) << warm;
+  server::Request fetch;
+  fetch.id = 3;
+  fetch.cmd = "trace";
+  fetch.trace = report.trace;
+  const std::string slice = server.handle_line(server::encode_request(fetch));
+  std::vector<server::TraceSpan> spans;
+  ASSERT_TRUE(server::parse_trace_spans(slice, spans)) << slice;
+  std::multiset<std::string> names;
+  for (const server::TraceSpan& s : spans) names.insert(s.name);
+  EXPECT_EQ(names.count("server.request"), 1u);
+  EXPECT_EQ(names.count("server.cache.lookup"), 1u);
+  EXPECT_EQ(names.count("server.render"), 1u);
+  EXPECT_EQ(names.count("server.queue_wait"), 0u);  // a memory hit takes no hand-off
+}
+
 // ------------------------------------------------------- socket hygiene
 
 TEST(Server, OversizedLineGetsTypedErrorAndConnectionSurvives) {
