@@ -14,12 +14,19 @@
 //   exact/random/{16,96,250,1000}, exact/line/250
 //                           build_report(context) with the exact solve on
 //   serve/warm              one warm `report` through Server::handle_line
+//   batch/{stamped,exact}   one `rct batch --json` pass: analyze_spef_file +
+//                           format_batch_json on rctbench's deck and Config
 // Lines are gen::line(N, 100, 0.1p, 50, 0.05p), random trees
 // gen::random_tree(N, seed 12345).  serve/warm's server has one pool worker
 // and is never started (no socket, no accept thread); its deck of 64
 // random 96-node nets (seeds 12345…) is written next to the module, loaded
 // and deleted, and every net is reported twice in setup (computed, then
 // its rendering attached), so each timed call splices a cached rendering.
+// The batch workloads run rctbench's batch_moments_stamped and batch_exact
+// passes: the seed-2 deck from rctbench/deck.cpp's generate_deck (10k
+// 24-node nets, half stamped copies; 100 nets of 16/96/250 nodes), written
+// under the build tree for the workload's lifetime, and its options (3 jobs
+// and exact limit 23; 2 jobs with the exact path on), with the net cache on.
 //
 // C ABI:
 //   int         rct_probe_timing_enabled()  1 in an RCT_OBS=ON build
@@ -31,6 +38,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -41,7 +49,9 @@
 #include <vector>
 
 #include "analysis/tree_context.hpp"
+#include "bench.hpp"
 #include "core/report.hpp"
+#include "engine/batch.hpp"
 #include "obs/trace.hpp"
 #include "rctree/generators.hpp"
 #include "rctree/spef.hpp"
@@ -61,7 +71,7 @@ constexpr const char* kWorkloads =
     "shared/random/1024 shared/random/4096 shared/random/16384 shared/random/65536 "
     "context/line/1024 context/line/4096 context/line/16384 context/line/65536 "
     "exact/random/16 exact/random/96 exact/random/250 exact/random/1000 exact/line/250 "
-    "serve/warm";
+    "serve/warm batch/stamped batch/exact";
 
 /// One named workload; run() is one timed call, false when its answer is
 /// wrong.
@@ -152,6 +162,42 @@ class ServeWorkload final : public Workload {
   std::size_t next_ = 0;
 };
 
+/// rctbench's batch_exact or batch_moments_stamped pass (see the header).
+class BatchWorkload final : public Workload {
+ public:
+  explicit BatchWorkload(bool exact)
+      : dir_(std::string(RCT_PROBE_DECK_DIR).append(exact ? "/probe_batch_exact"
+                                                          : "/probe_batch_stamped")),
+        nets_(rctbench::kStampedDistinct + rctbench::kStampedCopies) {
+    if (exact) {
+      nets_ = 0;
+      for (const std::size_t count : rctbench::kExactCounts) nets_ += count;
+    }
+    std::filesystem::create_directories(dir_);
+    rctbench::generate_deck(exact ? "batch_exact" : "batch_moments_stamped", /*seed=*/2, dir_);
+    options_.jobs = exact ? 2 : 3;
+    options_.use_cache = true;
+    // The paper's bounds-only path: an exact limit below every net's size.
+    if (!exact) options_.report.exact_node_limit = rctbench::kStampedNodes - 1;
+  }
+  ~BatchWorkload() override { std::filesystem::remove_all(dir_); }
+
+  /// One pass: true when every net came back with rows.
+  bool run() override {
+    const engine::FileBatchResult result =
+        engine::analyze_spef_file(rctbench::deck_path(dir_), options_);
+    const std::string json = engine::format_batch_json(result.batch);
+    bool ok = result.batch.nets.size() == nets_ && !json.empty();
+    for (const engine::NetResult& net : result.batch.nets) ok &= net.error.empty();
+    return ok;
+  }
+
+ private:
+  std::string dir_;
+  std::size_t nets_;
+  engine::BatchOptions options_;
+};
+
 std::unique_ptr<Workload> g_workload;
 
 }  // namespace
@@ -179,6 +225,16 @@ RCT_PROBE_EXPORT int rct_probe_setup(const char* name) {
     // above, and exit handlers run in reverse order of registration.
     static const bool teardown_registered = std::atexit([] { g_workload.reset(); }) == 0;
     return teardown_registered ? 0 : 1;
+  }
+  if (listed == name && listed.starts_with("batch/")) {
+    try {
+      auto w = std::make_unique<BatchWorkload>(listed == "batch/exact");
+      if (!w->run()) return 1;
+      g_workload = std::move(w);
+      return 0;
+    } catch (...) {
+      return 1;
+    }
   }
   char kind[8], topology[8];
   std::size_t nodes = 0;

@@ -31,8 +31,8 @@
 #      each must exit 1 with a diagnostic — never crash, never succeed;
 #      finally re-runs the store-GC crash-recovery, socket-chaos,
 #      cached-render, short-row store round-trip, store version/range,
-#      warm-read and fused-cache suites by name so a renamed/deleted suite cannot pass
-#      silently.
+#      warm-read, fused-cache and SPEF line-scanner suites by name so a
+#      renamed/deleted suite cannot pass silently.
 #   4. Perf gate: in-process A/B of two builds of bench/probe (a shared
 #      module with a private copy of the library) through
 #      scripts/ab_gate.py, whose decision rule scripts/test_ab_gate.py
@@ -355,7 +355,7 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   done
   echo "malformed corpus: every deck handled without a crash"
 
-  echo "== store GC crash-recovery + socket chaos + cached render + fused cache under ASan =="
+  echo "== store GC crash-recovery + socket chaos + cached render + fused cache + SPEF scanner under ASan =="
   # The DiskStoreGc suite injects a crash between the eviction journal
   # write and the first unlink, then recovers on reopen; the Chaos suite
   # drives torn writes / short reads / oversized lines over real sockets;
@@ -372,15 +372,19 @@ if [[ "$MODE" == "all" || "$MODE" == "--asan-only" ]]; then
   # (beside a pinned worker, under a deadline, traced) and count each
   # report once on every cache path; the listen-spec tests drive the shared socket layer's error
   # paths (port range, long unix paths, a telemetry bind failure) and
-  # SpefOpen the one deck opener.  Already part of the full ctest run
-  # above, but gated by name so a filter-level regression (renamed/deleted
-  # suite) cannot pass silently.
+  # SpefOpen the one deck opener; the SpefScanner suite parses pinned edge
+  # cases from heap buffers of their exact size, so the line scanner's
+  # reads near a line's (and the buffer's) end are bounds-checked.  Already
+  # part of the full ctest run above, but gated by name so a filter-level
+  # regression (renamed/deleted suite) cannot pass silently.
   (cd build-asan &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
       ./tests/test_server --gtest_filter='DiskStoreGc.*:Chaos.*:ServerRender.*:ReportSerialization.ShortMomentsOnlyRowsRoundTrip:Server.OlderStoreVersionIsAMissAndIsRewritten:Server.StoreRowNodeOutOfRangeIsCorruptAndRecomputed:Server.StoreServesShortBoundsRowsAfterRestart:Framing.*:Server.ConcurrentWarmReadsOnOneWorkerMatchSerialAnswers:Server.WarmReadAnswersWhileTheWorkerIsBusyAndIsNeverShed:Server.CacheCountersCountEachReportOnceOnEveryPath:Server.WarmReadHonorsTheRequestDeadline:Server.TracedWarmReadTapesItsPhasesWithoutAQueueWait:Server.MaxConnectionsDefaultIsFinite:DiskStore.EntryPathIsStableAcrossBuilds:Server.PortAboveRangeIsRejectedByListenerHttpAndClient:Server.OverlongUnixPathIsRejectedByListenerHttpAndClient:Server.TelemetryBindFailureLeavesNothingListening:SpefOpen.MissingPathIsFileOpenThroughEveryEntryPoint' \
         --gtest_fail_fast &&
     ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
-      ./tests/test_spef_parallel --gtest_filter='SpefFusedCache.*' --gtest_fail_fast)
+      ./tests/test_spef_parallel --gtest_filter='SpefFusedCache.*' --gtest_fail_fast &&
+    ASAN_OPTIONS="detect_leaks=0" UBSAN_OPTIONS="halt_on_error=1" \
+      ./tests/test_spef --gtest_filter='SpefScanner.*' --gtest_fail_fast)
 fi
 
 if [[ "$MODE" == "all" || "$MODE" == "--perf-only" ]]; then

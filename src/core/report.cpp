@@ -139,7 +139,15 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
   // equality at the boundary is not guaranteed in floating point.
   constexpr double kBoundRelTol = 1e-6;
 
+  // Exactly one row per node (per leaf under leaves_only): no regrowth,
+  // and no spare capacity carried into a cache.
+  std::size_t row_count = tree.size();
+  if (options.leaves_only) {
+    row_count = 0;
+    for (NodeId i = 0; i < tree.size(); ++i) row_count += tree.is_leaf(i) ? 1 : 0;
+  }
   std::vector<NodeReport> rows;
+  rows.reserve(row_count);
   double gap_sum = 0.0;
   std::size_t gap_rows = 0;
   for (NodeId i = 0; i < tree.size(); ++i) {

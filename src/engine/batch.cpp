@@ -127,7 +127,7 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
     ec.tasks_run.add();
     const analysis::TreeContext ctx(net.tree);
     r.rows = core::build_report(ctx, report);
-    if (key.has_value()) cache->insert(*key, r.rows);
+    if (key.has_value()) cache->insert(std::move(*key), r.rows);
   } catch (const robust::Error& e) {
     r.rows.clear();
     r.error = e.what();

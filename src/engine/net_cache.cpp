@@ -55,15 +55,16 @@ std::uint64_t mix_words(const std::vector<std::uint64_t>& words) {
 }  // namespace
 
 NetKey NetKey::of(const RCTree& tree, const core::ReportOptions& options) {
+  const std::size_t n = tree.size();
   NetKey key;
-  key.words.reserve(3 + 3 * tree.size());
-  key.words.push_back(tree.size());
+  key.words.reserve(3 + 3 * n);
+  key.words.push_back(n);
   // Options enter as their *effective* values: with_exact only matters as
   // applied after the node-count cutoff.
-  const bool exact = options.with_exact && tree.size() <= options.exact_node_limit;
+  const bool exact = options.with_exact && n <= options.exact_node_limit;
   key.words.push_back((exact ? 1ULL : 0ULL) | (options.leaves_only ? 2ULL : 0ULL));
   key.words.push_back(std::bit_cast<std::uint64_t>(options.fraction));
-  for (NodeId i = 0; i < tree.size(); ++i) {
+  for (NodeId i = 0; i < n; ++i) {
     key.words.push_back(tree.parent(i));  // kSource is its own sentinel value
     key.words.push_back(std::bit_cast<std::uint64_t>(tree.resistance(i)));
     key.words.push_back(std::bit_cast<std::uint64_t>(tree.capacitance(i)));
@@ -144,12 +145,13 @@ NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFl
   return hit;
 }
 
-bool NetCache::insert_memory(const NetKey& key, std::vector<core::NodeReport> rows) {
-  Shard& shard = shard_for(key.hash);
+bool NetCache::insert_memory(NetKey key, std::vector<core::NodeReport> rows) {
+  const std::uint64_t hash = key.hash;
+  Shard& shard = shard_for(hash);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (find_locked(shard, key) != shard.entries.end()) return false;  // first writer wins
-  shard.entries.push_front(Entry{key, std::move(rows), {}});
-  shard.index[key.hash].push_back(shard.entries.begin());
+  shard.entries.push_front(Entry{std::move(key), std::move(rows), {}});
+  shard.index[hash].push_back(shard.entries.begin());
   cache_insert_counter().add();
   if (cap_per_shard_ > 0 && shard.entries.size() > cap_per_shard_) {
     const auto victim = std::prev(shard.entries.end());
@@ -165,12 +167,12 @@ bool NetCache::insert_memory(const NetKey& key, std::vector<core::NodeReport> ro
   return true;
 }
 
-void NetCache::insert(const NetKey& key, std::vector<core::NodeReport> rows) {
+void NetCache::insert(NetKey key, std::vector<core::NodeReport> rows) {
   // Write-through before the memory insert: the rows are still at hand and
   // no shard lock is held across the (possibly real) I/O.  A duplicate
   // insert re-saves; backends treat an existing entry as a cheap no-op.
   if (backend_ != nullptr) backend_->save(key, rows);
-  insert_memory(key, std::move(rows));
+  insert_memory(std::move(key), std::move(rows));
 }
 
 std::shared_ptr<const Rendering> NetCache::attach_rendering(

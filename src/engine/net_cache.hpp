@@ -141,8 +141,8 @@ class NetCache {
   [[nodiscard]] RenderedLookup lookup_memory(const NetKey& key, RenderFlavor flavor);
 
   /// Stores rows under `key` (write-through to the backend); a concurrent
-  /// duplicate insert keeps the first.
-  void insert(const NetKey& key, std::vector<core::NodeReport> rows);
+  /// duplicate insert keeps the first.  The key moves into the entry.
+  void insert(NetKey key, std::vector<core::NodeReport> rows);
 
   /// Fills `flavor`'s render slot of the in-memory entry under `key`.  The
   /// first writer wins and the stored rendering is returned; when the entry
@@ -200,7 +200,7 @@ class NetCache {
 
   /// Inserts rows into the in-memory tier only (no backend write-through).
   /// Returns false when the key was already present.
-  bool insert_memory(const NetKey& key, std::vector<core::NodeReport> rows);
+  bool insert_memory(NetKey key, std::vector<core::NodeReport> rows);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t cap_per_shard_ = 0;  ///< 0 = unbounded

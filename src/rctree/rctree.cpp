@@ -10,13 +10,11 @@
 namespace rct {
 
 std::span<const NodeId> RCTree::children(NodeId i) const {
-  return {child_list_.data() + child_offset_[i], child_offset_[i + 1] - child_offset_[i]};
+  const NodeId* const list = children_.data() + size() + 3;
+  return {list + children_[i], children_[i + 1] - children_[i]};
 }
 
-std::span<const NodeId> RCTree::children_of_source() const {
-  const std::size_t n = size();
-  return {child_list_.data() + child_offset_[n], child_offset_[n + 1] - child_offset_[n]};
-}
+std::span<const NodeId> RCTree::children_of_source() const { return children(size()); }
 
 std::vector<NodeId> RCTree::leaves() const {
   std::vector<NodeId> out;
@@ -27,19 +25,19 @@ std::vector<NodeId> RCTree::leaves() const {
 
 std::size_t RCTree::depth(NodeId i) const {
   std::size_t d = 0;
-  for (NodeId v = i; v != kSource; v = parent_[v]) ++d;
+  for (NodeId v = i; v != kSource; v = parent(v)) ++d;
   return d;
 }
 
 double RCTree::path_resistance(NodeId i) const {
   double r = 0.0;
-  for (NodeId v = i; v != kSource; v = parent_[v]) r += res_[v];
+  for (NodeId v = i; v != kSource; v = parent(v)) r += resistance(v);
   return r;
 }
 
 double RCTree::total_capacitance() const {
   double c = 0.0;
-  for (double v : cap_) c += v;
+  for (const Node& v : nodes_) c += v.capacitance;
   return c;
 }
 
@@ -50,7 +48,7 @@ double RCTree::subtree_capacitance(NodeId i) const {
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    c += cap_[v];
+    c += capacitance(v);
     for (NodeId ch : children(v)) stack.push_back(ch);
   }
   return c;
@@ -70,8 +68,10 @@ NodeId RCTree::at(std::string_view name) const {
 RCTree RCTree::scaled(double kr, double kc) const {
   if (kr <= 0.0 || kc < 0.0) throw std::invalid_argument("RCTree::scaled: bad scale factors");
   RCTree t = *this;
-  for (double& r : t.res_) r *= kr;
-  for (double& c : t.cap_) c *= kc;
+  for (Node& v : t.nodes_) {
+    v.resistance *= kr;
+    v.capacitance *= kc;
+  }
   return t;
 }
 
@@ -80,10 +80,11 @@ std::string RCTree::to_netlist(std::string_view title) const {
   os << "* " << title << "\n";
   os << ".input in\n";
   for (NodeId i = 0; i < size(); ++i) {
-    const std::string up = (parent_[i] == kSource) ? "in" : name_[parent_[i]];
-    os << "R" << i + 1 << " " << up << " " << name_[i] << " " << format_engineering(res_[i])
+    const std::string up = (parent(i) == kSource) ? "in" : name_[parent(i)];
+    os << "R" << i + 1 << " " << up << " " << name_[i] << " "
+       << format_engineering(resistance(i)) << "\n";
+    os << "C" << i + 1 << " " << name_[i] << " 0 " << format_engineering(capacitance(i))
        << "\n";
-    os << "C" << i + 1 << " " << name_[i] << " 0 " << format_engineering(cap_[i]) << "\n";
   }
   os << ".end\n";
   return os.str();
@@ -92,7 +93,7 @@ std::string RCTree::to_netlist(std::string_view title) const {
 NodeId RCTreeBuilder::add_node(std::string name, NodeId parent, double resistance,
                                double capacitance) {
   if (name.empty()) throw std::invalid_argument("RCTreeBuilder: empty node name");
-  if (parent != kSource && parent >= parent_.size())
+  if (parent != kSource && parent >= nodes_.size())
     throw std::invalid_argument("RCTreeBuilder: parent of '" + name + "' does not exist yet");
   if (!(resistance > 0.0))
     throw std::invalid_argument("RCTreeBuilder: resistance must be positive at '" + name + "'");
@@ -101,37 +102,33 @@ NodeId RCTreeBuilder::add_node(std::string name, NodeId parent, double resistanc
   if (!seen_names_.insert(name).second)
     throw std::invalid_argument("RCTreeBuilder: duplicate node name '" + name + "'");
 
-  parent_.push_back(parent);
-  res_.push_back(resistance);
-  cap_.push_back(capacitance);
+  nodes_.push_back({parent, resistance, capacitance});
   name_.push_back(std::move(name));
-  return parent_.size() - 1;
+  return nodes_.size() - 1;
 }
 
 RCTree RCTreeBuilder::build() && {
-  if (parent_.empty()) throw std::invalid_argument("RCTreeBuilder: empty tree");
-  const std::size_t n = parent_.size();
+  if (nodes_.empty()) throw std::invalid_argument("RCTreeBuilder: empty tree");
+  const std::size_t n = nodes_.size();
 
   RCTree t;
-  t.parent_ = std::move(parent_);
-  t.res_ = std::move(res_);
-  t.cap_ = std::move(cap_);
+  t.nodes_ = std::move(nodes_);
   t.name_ = std::move(name_);
 
   // CSR children lists by counting sort, with no scratch arrays.  The
   // source occupies virtual slot n.  Slot s is counted at offset[s + 2], so
   // after the prefix sum offset[s + 1] is slot s's start; filling through
-  // it as a cursor leaves it at slot s's end, which is slot s + 1's start.
-  const auto slot_of = [&t, n](NodeId i) { return t.parent_[i] == kSource ? n : t.parent_[i]; };
-  std::vector<std::size_t>& offset = t.child_offset_;
-  offset.assign(n + 3, 0);
+  // it as a cursor leaves it at slot s's end, which is slot s + 1's start
+  // (offset[n + 2], the source's end, is left over: it equals offset[n + 1]).
+  const auto slot_of = [&t, n](NodeId i) { return t.parent(i) == kSource ? n : t.parent(i); };
+  t.children_.assign(n + 3 + n, 0);
+  NodeId* const offset = t.children_.data();
+  NodeId* const list = offset + n + 3;
   for (NodeId i = 0; i < n; ++i) ++offset[slot_of(i) + 2];
   if (offset[n + 2] == 0)
     throw std::invalid_argument("RCTreeBuilder: no node attaches to the source");
   for (std::size_t s = 2; s < n + 3; ++s) offset[s] += offset[s - 1];
-  t.child_list_.resize(n);
-  for (NodeId i = 0; i < n; ++i) t.child_list_[offset[slot_of(i) + 1]++] = i;
-  offset.pop_back();  // the source's end, already at offset[n + 1]
+  for (NodeId i = 0; i < n; ++i) list[offset[slot_of(i) + 1]++] = i;
   return t;
 }
 

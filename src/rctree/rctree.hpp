@@ -35,15 +35,15 @@ class RCTree {
   /// require a non-empty tree built via RCTreeBuilder).
   RCTree() = default;
 
-  [[nodiscard]] std::size_t size() const { return res_.size(); }
-  [[nodiscard]] bool empty() const { return res_.empty(); }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
+  [[nodiscard]] bool empty() const { return nodes_.empty(); }
 
   /// Parent node id, or kSource for nodes attached to the input source.
-  [[nodiscard]] NodeId parent(NodeId i) const { return parent_[i]; }
+  [[nodiscard]] NodeId parent(NodeId i) const { return nodes_[i].parent; }
   /// Resistance (ohms) of the edge from node i to its parent.
-  [[nodiscard]] double resistance(NodeId i) const { return res_[i]; }
+  [[nodiscard]] double resistance(NodeId i) const { return nodes_[i].resistance; }
   /// Grounded capacitance (farads) at node i.
-  [[nodiscard]] double capacitance(NodeId i) const { return cap_[i]; }
+  [[nodiscard]] double capacitance(NodeId i) const { return nodes_[i].capacitance; }
   [[nodiscard]] const std::string& name(NodeId i) const { return name_[i]; }
 
   /// Children of node i (use children_of_source() for the roots).
@@ -90,13 +90,19 @@ class RCTree {
  private:
   friend class RCTreeBuilder;
 
-  std::vector<NodeId> parent_;
-  std::vector<double> res_;
-  std::vector<double> cap_;
+  /// One node's edge to its parent and its grounded capacitance.
+  struct Node {
+    NodeId parent;
+    double resistance;
+    double capacitance;
+  };
+
+  // Three arrays, so building a tree costs three allocations.
+  std::vector<Node> nodes_;
   std::vector<std::string> name_;
-  // CSR-style children adjacency; roots (children of source) stored first.
-  std::vector<std::size_t> child_offset_;  // size()+2 entries; slot size() = source
-  std::vector<NodeId> child_list_;
+  // CSR children adjacency in one array: size()+3 slot offsets (slot size()
+  // is the source), then the child lists they index.
+  std::vector<NodeId> children_;
 };
 
 /// Incremental RC-tree construction with validation.
@@ -116,21 +122,17 @@ class RCTreeBuilder {
   /// path does not register names for duplicate detection.
   NodeId add_node_unchecked(std::string name, NodeId parent, double resistance,
                             double capacitance) {
-    parent_.push_back(parent);
-    res_.push_back(resistance);
-    cap_.push_back(capacitance);
+    nodes_.push_back({parent, resistance, capacitance});
     name_.push_back(std::move(name));
-    return parent_.size() - 1;
+    return nodes_.size() - 1;
   }
 
-  [[nodiscard]] std::size_t size() const { return parent_.size(); }
+  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
   /// Presizes for `n` nodes, so a builder that adds exactly `n` hands
   /// build() exact-size arrays.
   void reserve(std::size_t n) {
-    parent_.reserve(n);
-    res_.reserve(n);
-    cap_.reserve(n);
+    nodes_.reserve(n);
     name_.reserve(n);
   }
 
@@ -139,9 +141,7 @@ class RCTreeBuilder {
   [[nodiscard]] RCTree build() &&;
 
  private:
-  std::vector<NodeId> parent_;
-  std::vector<double> res_;
-  std::vector<double> cap_;
+  std::vector<RCTree::Node> nodes_;
   std::vector<std::string> name_;
   std::unordered_set<std::string> seen_names_;  // O(1) duplicate detection
 };

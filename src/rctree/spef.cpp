@@ -1,6 +1,8 @@
 #include "rctree/spef.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -30,12 +32,6 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
-/// Token separators istringstream's operator>> skips ('\n' cannot occur:
-/// lines are split on it first).
-constexpr bool is_ws(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f' || c == '\n';
-}
-
 /// Case-insensitive (ASCII) equality against an UPPERCASE keyword literal.
 bool ieq(std::string_view s, std::string_view upper) {
   if (s.size() != upper.size()) return false;
@@ -47,30 +43,198 @@ bool ieq(std::string_view s, std::string_view upper) {
   return true;
 }
 
-/// Zero-copy tokenization: views into the line, comment-stripped.  Only the
-/// first four token values are ever inspected; `n` still counts them all
-/// (the grammar distinguishes 3 vs 4 vs more tokens).
-struct Toks {
-  std::string_view t[4];
-  std::size_t n = 0;
+/// Token separators: the bytes istringstream's operator>> skipped in the
+/// original parser ('\n' cannot occur: lines are split on it first).
+constexpr std::array<bool, 256> kSeparator = [] {
+  std::array<bool, 256> table{};
+  for (const unsigned char c : {' ', '\t', '\r', '\v', '\f', '\n'}) table[c] = true;
+  return table;
+}();
+
+constexpr bool is_separator(char c) { return kSeparator[static_cast<unsigned char>(c)]; }
+
+/// The hash NameTable files names under, fed a name's bytes as 8-byte
+/// little-endian words (the last one zero-padded) and then its length.
+class NameHash {
+ public:
+  void add(std::uint64_t word) {
+    h_ = (h_ ^ word) * 0xff51afd7ed558ccdull;
+    h_ ^= h_ >> 32;
+  }
+  [[nodiscard]] std::uint32_t finish(std::size_t size) {
+    add(size);
+    return static_cast<std::uint32_t>((h_ * 0xc4ceb9fe1a85ec53ull) >> 32);
+  }
+
+ private:
+  std::uint64_t h_ = 0x9e3779b97f4a7c15ull;
 };
 
-Toks split_line(std::string_view line) {
-  // One pass: a `//` comment ends the line, even in the middle of a token.
-  const char* p = line.data();
-  const char* const end = p + line.size();
-  const auto at_comment = [&p, end] { return p[0] == '/' && p + 1 < end && p[1] == '/'; };
-  Toks toks;
-  for (;;) {
-    while (p < end && is_ws(*p)) ++p;
-    if (p == end || at_comment()) break;
-    const char* const start = p;
-    while (p < end && !is_ws(*p) && !at_comment()) ++p;
-    if (toks.n < 4) toks.t[toks.n] = {start, static_cast<std::size_t>(p - start)};
-    ++toks.n;
+/// Feeds [p, end), which starts on one of the name's word boundaries, to
+/// `hash` a byte at a time (a variable-length memcpy is a call).
+void add_bytes(NameHash& hash, const char* p, const char* end) {
+  std::uint64_t word = 0;
+  unsigned shift = 0;
+  for (; p < end; ++p) {
+    word |= std::uint64_t{static_cast<unsigned char>(*p)} << shift;
+    shift += 8;
+    if (shift == 64) {
+      hash.add(word);
+      word = 0;
+      shift = 0;
+    }
   }
-  return toks;
+  if (shift != 0) hash.add(word);
 }
+
+std::uint32_t hash_name(std::string_view s) {
+  NameHash hash;
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; end - p >= 8; p += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, p, 8);
+      hash.add(word);
+    }
+  }
+  add_bytes(hash, p, end);
+  return hash.finish(s.size());
+}
+
+/// The lines of a chunk, each cut at its `//` comment (which ends a line
+/// even in the middle of a token).  The search for '/' runs ahead over the
+/// whole chunk: one memchr serves every line up to the next slash, so a
+/// chunk without one is searched once.
+class Lines {
+ public:
+  explicit Lines(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()), slash_(find('/', p_)) {}
+
+  /// The next line up to its comment cut; false past the last line.
+  bool next(std::string_view& line) {
+    if (p_ >= end_) return false;
+    const char* const line_end = find('\n', p_);
+    while (slash_ < line_end && !(slash_ + 1 < line_end && slash_[1] == '/'))
+      slash_ = find('/', slash_ + 1);
+    const char* const cut = std::min(slash_, line_end);
+    if (slash_ < line_end) slash_ = find('/', line_end);
+    line = {p_, static_cast<std::size_t>(cut - p_)};
+    p_ = line_end + (line_end < end_ ? 1 : 0);
+    return true;
+  }
+
+ private:
+  /// The first `c` in [p, end_), or end_.
+  [[nodiscard]] const char* find(char c, const char* p) const {
+    if (p >= end_) return end_;
+    const void* hit = std::memchr(p, c, static_cast<std::size_t>(end_ - p));
+    return hit == nullptr ? end_ : static_cast<const char*>(hit);
+  }
+
+  const char* p_;
+  const char* const end_;
+  const char* slash_;  ///< the first '/' at or after the current line, or end_
+};
+
+/// A node-name token and its hash_name().
+struct Name {
+  std::string_view text;
+  std::uint32_t hash = 0;
+};
+
+/// A number token.  `parsed` is true, and `value` holds it, when from_chars
+/// read the token exactly to its end; otherwise Shard::number() gives it
+/// strtod's slow path.
+struct Number {
+  std::string_view text;
+  double value = 0.0;
+  bool parsed = false;
+};
+
+/// The one tokenizer of the section parser: every line, keyword or data,
+/// is read through it once, left to right, as Lines cut it.  Tokens are
+/// yielded as views into the buffer and counted (the grammar distinguishes
+/// 3 vs 4 vs more tokens).  A name is hashed as it is scanned and a number
+/// parsed by from_chars where its token starts, so no byte is read twice.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view line)
+      : p_(line.data()), end_(line.data() + line.size()) {}
+
+  /// The next token, or an empty view at the end of the line.
+  std::string_view next() {
+    const char* const start = skip_separators();
+    while (p_ < end_ && !is_separator(*p_)) ++p_;
+    return token(start);
+  }
+
+  /// next() for a node name, with its hash_name().  While 8 bytes remain,
+  /// it reads a word at a time: one test flags the bytes below '!' (every
+  /// separator among them), and the word, masked at the first separator,
+  /// goes straight into the hash.
+  Name next_name() {
+    const char* const start = skip_separators();
+    NameHash hash;
+    if constexpr (std::endian::native == std::endian::little) {
+      while (end_ - p_ >= 8) {
+        std::uint64_t word;
+        std::memcpy(&word, p_, 8);
+        // Exact for the lowest flagged byte, the only one read.
+        const std::uint64_t low = (word - 0x2121212121212121ull) & ~word & 0x8080808080808080ull;
+        if (low == 0) {
+          hash.add(word);
+          p_ += 8;
+          continue;
+        }
+        const int k = std::countr_zero(low) / 8;
+        if (!is_separator(p_[k])) break;  // another control byte: finish bytewise
+        if (k != 0) hash.add(word & ((std::uint64_t{1} << (8 * k)) - 1));
+        p_ += k;
+        return {token(start), hash.finish(static_cast<std::size_t>(p_ - start))};
+      }
+    }
+    const char* const rest = p_;
+    while (p_ < end_ && !is_separator(*p_)) ++p_;
+    add_bytes(hash, rest, p_);
+    return {token(start), hash.finish(static_cast<std::size_t>(p_ - start))};
+  }
+
+  /// next() for a number, parsed by from_chars where the token starts.
+  Number next_number() {
+    const char* const start = skip_separators();
+    Number n;
+    const auto [stop, ec] = std::from_chars(start, end_, n.value);
+    p_ = stop;  // from_chars reads no separator, so it stops inside the token
+    while (p_ < end_ && !is_separator(*p_)) ++p_;
+    n.parsed = ec == std::errc() && p_ == stop;
+    n.text = token(start);
+    return n;
+  }
+
+  /// Reads the rest of the line; the number of tokens on it.
+  std::size_t count() {
+    while (!next().empty()) {
+    }
+    return n_;
+  }
+
+ private:
+  const char* skip_separators() {
+    while (p_ < end_ && is_separator(*p_)) ++p_;
+    return p_;
+  }
+
+  std::string_view token(const char* start) {
+    if (p_ == start) return {};
+    ++n_;
+    return {start, static_cast<std::size_t>(p_ - start)};
+  }
+
+  const char* p_;
+  const char* const end_;
+  std::size_t n_ = 0;
+};
 
 obs::Counter& diagnostics_counter() {
   static obs::Counter& c = obs::registry().counter("parse.diagnostics");
@@ -87,11 +251,10 @@ class NameTable {
   explicit NameTable(Arena& arena)
       : arena_(&arena), names_(ArenaAllocator<std::string_view>{arena}) {}
 
-  /// Dense id of `name`, minting the next id on first sight (`minted`
-  /// reports which).
-  std::uint32_t intern(std::string_view name, bool& minted) {
+  /// Dense id of `name`, whose hash_name() is `h`, minting the next id on
+  /// first sight (`minted` reports which).
+  std::uint32_t intern(std::string_view name, std::uint32_t h, bool& minted) {
     if (2 * (names_.size() + 1) > capacity()) grow();
-    const std::uint32_t h = hash_of(name);
     for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
       Slot& slot = slots_[i];
       if (slot.id == kNoDenseNode) {
@@ -110,7 +273,7 @@ class NameTable {
   /// Dense id of `name`, or kNoDenseNode.
   [[nodiscard]] std::uint32_t find(std::string_view name) const {
     if (slots_ == nullptr) return kNoDenseNode;
-    const std::uint32_t h = hash_of(name);
+    const std::uint32_t h = hash_name(name);
     for (std::size_t i = h & mask_;; i = (i + 1) & mask_) {
       const Slot& slot = slots_[i];
       if (slot.id == kNoDenseNode) return kNoDenseNode;
@@ -133,28 +296,6 @@ class NameTable {
     std::uint32_t hash;
     std::uint32_t id;  ///< kNoDenseNode marks an empty slot
   };
-
-  static std::uint32_t hash_of(std::string_view s) {
-    const auto mix = [](std::uint64_t h, std::uint64_t word) {
-      h = (h ^ word) * 0xff51afd7ed558ccdull;
-      return h ^ (h >> 32);
-    };
-    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ s.size();
-    std::size_t i = 0;
-    for (; i + 8 <= s.size(); i += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, s.data() + i, 8);
-      h = mix(h, word);
-    }
-    if (i < s.size()) {  // byte loop: a variable-length memcpy is a call
-      std::uint64_t word = 0;
-      for (std::size_t k = i; k < s.size(); ++k)
-        word |= std::uint64_t{static_cast<unsigned char>(s[k])} << (8 * (k - i));
-      h = mix(h, word);
-    }
-    h *= 0xc4ceb9fe1a85ec53ull;
-    return static_cast<std::uint32_t>(h >> 32);
-  }
 
   [[nodiscard]] std::size_t capacity() const { return slots_ == nullptr ? 0 : mask_ + 1; }
   /// Doubles the slot array (64 at first) and reinserts by stored hash.
@@ -190,9 +331,12 @@ struct NetDefect {
 };
 
 /// Parses one chunk of the file — a file-scope run or a *D_NET section —
-/// with the exact line dispatch of the old single-pass parser.  All net
-/// scratch (edges, cap map, load list) is arena-backed and the token values
-/// are views into the input buffer; nothing is copied until a net survives.
+/// with the exact line dispatch of the old single-pass parser.  Each line
+/// is read once, through Lines and LineScanner; the data lines intern their
+/// names with the hash the scanner computed and keep the value it parsed.
+/// All net scratch (edges, cap map, load list) is arena-backed and the
+/// tokens are views into the input buffer; nothing is copied until a net
+/// survives.
 class Shard {
  public:
   Shard(const SpefParseOptions& options, spef::Units units, Arena& arena)
@@ -210,16 +354,9 @@ class Shard {
   spef::ShardResult run(std::string_view slice, std::size_t first_line,
                         std::size_t finish_line) {
     try {
-      std::size_t pos = 0;
       std::size_t line_no = first_line == 0 ? 0 : first_line - 1;
-      while (pos < slice.size()) {
-        const std::size_t nl = slice.find('\n', pos);
-        const std::string_view line =
-            slice.substr(pos, nl == std::string_view::npos ? slice.size() - pos : nl - pos);
-        pos = (nl == std::string_view::npos) ? slice.size() : nl + 1;
-        ++line_no;
-        process_line(line, line_no);
-      }
+      Lines lines(slice);
+      for (std::string_view line; lines.next(line);) process_line(line, ++line_no);
       finish_net(finish_line);
     } catch (...) {
       // Strict mode: the error the serial parser would have thrown at this
@@ -262,15 +399,12 @@ class Shard {
     return it->second;
   }
 
-  double parse_number(std::size_t line_no, std::string_view text) {
-    double v{};
-    const char* const first = text.data();
-    const char* const last = first + text.size();
-    if (const auto [p, ec] = std::from_chars(first, last, v);
-        ec == std::errc() && p == last)
-      return v;
-    // Slow path keeping strtod's exact acceptance (the old parser's): '+'
-    // prefixes, hex floats, out-of-range -> HUGE_VAL / 0.
+  /// The value of a number token: the scanner's from_chars parse, or the
+  /// slow path keeping strtod's exact acceptance (the old parser's): '+'
+  /// prefixes, hex floats, out-of-range -> HUGE_VAL / 0.
+  double number(std::size_t line_no, const Number& n) {
+    if (n.parsed) return n.value;
+    const std::string_view text = n.text;
     char buf[128];
     std::string big;
     const char* cstr;
@@ -290,31 +424,31 @@ class Shard {
   }
 
   /// Validated resistance: finite and strictly positive, or a typed defect.
-  double parse_resistance(std::size_t line_no, std::string_view text) {
-    const double v = parse_number(line_no, text) * units_.res;
+  double parse_resistance(std::size_t line_no, const Number& n) {
+    const double v = number(line_no, n) * units_.res;
     if (std::isnan(v) || std::isinf(v))
       fail(line_no, robust::Code::kNanValue,
-           "resistance '" + std::string(text) + "' is not finite");
+           "resistance '" + std::string(n.text) + "' is not finite");
     if (v <= 0.0)
       fail(line_no, robust::Code::kNonPhysicalValue,
-           "non-physical resistance " + std::string(text) + " (must be > 0)");
+           "non-physical resistance " + std::string(n.text) + " (must be > 0)");
     return v;
   }
 
   /// Validated capacitance: finite; a finite negative value is repaired to
   /// 0F in lenient mode (diagnostic), rejected in strict mode.
-  double parse_capacitance(std::size_t line_no, std::string_view node, std::string_view text) {
-    const double v = parse_number(line_no, text) * units_.cap;
+  double parse_capacitance(std::size_t line_no, std::string_view node, const Number& n) {
+    const double v = number(line_no, n) * units_.cap;
     if (std::isnan(v) || std::isinf(v))
       fail(line_no, robust::Code::kNanValue,
-           "capacitance '" + std::string(text) + "' is not finite");
+           "capacitance '" + std::string(n.text) + "' is not finite");
     if (v < 0.0) {
       if (!options_.lenient)
         fail(line_no, robust::Code::kNonPhysicalValue,
-             "non-physical capacitance " + std::string(text) + " at node '" +
+             "non-physical capacitance " + std::string(n.text) + " at node '" +
                  std::string(node) + "' (must be >= 0)");
       diagnose(line_no, robust::Code::kNonPhysicalValue,
-               "repaired negative capacitance " + std::string(text) + " at node '" +
+               "repaired negative capacitance " + std::string(n.text) + " at node '" +
                    std::string(node) + "' to 0F",
                net_name_);
       return 0.0;
@@ -324,9 +458,9 @@ class Shard {
 
   /// Dense node id for `name` (a view into the parse buffer), minted on
   /// first encounter.
-  std::uint32_t intern(std::string_view name) {
+  std::uint32_t intern(const Name& name) {
     bool minted = false;
-    const std::uint32_t id = nodes_.intern(name, minted);
+    const std::uint32_t id = nodes_.intern(name.text, name.hash, minted);
     if (minted) {
       cap_val_.push_back(0.0);
       has_cap_.push_back(0);
@@ -334,10 +468,11 @@ class Shard {
     return id;
   }
 
-  void process_line(std::string_view raw_line, std::size_t line_no) {
-    const Toks toks = split_line(raw_line);
-    if (toks.n == 0) return;
-    const std::string_view t0 = toks.t[0];
+  /// One line, its comment already cut off.
+  void process_line(std::string_view text, std::size_t line_no) {
+    LineScanner line(text);
+    const std::string_view t0 = line.next();
+    if (t0.empty()) return;
     const bool star = t0[0] == '*';  // every keyword starts with '*', so
                                      // data lines skip the whole ladder
     // The keyword checks are mutually exclusive literal matches, so their
@@ -347,11 +482,12 @@ class Shard {
     if (star && t0.size() > 2) {
       if (ieq(t0, "*D_NET")) {
         finish_net(line_no);
-        if (toks.n < 2) {
+        const std::string_view name = line.next();
+        if (name.empty()) {
           defect(line_no, robust::Code::kSyntax, "*D_NET requires a net name");
           return;
         }
-        net_name_ = toks.t[1];
+        net_name_ = name;
         in_net_ = true;
         section_ = NetSection::kNone;
         return;
@@ -380,8 +516,8 @@ class Shard {
         return;  // opaque header metadata
       }
       if (ieq(t0, "*DESIGN")) {
-        if (toks.n >= 2) {
-          std::string d(toks.t[1]);
+        if (const std::string_view name = line.next(); !name.empty()) {
+          std::string d(name);
           d.erase(std::remove(d.begin(), d.end(), '"'), d.end());
           result_.design = std::move(d);
           result_.has_design = true;
@@ -389,13 +525,14 @@ class Shard {
         return;
       }
       if (ieq(t0, "*T_UNIT") || ieq(t0, "*C_UNIT") || ieq(t0, "*R_UNIT")) {
-        if (toks.n != 3) {
+        const Number value = line.next_number();
+        const std::string_view unit = line.next();
+        if (line.count() != 3) {
           defect(line_no, robust::Code::kSyntax, to_upper(t0) + " requires: value unit");
           return;
         }
         try {
-          const double scale =
-              parse_number(line_no, toks.t[1]) * unit_scale(line_no, toks.t[2]);
+          const double scale = number(line_no, value) * unit_scale(line_no, unit);
           if (ieq(t0, "*T_UNIT")) units_.time = scale;
           if (ieq(t0, "*C_UNIT")) units_.cap = scale;
           if (ieq(t0, "*R_UNIT")) units_.res = scale;
@@ -420,13 +557,15 @@ class Shard {
       switch (section_) {
         case NetSection::kConn: {
           if (star && ieq(t0, "*P")) {
-            if (toks.n < 2) fail(line_no, robust::Code::kSyntax, "*P requires a port name");
+            const std::string_view port = line.next();
+            if (port.empty()) fail(line_no, robust::Code::kSyntax, "*P requires a port name");
             if (!driver_.empty())
               fail(line_no, robust::Code::kSyntax, "multiple *P driving ports on one net");
-            driver_ = toks.t[1];
+            driver_ = port;
           } else if (star && ieq(t0, "*I")) {
-            if (toks.n < 2) fail(line_no, robust::Code::kSyntax, "*I requires a pin name");
-            load_names_.emplace_back(toks.t[1], line_no);
+            const std::string_view pin = line.next();
+            if (pin.empty()) fail(line_no, robust::Code::kSyntax, "*I requires a pin name");
+            load_names_.emplace_back(pin, line_no);
           } else {
             fail(line_no, robust::Code::kUnsupported,
                  "unsupported *CONN entry '" + std::string(t0) + "'");
@@ -434,31 +573,37 @@ class Shard {
           break;
         }
         case NetSection::kCap: {
-          if (toks.n == 3) {
-            // Value first: a bad number must not create the node entry
-            // (matching the legacy map's RHS-before-subscript evaluation).
-            const double v = parse_capacitance(line_no, toks.t[1], toks.t[2]);
-            const std::uint32_t id = intern(toks.t[1]);
-            cap_val_[id] += v;
-            has_cap_[id] = 1;
-          } else if (toks.n == 4) {
-            fail(line_no, robust::Code::kUnsupported,
-                 "coupling capacitors are not supported (RC trees only)");
-          } else {
-            fail(line_no, robust::Code::kSyntax, "*CAP entry requires: index node value");
+          const Name node = line.next_name();
+          const Number value = line.next_number();
+          switch (line.count()) {
+            case 3: {
+              // Value first: a bad number must not create the node entry
+              // (matching the legacy map's RHS-before-subscript evaluation).
+              const double v = parse_capacitance(line_no, node.text, value);
+              const std::uint32_t id = intern(node);
+              cap_val_[id] += v;
+              has_cap_[id] = 1;
+              break;
+            }
+            case 4:
+              fail(line_no, robust::Code::kUnsupported,
+                   "coupling capacitors are not supported (RC trees only)");
+            default:
+              fail(line_no, robust::Code::kSyntax, "*CAP entry requires: index node value");
           }
           break;
         }
         case NetSection::kRes: {
-          if (toks.n != 4)
+          const Name a = line.next_name();
+          const Name b = line.next_name();
+          const Number value = line.next_number();
+          if (line.count() != 4)
             fail(line_no, robust::Code::kSyntax, "*RES entry requires: index nodeA nodeB value");
-          if (toks.t[1] == toks.t[2])
+          if (a.text == b.text)
             fail(line_no, robust::Code::kDuplicateNode,
-                 "resistor shorts node '" + std::string(toks.t[1]) + "' to itself");
-          {
-            const double v = parse_resistance(line_no, toks.t[3]);
-            res_.push_back({intern(toks.t[1]), intern(toks.t[2]), v, line_no});
-          }
+                 "resistor shorts node '" + std::string(a.text) + "' to itself");
+          const double v = parse_resistance(line_no, value);
+          res_.push_back({intern(a), intern(b), v, line_no});
           break;
         }
         case NetSection::kNone:

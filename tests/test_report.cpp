@@ -24,6 +24,7 @@ TEST(Report, RowsCoverAllNodes) {
   const RCTree t = circuits::fig1();
   const auto rows = build_report(t);
   ASSERT_EQ(rows.size(), t.size());
+  EXPECT_EQ(rows.capacity(), rows.size());  // no spare capacity into a cache
   for (NodeId i = 0; i < t.size(); ++i) {
     const NodeReport& r = rows[i];
     EXPECT_EQ(r.node, i);
@@ -38,6 +39,7 @@ TEST(Report, LeavesOnlyFilter) {
   opt.leaves_only = true;
   const auto rows = build_report(t, opt);
   ASSERT_EQ(rows.size(), 2u);  // n5 and n7
+  EXPECT_EQ(rows.capacity(), rows.size());
   EXPECT_EQ(t.name(rows[0].node), "n5");
   EXPECT_EQ(t.name(rows[1].node), "n7");
 }
