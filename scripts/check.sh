@@ -8,6 +8,10 @@
 #      std::runtime_error — the engine's failure records depend on codes.
 #   0c. JSON lint: src/ and tools/ hold no JSON escaper or append_json_*
 #      helper outside src/obs/json.cpp (rct::json is the one writer).
+#   0d. Metric-table lint: src/ (outside src/obs) and tools/ look up no
+#      registry instrument by string literal, and quote no instrument name
+#      from src/obs/instruments.hpp except as a log event name (the table
+#      is the one list of instrument names).
 #   1. ThreadSanitizer build; runs the engine tests (thread pool, net cache,
 #      batch analyzer), the TreeContext tests, the obs registry/tracer
 #      tests, the robustness tests (deadline/retry/fault injection), the
@@ -112,6 +116,33 @@ JSON_HITS=$( (grep -rnFi '\\u%04x' src tools;
 if [[ -n "$JSON_HITS" ]]; then
   echo "$JSON_HITS"
   echo "lint: write JSON with rct::json::append_{string,number,us} (src/obs/json.hpp)"
+  exit 1
+fi
+
+# --- lint: one instrument table ---------------------------------------------
+# Every instrument rct records is named once, in the table in
+# src/obs/instruments.hpp; call sites name it by id.  A registry lookup by
+# string literal, or an instrument's name quoted anywhere else, is a second
+# list of names.  Log events may share their counter's name (like span
+# names, they are not instruments).
+TABLE=src/obs/instruments.hpp
+echo "== lint: instrument names outside $TABLE =="
+# An empty name list would match nothing and pass, so every row must yield
+# exactly one name.
+TABLE_NAMES=$(grep -oE '^\s*X\(k[A-Za-z0-9]+,\s*"[^"]+"' "$TABLE" | grep -oE '"[^"]+"' || true)
+TABLE_ROWS=$(grep -cE '^\s*X\(' "$TABLE" || true)
+NAME_COUNT=$(grep -c . <<<"$TABLE_NAMES" || true)
+if [[ "$NAME_COUNT" -eq 0 || "$NAME_COUNT" -ne "$TABLE_ROWS" ]]; then
+  echo "lint: read $NAME_COUNT instrument name(s) from $TABLE_ROWS row(s) of $TABLE"
+  exit 1
+fi
+METRIC_HITS=$( (grep -rnE 'registry\(\)\s*\.\s*(counter|gauge|histogram|counter_value|find_histogram)\s*\(\s*"' \
+                  src tools | grep -v '^src/obs/';
+                grep -rnF -f - src tools <<<"$TABLE_NAMES" | grep -v "^$TABLE:" |
+                  grep -vE 'obs::log::(debug|info|warn|error)\("') | sort -u || true)
+if [[ -n "$METRIC_HITS" ]]; then
+  echo "$METRIC_HITS"
+  echo "lint: name instruments by id through the table in $TABLE"
   exit 1
 fi
 

@@ -1,25 +1,14 @@
 #include "analysis/tree_context.hpp"
 
-#include "obs/metrics.hpp"
+#include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 
 namespace rct::analysis {
-namespace {
-
-obs::Counter& build_counter() {
-  static obs::Counter& c = obs::registry().counter("analysis.context.builds");
-  return c;
-}
-obs::Histogram& build_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("analysis.context.build_seconds");
-  return h;
-}
-
-}  // namespace
 
 TreeContext::TreeContext(const RCTree& tree) : tree_(&tree) {
-  const obs::Span span("analysis.context.build", "analysis", {}, &build_histogram());
-  build_counter().add();
+  const obs::Span span("analysis.context.build", "analysis", {},
+                       &obs::histogram(obs::H::kAnalysisContextBuild));
+  obs::counter(obs::C::kAnalysisContextBuilds).add();
   const std::size_t n = tree.size();
 
   // depth / path resistance: parents precede children, one forward sweep.

@@ -11,65 +11,13 @@
 #include "core/elmore.hpp"
 #include "core/penfield_rubinstein.hpp"
 #include "moments/central.hpp"
-#include "obs/metrics.hpp"
+#include "obs/instruments.hpp"
 #include "obs/trace.hpp"
 #include "robust/fault.hpp"
 #include "sim/exact.hpp"
 
 namespace rct::core {
 namespace {
-
-obs::Counter& exact_path_counter() {
-  static obs::Counter& c = obs::registry().counter("core.report.exact_path");
-  return c;
-}
-obs::Counter& moments_only_counter() {
-  static obs::Counter& c = obs::registry().counter("core.report.moments_only");
-  return c;
-}
-obs::Counter& degraded_rows_counter() {
-  static obs::Counter& c = obs::registry().counter("core.report.degraded_rows");
-  return c;
-}
-obs::Counter& moment_mismatch_counter() {
-  static obs::Counter& c = obs::registry().counter("core.report.moment_mismatch");
-  return c;
-}
-obs::Counter& eigensolve_invalid_counter() {
-  static obs::Counter& c = obs::registry().counter("core.report.eigensolve_invalid");
-  return c;
-}
-obs::Histogram& build_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("core.report.build_seconds");
-  return h;
-}
-obs::Histogram& eigensolve_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("core.report.eigensolve_seconds");
-  return h;
-}
-
-/// Ratio buckets (1-2-5 from 0.01% to 200%) for the paper's accuracy
-/// signals: these are dimensionless relative gaps, not latencies.
-const std::vector<double>& ratio_bounds() {
-  static const std::vector<double> bounds = {1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2,
-                                             2e-2, 5e-2, 0.1,  0.2,  0.5,  1.0,  2.0};
-  return bounds;
-}
-/// Relative width of the paper's bound sandwich, (elmore - lower) / elmore,
-/// averaged over a report's finite rows and observed once per report — the
-/// live "how tight is Theorem 1 here" signal, distributed across nets.  A
-/// per-row observe would cost a fifth of a moments-only report.
-obs::Histogram& bound_gap_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("core.report.bound_gap", ratio_bounds());
-  return h;
-}
-/// Relative error of the Elmore upper bound against the eigensolve delay,
-/// |elmore - exact| / exact, observed only when the exact path ran.
-obs::Histogram& exact_error_histogram() {
-  static obs::Histogram& h =
-      obs::registry().histogram("core.report.exact_vs_elmore_error", ratio_bounds());
-  return h;
-}
 
 /// Every pole of a healthy RC tree is finite and strictly positive;
 /// anything else marks the whole eigensolve as garbage.
@@ -105,7 +53,8 @@ std::vector<NodeReport> build_report(const RCTree& tree, const ReportOptions& op
 
 std::vector<NodeReport> build_report(const analysis::TreeContext& context,
                                      const ReportOptions& options) {
-  const obs::Span span("core.report.build", "core", {}, &build_histogram());
+  const obs::Span span("core.report.build", "core", {},
+                       &obs::histogram(obs::H::kCoreReportBuild));
   const RCTree& tree = context.tree();
   if (options.deadline) options.deadline->check("core.report.build");
   const auto stats = context.impulse_stats();
@@ -117,7 +66,8 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
   bool eigensolve_invalid = false;
   if (options.with_exact && tree.size() <= options.exact_node_limit) {
     if (options.deadline) options.deadline->check("core.report.eigensolve");
-    const obs::Span solve_span("core.report.eigensolve", "core", {}, &eigensolve_histogram());
+    const obs::Span solve_span("core.report.eigensolve", "core", {},
+                               &obs::histogram(obs::H::kCoreReportEigensolve));
     // An eigensolve that THROWS propagates to the caller (the batch engine
     // retries the net on the moments path); one that returns garbage is
     // caught just below and degrades every row instead.
@@ -126,13 +76,13 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
     if (!poles_valid(*exact)) {
       exact.reset();
       eigensolve_invalid = true;
-      eigensolve_invalid_counter().add();
+      obs::counter(obs::C::kCoreReportEigensolveInvalid).add();
     }
   }
   // Which path produced the delay column: the O(N^2) exact solve or
   // moment-based bounds only (limit cutoff, with_exact=false, or a
   // discarded non-convergent solve).
-  (exact ? exact_path_counter() : moments_only_counter()).add();
+  obs::counter(exact ? obs::C::kCoreReportExactPath : obs::C::kCoreReportMomentsOnly).add();
 
   // Relative slack on the paper's lower <= exact <= elmore guarantee: the
   // bracketing root search and the moment sums round differently, so exact
@@ -148,6 +98,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
   }
   std::vector<NodeReport> rows;
   rows.reserve(row_count);
+  const double single_pole_scale = -std::log(1.0 - options.fraction);
   double gap_sum = 0.0;
   std::size_t gap_rows = 0;
   for (NodeId i = 0; i < tree.size(); ++i) {
@@ -160,7 +111,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
     r.sigma = stats[i].sigma;
     r.skewness = stats[i].skewness;
     r.lower_bound = std::max(r.elmore - r.sigma, 0.0);
-    r.single_pole = -std::log(1.0 - options.fraction) * r.elmore;
+    r.single_pole = single_pole_scale * r.elmore;
     r.prh_tmin = prh_t_min(prh, i, options.fraction);
     r.prh_tmax = prh_t_max(prh, i, options.fraction);
     if (!std::isfinite(r.elmore) || !std::isfinite(r.sigma)) {
@@ -177,7 +128,7 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
       // The residues do not explain the path-traced moments: the solve
       // is wrong at this node, whatever its crossing would say.
       r.degraded = true;
-      moment_mismatch_counter().add();
+      obs::counter(obs::C::kCoreReportMomentMismatch).add();
     } else if (exact) {
       double d = exact->step_delay(i, options.fraction);
       d = robust::fault::corrupt("core.report.exact_delay", d);
@@ -192,13 +143,17 @@ std::vector<NodeReport> build_report(const analysis::TreeContext& context,
       } else {
         r.exact_delay = d;
         r.exact_rise = exact->step_rise_time_10_90(i);
-        if (d > 0.0) exact_error_histogram().observe(std::abs(r.elmore - d) / d);
+        if (d > 0.0)  // the Elmore upper bound's relative error
+          obs::histogram(obs::H::kCoreReportExactError).observe(std::abs(r.elmore - d) / d);
       }
     }
-    if (r.degraded) degraded_rows_counter().add();
+    if (r.degraded) obs::counter(obs::C::kCoreReportDegradedRows).add();
     rows.push_back(r);
   }
-  if (gap_rows > 0) bound_gap_histogram().observe(gap_sum / static_cast<double>(gap_rows));
+  // Theorem 1's mean relative sandwich width, once per report (per row
+  // would cost a fifth of a moments-only report).
+  if (gap_rows > 0)
+    obs::histogram(obs::H::kCoreReportBoundGap).observe(gap_sum / static_cast<double>(gap_rows));
   return rows;
 }
 

@@ -15,9 +15,9 @@
 #include "engine/net_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/flight.hpp"
+#include "obs/instruments.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rctree/units.hpp"
 #include "robust/deadline.hpp"
@@ -45,45 +45,6 @@ class PhaseTimer {
   std::clock_t cpu_start_;
 };
 
-/// Cached references into the global obs registry.  These counters ARE the
-/// engine's bookkeeping: EngineStats is computed as per-run deltas over
-/// them (see run_batch), so the stderr summary, the `--metrics-out`
-/// snapshot and the `--progress` meter all read one source of truth.
-struct EngineCounters {
-  obs::Counter& nets_total = obs::registry().counter("engine.nets.total");
-  obs::Counter& nets_completed = obs::registry().counter("engine.nets.completed");
-  obs::Counter& nets_failed = obs::registry().counter("engine.nets.failed");
-  obs::Counter& nets_degraded = obs::registry().counter("engine.nets.degraded");
-  obs::Counter& nets_retried = obs::registry().counter("engine.nets.retried");
-  obs::Counter& nets_timed_out = obs::registry().counter("engine.nets.timed_out");
-  obs::Counter& nets_cancelled = obs::registry().counter("engine.nets.cancelled");
-  obs::Counter& tasks_run = obs::registry().counter("engine.tasks.run");
-  /// Incremented by NetCache itself (engine.cache.hits); read for deltas.
-  obs::Counter& cache_hits = obs::registry().counter("engine.cache.hits");
-
-  static EngineCounters& get() {
-    static EngineCounters instance;
-    return instance;
-  }
-};
-
-obs::Histogram& net_analyze_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("engine.net.analyze_seconds");
-  return h;
-}
-obs::Histogram& queue_wait_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("engine.task.queue_wait_seconds");
-  return h;
-}
-obs::Histogram& analyze_phase_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("engine.batch.analyze_seconds");
-  return h;
-}
-obs::Histogram& merge_phase_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("engine.batch.merge_seconds");
-  return h;
-}
-
 /// A result that names `net` (name, driver, loads and their node names,
 /// size) and holds no outcome yet.
 NetResult result_for(const SpefNet& net) {
@@ -103,8 +64,8 @@ NetResult result_for(const SpefNet& net) {
 /// options.report.
 NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report,
                            NetCache* cache) {
-  const obs::Span span("engine.net.analyze", "engine", net.name, &net_analyze_histogram());
-  EngineCounters& ec = EngineCounters::get();
+  const obs::Span span("engine.net.analyze", "engine", net.name,
+                       &obs::histogram(obs::H::kEngineNetAnalyze));
   NetResult r = result_for(net);
   try {
     robust::fault::maybe_sleep("engine.net.analyze");
@@ -124,7 +85,7 @@ NetResult analyze_one_impl(const SpefNet& net, const core::ReportOptions& report
     }
     // A miss builds a transient context: within one batch every net shares
     // one ReportOptions, so a row miss means no twin has built one either.
-    ec.tasks_run.add();
+    obs::counter(obs::C::kEngineTasksRun).add();
     const analysis::TreeContext ctx(net.tree);
     r.rows = core::build_report(ctx, report);
     if (key.has_value()) cache->insert(std::move(*key), r.rows);
@@ -168,7 +129,6 @@ NetResult analyze_one(const SpefNet& net, const core::ReportOptions& report, Net
 /// when the exact path failed for a non-structural reason — one automatic
 /// retry on the moments path with a fresh deadline.
 NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cache) {
-  EngineCounters& ec = EngineCounters::get();
   core::ReportOptions report = options.report;
   const robust::Deadline deadline = robust::Deadline::after_ms(options.net_timeout_ms);
   if (deadline.armed()) report.deadline = &deadline;
@@ -178,7 +138,7 @@ NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cac
     r.phase = "analyze";
     if (r.code == robust::Code::kTimeout) {
       r.timed_out = true;
-      ec.nets_timed_out.add();
+      obs::counter(obs::C::kEngineNetsTimedOut).add();
       obs::log::warn("engine.net.timeout",
                      {{"net", net.name},
                       {"phase", "analyze"},
@@ -192,7 +152,7 @@ NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cac
                            cat != robust::Category::kParse &&
                            cat != robust::Category::kTopology;
     if (retryable) {
-      ec.nets_retried.add();
+      obs::counter(obs::C::kEngineNetsRetried).add();
       obs::log::info("engine.net.retry",
                      {{"net", net.name}, {"code", robust::code_name(r.code)}});
       core::ReportOptions moments = report;
@@ -211,7 +171,7 @@ NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cac
         second.phase = "retry";
         if (second.code == robust::Code::kTimeout) {
           second.timed_out = true;
-          ec.nets_timed_out.add();
+          obs::counter(obs::C::kEngineNetsTimedOut).add();
           obs::log::warn("engine.net.timeout",
                          {{"net", net.name},
                           {"phase", "retry"},
@@ -234,7 +194,7 @@ NetResult run_net(const SpefNet& net, const BatchOptions& options, NetCache* cac
       break;
     }
   }
-  if (r.degraded) ec.nets_degraded.add();
+  if (r.degraded) obs::counter(obs::C::kEngineNetsDegraded).add();
   return r;
 }
 
@@ -247,10 +207,10 @@ class BatchRun {
       : options_(options),
         cache_(16, options.cache_max_entries),
         cache_ptr_(options.use_cache ? &cache_ : nullptr),
-        // EngineStats is a per-run delta over the global registry: runs are
-        // assumed not to interleave (the registry totals stay correct).
-        base_tasks_(EngineCounters::get().tasks_run.value()),
-        base_hits_(EngineCounters::get().cache_hits.value()) {
+        // EngineStats is a per-run delta over the registry, assuming runs do
+        // not interleave; engine.tasks.run resolves its engine.nets.* group.
+        base_tasks_(obs::counter(obs::C::kEngineTasksRun).value()),
+        base_hits_(obs::counter(obs::C::kEngineCacheHits).value()) {
     // The renderers print one row per load, indexed by node id; leaf-only
     // rows hold no row for an internal load and do not line up with ids.
     if (options.report.leaves_only)
@@ -273,8 +233,8 @@ class BatchRun {
   /// The complete per-net task: queue-wait sample, failure-budget
   /// cancellation, run_net, completion counters.
   void analyze_net(const SpefNet& net, NetResult& slot, std::uint64_t enqueue_ns) {
-    EngineCounters& ec = EngineCounters::get();
-    obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns, &queue_wait_histogram());
+    obs::record_wait("engine.task.queue_wait", "engine", enqueue_ns,
+                     &obs::histogram(obs::H::kEngineTaskQueueWait));
     // Failure budget (0 = unlimited): once spent, nets not yet started
     // record kCancelled instead of running; running nets finish.
     const std::size_t budget = options_.max_failures;
@@ -283,9 +243,9 @@ class BatchRun {
       slot.error = "cancelled: failure budget (" + std::to_string(budget) + ") exhausted";
       slot.code = robust::Code::kCancelled;
       slot.phase = "cancelled";
-      ec.nets_cancelled.add();
-      ec.nets_failed.add();
-      ec.nets_completed.add();
+      obs::counter(obs::C::kEngineNetsCancelled).add();
+      obs::counter(obs::C::kEngineNetsFailed).add();
+      obs::counter(obs::C::kEngineNetsCompleted).add();
       obs::flight::recorder().record(net.name, "cancelled", obs::flight::Outcome::kCancelled,
                                      robust::Code::kCancelled, 0);
       obs::log::debug("engine.net.cancelled", {{"net", net.name}});
@@ -293,10 +253,10 @@ class BatchRun {
     }
     slot = run_net(net, options_, cache_ptr_);
     if (!slot.ok()) {
-      ec.nets_failed.add();
+      obs::counter(obs::C::kEngineNetsFailed).add();
       failed_so_far_.fetch_add(1, std::memory_order_relaxed);
     }
-    ec.nets_completed.add();
+    obs::counter(obs::C::kEngineNetsCompleted).add();
   }
 
   /// Frees the finished row cache on the pool's workers, one share of its
@@ -318,9 +278,8 @@ class BatchRun {
       const obs::Span span("engine.batch.merge", "engine");
       if (collect) collect();
       stats.nets = out.nets.size();
-      EngineCounters& ec = EngineCounters::get();
-      stats.tasks_run = ec.tasks_run.value() - base_tasks_;
-      stats.cache_hits = ec.cache_hits.value() - base_hits_;
+      stats.tasks_run = obs::counter(obs::C::kEngineTasksRun).value() - base_tasks_;
+      stats.cache_hits = obs::counter(obs::C::kEngineCacheHits).value() - base_hits_;
       for (const NetResult& r : out.nets) {
         if (!r.ok()) ++stats.failures;
         if (r.degraded) ++stats.degraded;
@@ -332,8 +291,8 @@ class BatchRun {
     stats.merge = merge.elapsed();
     stats.total = total_.elapsed();
     if constexpr (obs::kTimingEnabled) {
-      analyze_phase_histogram().observe(stats.analyze.wall_s);
-      merge_phase_histogram().observe(stats.merge.wall_s);
+      obs::histogram(obs::H::kEngineBatchAnalyze).observe(stats.analyze.wall_s);
+      obs::histogram(obs::H::kEngineBatchMerge).observe(stats.merge.wall_s);
     }
     obs::log::info("engine.batch.done",
                    {{"nets", static_cast<std::uint64_t>(stats.nets)},
@@ -374,7 +333,7 @@ std::string EngineStats::summary() const {
   // not per-run — runs are sequential in practice, see the struct comment).
   // Absent when nothing was observed, which is also the -DRCT_OBS=OFF path:
   // Spans observe no histogram there, so it stays empty.
-  if (const obs::Histogram* h = obs::registry().find_histogram("engine.net.analyze_seconds");
+  if (const obs::Histogram* h = obs::find_histogram(obs::H::kEngineNetAnalyze);
       h != nullptr && h->count() > 0) {
     os << "; analyze latency p50 " << format_time(h->quantile(0.50)) << " / p95 "
        << format_time(h->quantile(0.95)) << " / p99 " << format_time(h->quantile(0.99));
@@ -386,7 +345,7 @@ BatchResult analyze_nets(std::span<const SpefNet> nets, const BatchOptions& opti
   BatchRun run(options);
   BatchResult out;
   out.nets.resize(nets.size());
-  EngineCounters::get().nets_total.add(nets.size());
+  obs::counter(obs::C::kEngineNetsTotal).add(nets.size());
 
   // More workers than nets is pure thread-create/join overhead.
   const std::size_t jobs =
@@ -453,7 +412,7 @@ FileBatchResult analyze_spef_file(const std::string& path, const BatchOptions& o
   };
   hooks.parsed = [&](std::size_t i, spef::ShardResult& section) {
     if (section.error || section.nets.empty()) return;
-    EngineCounters::get().nets_total.add();
+    obs::counter(obs::C::kEngineNetsTotal).add();
     has_net[i] = 1;
     run.analyze_net(section.nets.front(), slots[i], obs::timestamp_ns());
     section.nets.clear();

@@ -6,35 +6,10 @@
 #include <memory>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/instruments.hpp"
 
 namespace rct::engine {
 namespace {
-
-// Registry mirrors of the per-instance counters below: one source of truth
-// for EngineStats, `--metrics-out` snapshots and the `--progress` meter.
-// Function-local statics so each hot path pays one relaxed atomic add, not
-// a name lookup.
-obs::Counter& cache_hit_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.hits");
-  return c;
-}
-obs::Counter& cache_miss_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.misses");
-  return c;
-}
-obs::Counter& cache_insert_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.inserts");
-  return c;
-}
-obs::Counter& cache_eviction_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.evictions");
-  return c;
-}
-obs::Counter& cache_store_hit_counter() {
-  static obs::Counter& c = obs::registry().counter("engine.cache.store_hits");
-  return c;
-}
 
 // One multiply-rotate round per word (xxHash64's) and murmur3's fmix64
 // finalizer, so every output bit, the low ones that pick the shard and the
@@ -117,7 +92,7 @@ NetCache::RenderedLookup NetCache::find_memory(const NetKey& key, const RenderFl
   const auto it = find_locked(shard, key);
   if (it == shard.entries.end()) return hit;
   hits_.fetch_add(1);
-  cache_hit_counter().add();
+  obs::counter(obs::C::kEngineCacheHits).add();
   shard.entries.splice(shard.entries.begin(), shard.entries, it);  // refresh LRU
   hit.source = CacheSource::kMemory;
   if (flavor != nullptr) hit.rendering = it->renderings[static_cast<std::size_t>(*flavor)];
@@ -133,7 +108,7 @@ NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFl
   if (backend_ != nullptr) {
     if (auto loaded = backend_->load(key)) {
       backend_hits_.fetch_add(1);
-      cache_store_hit_counter().add();
+      obs::counter(obs::C::kEngineCacheStoreHits).add();
       hit.rows = *loaded;
       insert_memory(key, std::move(*loaded));
       hit.source = CacheSource::kBackend;
@@ -141,7 +116,7 @@ NetCache::RenderedLookup NetCache::lookup_impl(const NetKey& key, const RenderFl
     }
   }
   misses_.fetch_add(1);
-  cache_miss_counter().add();
+  obs::counter(obs::C::kEngineCacheMisses).add();
   return hit;
 }
 
@@ -152,7 +127,7 @@ bool NetCache::insert_memory(NetKey key, std::vector<core::NodeReport> rows) {
   if (find_locked(shard, key) != shard.entries.end()) return false;  // first writer wins
   shard.entries.push_front(Entry{std::move(key), std::move(rows), {}});
   shard.index[hash].push_back(shard.entries.begin());
-  cache_insert_counter().add();
+  obs::counter(obs::C::kEngineCacheInserts).add();
   if (cap_per_shard_ > 0 && shard.entries.size() > cap_per_shard_) {
     const auto victim = std::prev(shard.entries.end());
     rendered_bytes_.fetch_sub(rendered_bytes_of(*victim));
@@ -162,7 +137,7 @@ bool NetCache::insert_memory(NetKey key, std::vector<core::NodeReport> rows) {
     if (its.empty()) shard.index.erase(chain);
     shard.entries.pop_back();
     evictions_.fetch_add(1);
-    cache_eviction_counter().add();
+    obs::counter(obs::C::kEngineCacheEvictions).add();
   }
   return true;
 }

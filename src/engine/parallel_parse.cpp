@@ -10,30 +10,13 @@
 
 #include "engine/thread_pool.hpp"
 #include "obs/flight.hpp"
+#include "obs/instruments.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rctree/arena.hpp"
 
 namespace rct::engine {
 namespace {
-
-obs::Counter& sections_total_counter() {
-  static obs::Counter& c = obs::registry().counter("parse.sections.total");
-  return c;
-}
-obs::Counter& sections_completed_counter() {
-  static obs::Counter& c = obs::registry().counter("parse.sections.completed");
-  return c;
-}
-obs::Histogram& index_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("parse.index.seconds");
-  return h;
-}
-obs::Histogram& section_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("parse.nets.seconds");
-  return h;
-}
 
 double wall_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -81,12 +64,13 @@ spef::ShardResult parse_section_task(std::string_view text, const spef::ParsePla
   const std::uint64_t flight_start_ns = flight ? obs::tracer().now_ns() : 0;
   spef::ShardResult result;
   {
-    const obs::Span span("engine.parse.section", "engine", {}, &section_histogram());
+    const obs::Span span("engine.parse.section", "engine", {},
+                         &obs::histogram(obs::H::kParseNets));
     Arena& arena = worker_arena();
     result = spef::parse_spef_section(text, plan, index, options, arena);
     arena.reset();
   }
-  sections_completed_counter().add();
+  obs::counter(obs::C::kParseSectionsCompleted).add();
   // One flight event per section: named by the net it carried (a section
   // holds at most one *D_NET), or its first line when the net was rejected.
   if (flight) {
@@ -122,11 +106,12 @@ ParsedSections parse_sections(ThreadPool* pool, std::string_view text,
     out.plan = prepare_on(pool, text, options);
     stats.index_seconds = wall_since(index_start);
   }
-  if constexpr (obs::kTimingEnabled) index_histogram().observe(stats.index_seconds);
+  if constexpr (obs::kTimingEnabled)
+    obs::histogram(obs::H::kParseIndex).observe(stats.index_seconds);
 
   const std::size_t n = out.plan.layout.sections.size();
   stats.sections = n;
-  sections_total_counter().add(n);
+  obs::counter(obs::C::kParseSectionsTotal).add(n);
   const bool fan_out = pool != nullptr && n >= 2;
   stats.threads = fan_out ? pool->thread_count() : 1;
   obs::log::info("engine.parse.start", {{"sections", static_cast<std::uint64_t>(n)},

@@ -2,30 +2,11 @@
 
 #include <exception>
 
+#include "obs/instruments.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rct::engine {
-namespace {
-
-// Pool observability: one relaxed atomic add per executed/stolen task, an
-// idle-time histogram around the sleep path (cold), and a per-task span
-// that records only while tracing is armed.
-obs::Counter& tasks_run_counter() {
-  static obs::Counter& c = obs::registry().counter("pool.tasks.run");
-  return c;
-}
-obs::Counter& steal_counter() {
-  static obs::Counter& c = obs::registry().counter("pool.tasks.stolen");
-  return c;
-}
-obs::Histogram& idle_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("pool.worker.idle_seconds");
-  return h;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
@@ -76,7 +57,7 @@ bool ThreadPool::try_run_one(std::size_t home) {
     } else {  // steal: oldest first
       task = std::move(w.queue.front());
       w.queue.pop_front();
-      steal_counter().add();
+      obs::counter(obs::C::kPoolTasksStolen).add();
     }
     break;
   }
@@ -85,7 +66,7 @@ bool ThreadPool::try_run_one(std::size_t home) {
     std::lock_guard<std::mutex> lock(sleep_mutex_);
     --unclaimed_;
   }
-  tasks_run_counter().add();
+  obs::counter(obs::C::kPoolTasksRun).add();
   try {
     const obs::Span span("pool.task.run", "pool");
     task();
@@ -119,7 +100,8 @@ void ThreadPool::worker_loop(std::size_t home) {
     if (stop_) return;
     const std::uint64_t idle_ns = obs::timestamp_ns();
     work_ready_.wait(lock, [this] { return stop_ || unclaimed_ > 0; });
-    obs::record_wait("pool.worker.idle", "pool", idle_ns, &idle_histogram());
+    obs::record_wait("pool.worker.idle", "pool", idle_ns,
+                     &obs::histogram(obs::H::kPoolWorkerIdle));
     if (stop_ && unclaimed_ == 0) return;
   }
 }

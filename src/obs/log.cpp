@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "obs/instruments.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace rct::obs::log {
@@ -148,8 +148,7 @@ void Logger::write_line(Level level, const char* event, const Field* fields,
   if (!take_token_locked()) {
     ++dropped_unreported_;
     dropped_total_.fetch_add(1, std::memory_order_relaxed);
-    static Counter& drop_counter = registry().counter("obs.log.dropped");
-    drop_counter.add();
+    counter(C::kObsLogDropped).add();
     return;
   }
   report_drops_locked();  // a token freed up; surface any shed interval first

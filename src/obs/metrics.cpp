@@ -290,14 +290,6 @@ std::string MetricsRegistry::to_prometheus() const {
   return out;
 }
 
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_text(path, to_json() + '\n');
-}
-
-bool MetricsRegistry::write_prometheus(const std::string& path) const {
-  return write_text(path, to_prometheus());
-}
-
 MetricsRegistry& registry() {
   static MetricsRegistry instance;
   return instance;

@@ -4,14 +4,14 @@
 //
 // Every instrument is a plain struct of atomics mutated with relaxed
 // operations, so concurrent updates from a thread pool never take a lock;
-// the registry's mutex is touched only on the first lookup of a name (hot
-// paths cache the returned reference, typically in a function-local
-// static).  References returned by the registry stay valid for the
-// registry's lifetime — reset() zeroes values, it never invalidates.
+// the registry's mutex is touched only on the first lookup of a name.
+// References returned by the registry stay valid for the registry's
+// lifetime — reset() zeroes values, it never invalidates.
 //
+// rct's own instruments are named once, in the table in instruments.hpp.
 // Naming convention (shared with spans, see trace.hpp): dotted
 // `layer.component.op[.unit]`, e.g. `engine.cache.hits`,
-// `engine.net.analyze_seconds`.  Latency histograms carry a `_seconds`
+// `engine.net.analyze_seconds`.  Latency histograms carry a `seconds`
 // suffix and observe seconds.
 //
 // Snapshots: to_json() serializes every instrument into a stable
@@ -127,8 +127,8 @@ class Histogram {
   std::atomic<double> max_;  // -inf until first observe
 };
 
-/// Name -> instrument map.  Lookup takes one mutex (cache the reference in
-/// hot code); mutation of the returned instruments is lock-free.
+/// Name -> instrument map.  Lookup takes one mutex (hot code goes through
+/// instruments.hpp); mutation of the returned instruments is lock-free.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -170,13 +170,6 @@ class MetricsRegistry {
   /// `_sum`/`_count`.  This is the `rct serve` scrape format; `rct batch
   /// --metrics-format prom` writes it instead of the JSON snapshot.
   [[nodiscard]] std::string to_prometheus() const;
-
-  /// Writes to_json() (plus a trailing newline) to `path`; "-" means
-  /// stderr.  False on I/O error.
-  bool write_json(const std::string& path) const;
-
-  /// Writes to_prometheus() to `path` ("-" = stderr); false on I/O error.
-  bool write_prometheus(const std::string& path) const;
 
  private:
   mutable std::mutex mutex_;

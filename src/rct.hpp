@@ -29,8 +29,8 @@
 #include "engine/thread_pool.hpp"
 #include "moments/admittance.hpp"
 #include "moments/central.hpp"
-#include "moments/incremental.hpp"
 #include "moments/path_tracing.hpp"
+#include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rctree/circuits.hpp"

@@ -14,7 +14,7 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/instruments.hpp"
 #include "rctree/graph_builder.hpp"
 #include "rctree/mapped_file.hpp"
 #include "rctree/spef_pipeline.hpp"
@@ -236,11 +236,6 @@ class LineScanner {
   std::size_t n_ = 0;
 };
 
-obs::Counter& diagnostics_counter() {
-  static obs::Counter& c = obs::registry().counter("parse.diagnostics");
-  return c;
-}
-
 /// Node-name interning for the SPEF section parser: names (views into the
 /// parse buffer) map to dense ids 0..size()-1 in first-seen order.  A
 /// power-of-two, linear-probing table kept at most half full and grown by
@@ -376,7 +371,7 @@ class Shard {
 
   void diagnose(std::size_t line_no, robust::Code code, std::string msg,
                 std::string_view net = {}) {
-    diagnostics_counter().add();
+    obs::counter(obs::C::kParseDiagnostics).add();
     result_.diagnostics.push_back(
         {code, std::move(msg), {options_.path, line_no}, std::string(net)});
   }
@@ -717,7 +712,7 @@ namespace spef {
 
 ParsePlan prepare_spef(std::string_view text, const SpefParseOptions& options,
                        std::size_t stripes, const ForEach& for_each) {
-  obs::registry().counter("parse.bytes").add(text.size());
+  obs::counter(obs::C::kParseBytes).add(text.size());
   ParsePlan plan;
   plan.layout = index_spef(text, stripes, for_each);
   plan.section_units.reserve(plan.layout.sections.size());
@@ -769,7 +764,7 @@ FileScope merge_file_scope(ParsePlan& plan, std::vector<ShardResult>& sections,
       throw SpefError(robust::Code::kEmptyInput, "no *D_NET sections found",
                       {options.path, 0}, "spef");
     if (scope.diagnostics.empty()) {
-      diagnostics_counter().add();
+      obs::counter(obs::C::kParseDiagnostics).add();
       scope.diagnostics.push_back(
           {robust::Code::kEmptyInput, "no *D_NET sections found", {options.path, 0}, {}});
     }

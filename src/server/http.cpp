@@ -5,20 +5,11 @@
 #include <cerrno>
 #include <cstdint>
 
+#include "obs/instruments.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 
 namespace rct::server {
 namespace {
-
-obs::Counter& http_request_counter() {
-  static obs::Counter& c = obs::registry().counter("server.http.requests");
-  return c;
-}
-obs::Counter& http_error_counter() {
-  static obs::Counter& c = obs::registry().counter("server.http.errors");
-  return c;
-}
 
 const char* status_text(int status) {
   switch (status) {
@@ -69,11 +60,11 @@ void HttpServer::stop() {
   started_ = false;
   acceptor_.close();
   obs::log::info("server.http.stop",
-                 {{"requests", http_request_counter().value()}});
+                 {{"requests", obs::counter(obs::C::kServerHttpRequests).value()}});
 }
 
 void HttpServer::serve_connection(int fd) {
-  http_request_counter().add();
+  obs::counter(obs::C::kServerHttpRequests).add();
   // Read the request head (first line + headers).  One scrape per
   // connection; the body of a GET is empty, so the blank line ends it.
   std::string head;
@@ -104,7 +95,7 @@ void HttpServer::serve_connection(int fd) {
     response = handler_(path);
   }
   if (response.status != 200) {
-    http_error_counter().add();
+    obs::counter(obs::C::kServerHttpErrors).add();
     obs::log::debug("server.http.error",
                     {{"status", static_cast<std::uint64_t>(response.status)},
                      {"line", std::string_view(request_line)}});

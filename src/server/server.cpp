@@ -13,9 +13,9 @@
 #include "analysis/tree_context.hpp"
 #include "engine/parallel_parse.hpp"
 #include "obs/flight.hpp"
+#include "obs/instruments.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
@@ -25,103 +25,17 @@
 namespace rct::server {
 namespace {
 
-obs::Counter& request_counter() {
-  static obs::Counter& c = obs::registry().counter("server.requests");
-  return c;
-}
-obs::Counter& request_error_counter() {
-  static obs::Counter& c = obs::registry().counter("server.request.errors");
-  return c;
-}
-obs::Counter& connection_counter() {
-  static obs::Counter& c = obs::registry().counter("server.connections");
-  return c;
-}
-obs::Counter& disconnect_counter() {
-  static obs::Counter& c = obs::registry().counter("server.disconnects");
-  return c;
-}
-obs::Gauge& active_connections_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("server.connections.active");
-  return g;
-}
-obs::Histogram& request_histogram() {
-  static obs::Histogram& h = obs::registry().histogram("server.request.seconds");
-  return h;
-}
-obs::Counter& shed_counter() {
-  static obs::Counter& c = obs::registry().counter("server.requests.shed");
-  return c;
-}
-obs::Counter& conn_rejected_counter() {
-  static obs::Counter& c = obs::registry().counter("server.conn.rejected");
-  return c;
-}
-obs::Counter& request_too_large_counter() {
-  static obs::Counter& c = obs::registry().counter("server.requests.too_large");
-  return c;
-}
-obs::Counter& idle_close_counter() {
-  static obs::Counter& c = obs::registry().counter("server.conn.idle_closed");
-  return c;
-}
-obs::Counter& render_cached_counter() {
-  static obs::Counter& c = obs::registry().counter("server.render.cached");
-  return c;
-}
-obs::Counter& render_fresh_counter() {
-  static obs::Counter& c = obs::registry().counter("server.render.fresh");
-  return c;
-}
-obs::Gauge& rendered_bytes_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("server.cache.rendered_bytes");
-  return g;
-}
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("server.queue.depth");
-  return g;
-}
-obs::Gauge& state_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("server.state");
-  return g;
-}
-
-/// Per-command latency split.  Only the protocol's own vocabulary gets an
-/// instrument — an unknown command must not mint registry entries — and
-/// each is a function-local static so the hot path stays one atomic add.
-obs::Histogram* command_histogram(const std::string& cmd) {
-  if (cmd == "report") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.report.seconds");
-    return &h;
-  }
-  if (cmd == "bounds") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.bounds.seconds");
-    return &h;
-  }
-  if (cmd == "load") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.load.seconds");
-    return &h;
-  }
-  if (cmd == "ping") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.ping.seconds");
-    return &h;
-  }
-  if (cmd == "stats") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.stats.seconds");
-    return &h;
-  }
-  if (cmd == "evict") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.evict.seconds");
-    return &h;
-  }
-  if (cmd == "trace") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.trace.seconds");
-    return &h;
-  }
-  if (cmd == "shutdown") {
-    static obs::Histogram& h = obs::registry().histogram("server.request.shutdown.seconds");
-    return &h;
-  }
+/// Per-command latency split over the protocol's command vocabulary.  An
+/// unknown command gets no histogram: it must not mint registry entries.
+obs::Histogram* command_histogram(std::string_view cmd) {
+  using obs::H;
+  static constexpr std::pair<std::string_view, H> kSplit[] = {
+      {"report", H::kServerRequestReport}, {"bounds", H::kServerRequestBounds},
+      {"load", H::kServerRequestLoad},     {"ping", H::kServerRequestPing},
+      {"stats", H::kServerRequestStats},   {"evict", H::kServerRequestEvict},
+      {"trace", H::kServerRequestTrace},   {"shutdown", H::kServerRequestShutdown}};
+  for (const auto& [name, id] : kSplit)
+    if (name == cmd) return &obs::histogram(id);
   return nullptr;
 }
 
@@ -184,7 +98,7 @@ void append_row_json(std::string& out, const core::NodeReport& row, bool bounds_
 /// Renders `rows` into name-free per-row fragments (see append_row_json).
 std::shared_ptr<const engine::Rendering> render_rows(const std::vector<core::NodeReport>& rows,
                                                      bool bounds_only) {
-  render_fresh_counter().add();
+  obs::counter(obs::C::kServerRenderFresh).add();
   auto rendering = std::make_shared<engine::Rendering>();
   rendering->text.reserve(rows.size() * (bounds_only ? 128 : 320));
   rendering->row_ends.reserve(rows.size());
@@ -296,10 +210,11 @@ void Server::stop() {
     return;
   }
   state_.store(static_cast<int>(ServerState::kDraining), std::memory_order_release);
-  state_gauge().set(static_cast<double>(static_cast<int>(ServerState::kDraining)));
-  obs::log::info("server.drain", {{"conns", active_connections_gauge().value()},
-                                  {"queue_depth", static_cast<std::uint64_t>(
-                                                      queue_depth_.load(std::memory_order_relaxed))}});
+  obs::gauge(obs::G::kServerState).set(static_cast<int>(ServerState::kDraining));
+  obs::log::info("server.drain",
+                 {{"conns", obs::gauge(obs::G::kServerConnectionsActive).value()},
+                  {"queue_depth",
+                   static_cast<std::uint64_t>(queue_depth_.load(std::memory_order_relaxed))}});
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);
     shutdown_requested_ = true;
@@ -333,7 +248,7 @@ void Server::stop() {
   // "draining" while it happens.
   if (http_ != nullptr) http_->stop();
   state_.store(static_cast<int>(ServerState::kStopped), std::memory_order_release);
-  state_gauge().set(static_cast<double>(static_cast<int>(ServerState::kStopped)));
+  obs::gauge(obs::G::kServerState).set(static_cast<int>(ServerState::kStopped));
   obs::log::info("server.stop", {{"requests", requests_.load(std::memory_order_relaxed)},
                                  {"shed", sheds_.load(std::memory_order_relaxed)},
                                  {"drained", drained}});
@@ -367,7 +282,7 @@ bool Server::admit(int fd, std::size_t live) {
   if (options_.max_connections != 0 && live >= options_.max_connections) {
     // Typed rejection, not a silent RST: retry clients back off and come
     // back instead of treating this as a dead server.
-    conn_rejected_counter().add();
+    obs::counter(obs::C::kServerConnRejected).add();
     note_shed();
     std::string line = overloaded_response(
         0, retry_after_hint_ms(),
@@ -379,8 +294,8 @@ bool Server::admit(int fd, std::size_t live) {
                     {"max", static_cast<std::uint64_t>(options_.max_connections)}});
     return false;
   }
-  connection_counter().add();
-  active_connections_gauge().add(1.0);
+  obs::counter(obs::C::kServerConnections).add();
+  obs::gauge(obs::G::kServerConnectionsActive).add(1.0);
   obs::log::info("server.connect", {{"fd", static_cast<std::uint64_t>(fd)}});
   return true;
 }
@@ -394,7 +309,7 @@ void Server::serve_connection(int fd) {
   // newline, so one runaway line does not cost the client its connection.
   bool discarding = false;
   const auto too_large = [] {
-    request_too_large_counter().add();
+    obs::counter(obs::C::kServerRequestsTooLarge).add();
     return error_response(0, "request-too-large",
                           "request line exceeds " + std::to_string(kMaxRequestLine) + " bytes");
   };
@@ -411,7 +326,7 @@ void Server::serve_connection(int fd) {
       if (options_.idle_timeout_ms != 0 &&
           std::chrono::steady_clock::now() - last_activity >
               std::chrono::milliseconds(options_.idle_timeout_ms)) {
-        idle_close_counter().add();
+        obs::counter(obs::C::kServerConnIdleClosed).add();
         obs::log::info("server.conn.idle_closed",
                        {{"fd", static_cast<std::uint64_t>(fd)},
                         {"idle_timeout_ms", options_.idle_timeout_ms}});
@@ -476,14 +391,14 @@ void Server::serve_connection(int fd) {
       discarding = true;
     }
   }
-  disconnect_counter().add();
-  active_connections_gauge().add(-1.0);
+  obs::counter(obs::C::kServerDisconnects).add();
+  obs::gauge(obs::G::kServerConnectionsActive).add(-1.0);
   obs::log::info("server.disconnect", {{"fd", static_cast<std::uint64_t>(fd)}});
 }
 
 std::string Server::handle_line(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  request_counter().add();
+  obs::counter(obs::C::kServerRequests).add();
   const ParsedRequest parsed = parse_request(line);
   // Adopt the client's trace: every span the request closes lands on its
   // tape, which reaches the store in one record once the root span has
@@ -504,10 +419,11 @@ std::string Server::handle_line(const std::string& line) {
 std::string Server::handle_request(const ParsedRequest& parsed) {
   const Request& request = parsed.request;
   // The root span covers dispatch to response render, on every exit path.
-  const obs::Span span("server.request", "server", request.cmd, &request_histogram(),
+  const obs::Span span("server.request", "server", request.cmd,
+                       &obs::histogram(obs::H::kServerRequest),
                        parsed.ok ? command_histogram(request.cmd) : nullptr);
   if (!parsed.ok) {
-    request_error_counter().add();
+    obs::counter(obs::C::kServerRequestErrors).add();
     return error_response(0, "syntax", parsed.error);
   }
   auto flight = obs::flight::recorder().begin(
@@ -518,7 +434,7 @@ std::string Server::handle_request(const ParsedRequest& parsed) {
     obs::flight::recorder().end(flight, obs::flight::Outcome::kOk);
     return response;
   } catch (const robust::Error& e) {
-    request_error_counter().add();
+    obs::counter(obs::C::kServerRequestErrors).add();
     obs::flight::recorder().end(flight,
                                 e.code() == robust::Code::kTimeout
                                     ? obs::flight::Outcome::kTimeout
@@ -537,7 +453,7 @@ std::string Server::handle_request(const ParsedRequest& parsed) {
     if (!options_.flight_out.empty()) obs::flight::recorder().write(options_.flight_out);
     return error_response(request.id, robust::code_name(e.code()), e.what());
   } catch (const std::exception& e) {
-    request_error_counter().add();
+    obs::counter(obs::C::kServerRequestErrors).add();
     obs::flight::recorder().end(flight, obs::flight::Outcome::kFailed,
                                 robust::Code::kTaskFailure);
     obs::log::warn("server.request_failed", {{"cmd", std::string_view(request.cmd)},
@@ -577,7 +493,7 @@ std::uint64_t Server::retry_after_hint_ms() const {
 
 void Server::note_shed() {
   sheds_.fetch_add(1, std::memory_order_relaxed);
-  shed_counter().add();
+  obs::counter(obs::C::kServerRequestsShed).add();
   last_shed_ns_.store(obs::steady_now_ns(), std::memory_order_relaxed);
 }
 
@@ -588,13 +504,13 @@ std::string Server::run_on_pool(Fn&& fn) {
   // cost near zero, which is exactly what an overloaded server needs.
   const std::size_t cap = effective_queue_cap();
   const std::size_t depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-  queue_depth_gauge().set(static_cast<double>(depth));
+  obs::gauge(obs::G::kServerQueueDepth).set(static_cast<double>(depth));
   struct DepthGuard {
     Server* server;
     ~DepthGuard() {
       const std::size_t now =
           server->queue_depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
-      queue_depth_gauge().set(static_cast<double>(now));
+      obs::gauge(obs::G::kServerQueueDepth).set(static_cast<double>(now));
     }
   } guard{this};
   if (cap != 0 && depth > cap) {
@@ -835,14 +751,15 @@ std::string Server::answer_report(const Request& request, const Design& design,
   const obs::Span render_span("server.render", "server", request.net);
   std::shared_ptr<const engine::Rendering> rendering = std::move(hit.rendering);
   if (rendering != nullptr) {
-    render_cached_counter().add();
+    obs::counter(obs::C::kServerRenderCached).add();
   } else {
     rendering = render_rows(*hit.rows, bounds_only);
     // Only a memory hit keeps its rendering: a net read once (computed,
     // or promoted from the store) does not pay for bytes nobody re-reads.
     if (hit.source == engine::CacheSource::kMemory)
       rendering = cache_.attach_rendering(key, render_flavor(bounds_only), std::move(rendering));
-    rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
+    obs::gauge(obs::G::kServerCacheRenderedBytes)
+        .set(static_cast<double>(cache_.rendered_bytes()));
   }
   std::string out;
   out.reserve(160 + rendering->text.size() + 24 * rendering->row_ends.size());
@@ -925,11 +842,8 @@ std::string Server::cmd_evict(const Request& request) {
 }
 
 void Server::update_gauges() {
-  static obs::Gauge& designs_gauge = obs::registry().gauge("server.designs");
-  static obs::Gauge& nets_gauge = obs::registry().gauge("server.nets.loaded");
-  static obs::Gauge& entries_gauge = obs::registry().gauge("server.cache.entries");
-  static obs::Gauge& cache_hit_gauge = obs::registry().gauge("server.cache.hit_rate");
-  static obs::Gauge& store_hit_gauge = obs::registry().gauge("server.store.hit_rate");
+  using obs::G;
+  const auto set = [](G id, auto value) { obs::gauge(id).set(static_cast<double>(value)); };
   std::size_t n_designs = 0;
   std::size_t n_nets = 0;
   {
@@ -937,20 +851,21 @@ void Server::update_gauges() {
     n_designs = designs_.size();
     for (const auto& [handle, design] : designs_) n_nets += design->file.nets.size();
   }
-  designs_gauge.set(static_cast<double>(n_designs));
-  nets_gauge.set(static_cast<double>(n_nets));
-  entries_gauge.set(static_cast<double>(cache_.size()));
-  rendered_bytes_gauge().set(static_cast<double>(cache_.rendered_bytes()));
+  set(G::kServerDesigns, n_designs);
+  set(G::kServerNetsLoaded, n_nets);
+  set(G::kServerCacheEntries, cache_.size());
+  set(G::kServerCacheRenderedBytes, cache_.rendered_bytes());
   // hits = memory, backend_hits = store, misses = recomputed; the three are
   // disjoint, so hit rates are straightforward fractions.
   const double memory_hits = static_cast<double>(cache_.hits());
   const double store_hits = static_cast<double>(cache_.backend_hits());
   const double misses = static_cast<double>(cache_.misses());
   const double lookups = memory_hits + store_hits + misses;
-  cache_hit_gauge.set(lookups > 0.0 ? (memory_hits + store_hits) / lookups : 0.0);
-  store_hit_gauge.set(store_hits + misses > 0.0 ? store_hits / (store_hits + misses) : 0.0);
-  state_gauge().set(static_cast<double>(static_cast<int>(current_state())));
-  queue_depth_gauge().set(static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
+  set(G::kServerCacheHitRate, lookups > 0.0 ? (memory_hits + store_hits) / lookups : 0.0);
+  set(G::kServerStoreHitRate,
+      store_hits + misses > 0.0 ? store_hits / (store_hits + misses) : 0.0);
+  set(G::kServerState, static_cast<int>(current_state()));
+  set(G::kServerQueueDepth, queue_depth_.load(std::memory_order_relaxed));
 }
 
 HttpResponse Server::route_http(std::string_view path) {

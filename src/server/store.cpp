@@ -15,8 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/instruments.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "rctree/mapped_file.hpp"
 #include "robust/fault.hpp"
 
@@ -32,51 +32,6 @@ std::uint64_t fnv1a(std::string_view bytes) {
 }
 
 namespace {
-
-obs::Counter& load_hit_counter() {
-  static obs::Counter& c = obs::registry().counter("store.load.hits");
-  return c;
-}
-obs::Counter& load_miss_counter() {
-  static obs::Counter& c = obs::registry().counter("store.load.misses");
-  return c;
-}
-obs::Counter& load_corrupt_counter() {
-  static obs::Counter& c = obs::registry().counter("store.load.corrupt");
-  return c;
-}
-obs::Counter& save_write_counter() {
-  static obs::Counter& c = obs::registry().counter("store.save.writes");
-  return c;
-}
-obs::Counter& save_error_counter() {
-  static obs::Counter& c = obs::registry().counter("store.save.errors");
-  return c;
-}
-obs::Counter& gc_sweep_counter() {
-  static obs::Counter& c = obs::registry().counter("store.gc.sweeps");
-  return c;
-}
-obs::Counter& gc_evicted_counter() {
-  static obs::Counter& c = obs::registry().counter("store.gc.evicted");
-  return c;
-}
-obs::Counter& gc_bytes_freed_counter() {
-  static obs::Counter& c = obs::registry().counter("store.gc.bytes_freed");
-  return c;
-}
-obs::Counter& gc_recovered_counter() {
-  static obs::Counter& c = obs::registry().counter("store.gc.recovered");
-  return c;
-}
-obs::Counter& gc_error_counter() {
-  static obs::Counter& c = obs::registry().counter("store.gc.errors");
-  return c;
-}
-obs::Gauge& store_bytes_gauge() {
-  static obs::Gauge& g = obs::registry().gauge("store.bytes");
-  return g;
-}
 
 constexpr char kMagic[4] = {'R', 'C', 'T', 'S'};
 
@@ -158,7 +113,7 @@ void DiskStore::recover_and_scan() {
       if (std::remove((dir_ + "/" + rel).c_str()) == 0) ++recovered;
     }
     std::remove(journal.c_str());
-    gc_recovered_counter().add(recovered);
+    obs::counter(obs::C::kStoreGcRecovered).add(recovered);
     obs::log::info("store.gc.recovered",
                    {{"dir", std::string_view(dir_)},
                     {"entries", static_cast<std::uint64_t>(recovered)}});
@@ -184,7 +139,7 @@ void DiskStore::recover_and_scan() {
       total += static_cast<std::uint64_t>(it->file_size(ec));
   }
   total_bytes_.store(total, std::memory_order_relaxed);
-  store_bytes_gauge().set(static_cast<double>(total));
+  obs::gauge(obs::G::kStoreBytes).set(static_cast<double>(total));
 }
 
 std::string DiskStore::path_for(std::uint64_t address) const {
@@ -198,11 +153,11 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   const std::string path = path_for(address);
   MappedFile file;
   if (!file.open(path)) {
-    load_miss_counter().add();
+    obs::counter(obs::C::kStoreLoadMisses).add();
     return std::nullopt;
   }
   const auto corrupt = [&](const char* why) -> std::optional<std::vector<core::NodeReport>> {
-    load_corrupt_counter().add();
+    obs::counter(obs::C::kStoreLoadCorrupt).add();
     obs::log::warn("store.corrupt", {{"path", std::string_view(path)}, {"reason", why}});
     return std::nullopt;
   };
@@ -212,7 +167,7 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   if (std::memcmp(p, kMagic, 4) != 0) return corrupt("bad magic");
   if (get_u32(p + 4) != kVersion) {
     // Another build's format, not damage: recompute and let save() replace it.
-    load_miss_counter().add();
+    obs::counter(obs::C::kStoreLoadMisses).add();
     return std::nullopt;
   }
   // Checksum covers everything before the trailing 8 bytes.
@@ -235,7 +190,7 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   off += 8;
   if (payload_len != body - off) return corrupt("payload length mismatch");
   if (!key_matches) {
-    load_miss_counter().add();
+    obs::counter(obs::C::kStoreLoadMisses).add();
     return std::nullopt;
   }
   auto rows = core::deserialize_report(
@@ -246,7 +201,7 @@ std::optional<std::vector<core::NodeReport>> DiskStore::load(const engine::NetKe
   const std::uint64_t nodes = key.words.empty() ? 0 : key.words[0];
   for (const core::NodeReport& row : *rows)
     if (row.node >= nodes) return corrupt("row node out of range");
-  load_hit_counter().add();
+  obs::counter(obs::C::kStoreLoadHits).add();
   // Bump the entry's atime so LRU GC sees the read even on relatime /
   // noatime mounts (mmap reads rarely touch atime at all).
   timespec times[2];
@@ -266,7 +221,7 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
   std::error_code ec;
   std::filesystem::create_directories(path.substr(0, slash), ec);
   if (ec) {
-    save_error_counter().add();
+    obs::counter(obs::C::kStoreSaveErrors).add();
     return;
   }
 
@@ -289,7 +244,7 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
                           "." + std::to_string(write_seq.fetch_add(1));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    save_error_counter().add();
+    obs::counter(obs::C::kStoreSaveErrors).add();
     return;
   }
   // Size of the entry this rename replaces (0 when new) so the running
@@ -300,15 +255,15 @@ void DiskStore::save(const engine::NetKey& key, const std::vector<core::NodeRepo
   const bool wrote = std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
   const bool closed = std::fclose(f) == 0;
   if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    save_error_counter().add();
+    obs::counter(obs::C::kStoreSaveErrors).add();
     std::remove(tmp.c_str());
     return;
   }
-  save_write_counter().add();
+  obs::counter(obs::C::kStoreSaveWrites).add();
   const std::uint64_t total =
       total_bytes_.fetch_add(blob.size() - old_size, std::memory_order_relaxed) +
       blob.size() - old_size;
-  store_bytes_gauge().set(static_cast<double>(total));
+  obs::gauge(obs::G::kStoreBytes).set(static_cast<double>(total));
   if (max_bytes_ > 0 && total > max_bytes_) sweep();
 }
 
@@ -362,7 +317,7 @@ void DiskStore::sweep() {
     const std::string tmp = journal + ".tmp." + std::to_string(static_cast<std::uint64_t>(::getpid()));
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr) {
-      gc_error_counter().add();
+      obs::counter(obs::C::kStoreGcErrors).add();
       return;
     }
     bool wrote = true;
@@ -371,7 +326,7 @@ void DiskStore::sweep() {
       wrote = wrote && std::fwrite(line.data(), 1, line.size(), f) == line.size();
     }
     if (std::fclose(f) != 0 || !wrote || std::rename(tmp.c_str(), journal.c_str()) != 0) {
-      gc_error_counter().add();
+      obs::counter(obs::C::kStoreGcErrors).add();
       std::remove(tmp.c_str());
       return;
     }
@@ -379,6 +334,7 @@ void DiskStore::sweep() {
 
   std::size_t evicted = 0;
   std::uint64_t bytes_freed = 0;
+  bool crashed = false;
   try {
     for (std::size_t i = 0; i < n_victims; ++i) {
       // Chaos site: dying here (journal written, some victims gone) is the
@@ -393,18 +349,15 @@ void DiskStore::sweep() {
   } catch (const robust::Error&) {
     // Injected crash: leave the journal in place (the whole point) and
     // keep serving — save() degrades, it never throws.
-    gc_error_counter().add();
-    gc_evicted_counter().add(evicted);
-    gc_bytes_freed_counter().add(bytes_freed);
-    store_bytes_gauge().set(static_cast<double>(total_bytes_.load(std::memory_order_relaxed)));
-    return;
+    crashed = true;
   }
-  std::remove(journal.c_str());
-  gc_sweep_counter().add();
-  gc_evicted_counter().add(evicted);
-  gc_bytes_freed_counter().add(bytes_freed);
+  if (!crashed) std::remove(journal.c_str());
+  obs::counter(crashed ? obs::C::kStoreGcErrors : obs::C::kStoreGcSweeps).add();
+  obs::counter(obs::C::kStoreGcEvicted).add(evicted);
+  obs::counter(obs::C::kStoreGcBytesFreed).add(bytes_freed);
   const std::uint64_t total = total_bytes_.load(std::memory_order_relaxed);
-  store_bytes_gauge().set(static_cast<double>(total));
+  obs::gauge(obs::G::kStoreBytes).set(static_cast<double>(total));
+  if (crashed) return;
   obs::log::info("store.gc",
                  {{"dir", std::string_view(dir_)},
                   {"evicted", static_cast<std::uint64_t>(evicted)},

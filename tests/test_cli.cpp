@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"   // for the RCT_OBS_ENABLED build flag
@@ -229,6 +231,57 @@ TEST(Cli, BatchMetricsOutHasCacheContextPoolAndLatency) {
   // Registered from inside timing-gated code, so absent under -DRCT_OBS=OFF.
   EXPECT_NE(body.find("\"engine.task.queue_wait_seconds\""), std::string::npos);
 #endif
+  std::remove(metrics.c_str());
+}
+
+TEST(Cli, BatchMetricsOutPinsTheInstrumentSet) {
+  // The instruments a fixed single-threaded batch records, and every
+  // counter's value, as the build before the instrument table printed
+  // them: the table must neither add, drop nor rename a series.
+  const std::string metrics = ::testing::TempDir() + "/rct_cli_pinned_metrics.json";
+  const auto r =
+      run_stdout("batch " + data("two_nets.spef") + " --jobs 1 --metrics-out " + metrics);
+  ASSERT_EQ(r.exit_code, 0);
+  const std::optional<rct::json::Value> doc = rct::json::parse(slurp(metrics));
+  ASSERT_TRUE(doc.has_value());
+  const auto names = [&](const char* kind) {
+    std::vector<std::string> out;
+    for (const rct::json::Member& m : doc->at(kind).members) out.push_back(m.key);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  std::map<std::string, std::uint64_t> counters;
+  for (const rct::json::Member& m : doc->at("counters").members)
+    counters[m.key] = m.value.as_u64().value();
+  const std::map<std::string, std::uint64_t> expected_counters = {
+      {"analysis.context.builds", 2}, {"core.report.exact_path", 2},
+      {"engine.cache.hits", 0},       {"engine.cache.inserts", 2},
+      {"engine.cache.misses", 2},     {"engine.nets.cancelled", 0},
+      {"engine.nets.completed", 2},   {"engine.nets.degraded", 0},
+      {"engine.nets.failed", 0},      {"engine.nets.retried", 0},
+      {"engine.nets.timed_out", 0},   {"engine.nets.total", 2},
+      {"engine.tasks.run", 2},        {"parse.bytes", 344},
+      {"parse.sections.completed", 2}, {"parse.sections.total", 2},
+      {"pool.tasks.run", 4}};
+  EXPECT_EQ(counters, expected_counters);
+  EXPECT_EQ(names("gauges"), std::vector<std::string>{});
+  std::vector<std::string> histograms = {
+      "analysis.context.build_seconds", "core.report.bound_gap",
+      "core.report.build_seconds",      "core.report.eigensolve_seconds",
+      "core.report.exact_vs_elmore_error", "engine.net.analyze_seconds",
+      "engine.task.queue_wait_seconds", "parse.nets.seconds"};
+#if RCT_OBS_ENABLED
+  // Observed only from timing-gated code, so absent under -DRCT_OBS=OFF.
+  for (const char* timed :
+       {"engine.batch.analyze_seconds", "engine.batch.merge_seconds", "parse.index.seconds"})
+    histograms.push_back(timed);
+#endif
+  std::sort(histograms.begin(), histograms.end());
+  // pool.worker.idle_seconds shows only if the worker went idle before the
+  // pool shut down, which is up to the scheduler.
+  std::vector<std::string> seen = names("histograms");
+  std::erase(seen, "pool.worker.idle_seconds");
+  EXPECT_EQ(seen, histograms);
   std::remove(metrics.c_str());
 }
 

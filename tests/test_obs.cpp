@@ -16,13 +16,17 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/flight.hpp"
+#include "obs/instruments.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -707,6 +711,38 @@ TEST(ObsFlight, FormatTextNamesFailedNets) {
   EXPECT_NE(text.find("retry"), std::string::npos);
   EXPECT_NE(text.find("failed"), std::string::npos);
   EXPECT_NE(text.find("task-failure"), std::string::npos);
+}
+
+// An id of one kind does not name an instrument of another.
+static_assert(!std::is_invocable_v<decltype(&obs::counter), obs::H>);
+static_assert(!std::is_invocable_v<decltype(&obs::gauge), obs::C>);
+static_assert(!std::is_invocable_v<decltype(&obs::histogram), obs::G>);
+
+TEST(ObsInstruments, TableNamesAreUniqueDottedAndTimedInSeconds) {
+  // `layer.component.op`, where a few layer-wide series (server.state,
+  // store.bytes) have no component and per-command splits add a fourth
+  // segment (server.request.report.seconds).
+  const std::regex dotted("[a-z]+(\\.[a-z][a-z0-9_]*){1,3}");
+  std::set<std::string_view> names;
+  std::set<std::string> prometheus_names;
+  for (const obs::Instrument& row : obs::kInstruments) {
+    const std::string name(row.name);
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate " << name;
+    std::string prom = name;
+    std::replace(prom.begin(), prom.end(), '.', '_');
+    EXPECT_TRUE(prometheus_names.insert(prom).second) << "Prometheus name clash: " << name;
+    EXPECT_TRUE(std::regex_match(name, dotted)) << name;
+    if (row.kind == obs::Kind::kLatency) {
+      EXPECT_TRUE(row.name.ends_with("seconds")) << name;
+    }
+  }
+  EXPECT_EQ(obs::info(obs::C::kServerRequests).name, "server.requests");
+  EXPECT_EQ(obs::info(obs::G::kServerState).name, "server.state");
+  EXPECT_EQ(obs::info(obs::H::kEngineNetAnalyze).name, "engine.net.analyze_seconds");
+  EXPECT_EQ(obs::info(obs::C::kServerRequests).kind, obs::Kind::kCounter);
+  EXPECT_EQ(obs::info(obs::G::kServerState).kind, obs::Kind::kGauge);
+  EXPECT_EQ(obs::info(obs::H::kEngineNetAnalyze).kind, obs::Kind::kLatency);
+  EXPECT_EQ(obs::info(obs::H::kCoreReportBoundGap).kind, obs::Kind::kRatio);
 }
 
 }  // namespace

@@ -38,8 +38,8 @@
 #include "engine/batch.hpp"
 #include "moments/path_tracing.hpp"
 #include "obs/flight.hpp"
+#include "obs/instruments.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "rctree/dot_export.hpp"
 #include "rctree/netlist_parser.hpp"
@@ -279,8 +279,9 @@ int cmd_report(const std::string& path) {
 
 /// Writes the metrics snapshot in the format --metrics-format selected.
 bool write_metrics(const SpefFlags& flags) {
-  return flags.metrics_prom ? obs::registry().write_prometheus(flags.metrics_out)
-                            : obs::registry().write_json(flags.metrics_out);
+  const obs::MetricsRegistry& reg = obs::registry();
+  return obs::write_text(flags.metrics_out,
+                         flags.metrics_prom ? reg.to_prometheus() : reg.to_json() + '\n');
 }
 
 /// Arms the tracer / logger / flight recorder and resets the registry for
@@ -403,18 +404,18 @@ class ProgressMeter {
   }
 
   void print_line() const {
-    const auto& reg = obs::registry();
-    const std::uint64_t done_nets = reg.counter_value("engine.nets.completed");
-    const std::uint64_t failed = reg.counter_value("engine.nets.failed");
-    const std::uint64_t degraded = reg.counter_value("engine.nets.degraded");
-    const std::uint64_t hits = reg.counter_value("engine.cache.hits");
-    const std::uint64_t misses = reg.counter_value("engine.cache.misses");
+    using obs::C;
+    const std::uint64_t done_nets = obs::counter_value(C::kEngineNetsCompleted);
+    const std::uint64_t failed = obs::counter_value(C::kEngineNetsFailed);
+    const std::uint64_t degraded = obs::counter_value(C::kEngineNetsDegraded);
+    const std::uint64_t hits = obs::counter_value(C::kEngineCacheHits);
+    const std::uint64_t misses = obs::counter_value(C::kEngineCacheMisses);
     // The net count is not known until the index pass lands, and then
     // grows as sections parse: use the live counter and show the parse
     // phase.
-    const std::uint64_t sections_total = reg.counter_value("parse.sections.total");
-    const std::uint64_t sections_done = reg.counter_value("parse.sections.completed");
-    const std::uint64_t total = std::max(reg.counter_value("engine.nets.total"), done_nets);
+    const std::uint64_t sections_total = obs::counter_value(C::kParseSectionsTotal);
+    const std::uint64_t sections_done = obs::counter_value(C::kParseSectionsCompleted);
+    const std::uint64_t total = std::max(obs::counter_value(C::kEngineNetsTotal), done_nets);
     // "parse " + two 20-digit counts + "/" + ", " + NUL.
     char parse_phase[6 + 20 + 1 + 20 + 2 + 1] = "";
     if (sections_total > 0 && sections_done < sections_total)
@@ -435,7 +436,7 @@ class ProgressMeter {
     // Live latency quantiles ride along once the histogram has samples
     // (absent under -DRCT_OBS=OFF, where Spans observe no histogram).
     char quantiles[64] = "";
-    if (const obs::Histogram* h = reg.find_histogram("engine.net.analyze_seconds");
+    if (const obs::Histogram* h = obs::find_histogram(obs::H::kEngineNetAnalyze);
         h != nullptr && h->count() > 0)
       std::snprintf(quantiles, sizeof(quantiles), ", p50 %s / p95 %s",
                     format_time(h->quantile(0.50)).c_str(),
